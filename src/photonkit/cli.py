@@ -5,6 +5,10 @@ timestamp files, ``correlate``/``lifetime``/``blink`` run the individual
 analyses on a timestamp file, ``fit`` refits an exported histogram CSV,
 and ``pipeline`` executes a JSON job description end to end.
 
+The simulate and analysis subcommands map their flags onto job-config
+keys and call the stage functions of ``photonkit.pipeline``; an unset
+flag takes the same default a JSON job would.
+
 Option precedence is defaults, then command-line flags, then values from
 a ``--config`` JSON file, which override flags by design so a saved
 config fully pins an analysis. Output files land in ``--outdir`` (or the
@@ -18,52 +22,26 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import fit as fitmod
-from .blinking import analyze_blinking
-from .core import (
-    CHANNEL_A,
-    CHANNEL_B,
-    PS_PER_MS,
-    PS_PER_NS,
-    PS_PER_S,
-    SYNC_CHANNEL,
-    CoincidenceHistogram,
-    DecayHistogram,
-    TimestampStream,
-)
-from .correlator import cross_correlate, intensity_trace, sync_decay_histogram
-from .fileio import (
-    TimestampFileError,
-    export_histogram_csv,
-    read_histogram_csv,
-    read_timestamps,
-    write_timestamps,
-)
-from .pipeline import run_pipeline
-from .sim import (
-    BlinkingLaw,
-    DetectorModel,
-    EmitterModel,
-    ExcitationConfig,
-    detect_hbt,
-    generate_emission,
+from .core import PS_PER_NS, CoincidenceHistogram, DecayHistogram, Measurement
+from .fileio import TimestampFileError, export_histogram_csv, read_histogram_csv
+from .pipeline import (
+    run_blinking,
+    run_correlate,
+    run_decay_histogram,
+    run_g2_fit,
+    run_lifetime,
+    run_load,
+    run_pipeline,
+    run_simulate,
 )
 
 __all__ = ["main", "build_parser"]
 
 
 def _outdir(args) -> str:
-    return args.outdir or os.environ.get("PHOTONKIT_OUTDIR") or "."
-
-
-def _resolve_out(args, name: str) -> str:
-    if os.path.isabs(name):
-        return name
-    outdir = _outdir(args)
+    outdir = args.outdir or os.environ.get("PHOTONKIT_OUTDIR") or "."
     os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, name)
+    return outdir
 
 
 def _apply_config(args, parser):
@@ -84,131 +62,117 @@ def _apply_config(args, parser):
     return args
 
 
-def _load_streams(args):
-    by_channel = read_timestamps(args.input, getattr(args, "duration_ps", None))
-    return (by_channel.get(CHANNEL_A), by_channel.get(CHANNEL_B),
-            by_channel.get(SYNC_CHANNEL))
+def _given(**keys) -> dict:
+    """Job-config keys for the flags that were set. An unset flag is None
+    and is left out, so the stage or model default applies."""
+    return {k: v for k, v in keys.items() if v is not None}
 
 
-def _merged(ch0, ch1) -> TimestampStream:
-    parts = [s for s in (ch0, ch1) if s is not None and len(s)]
-    if not parts:
-        raise ValueError("input has no events on detector channels 0/1")
-    events = np.sort(np.concatenate([s.events for s in parts]))
-    return TimestampStream(CHANNEL_A, events, max(s.duration for s in parts))
-
-
-def _sync_period_ns(sync, fallback_ns) -> float:
-    if sync is not None and len(sync) >= 2:
-        return float(np.median(np.diff(sync.events))) / PS_PER_NS
-    if fallback_ns:
-        return float(fallback_ns)
-    raise ValueError("no sync channel in the input; pass --period (ns)")
-
-
-def _print_fit(res) -> None:
-    for name in res.names:
-        print(f"{name} = {res.value_of(name)}")
-    print(f"chi2_reduced = {res.chi2_reduced:.4g}")
-    if not res.converged:
+def _print_fit(result: dict) -> None:
+    """Print a g2 or lifetime stage result."""
+    for name, m in result["fit"].items():
+        print(f"{name} = {Measurement(**m)}")
+    print(f"chi2_reduced = {result['chi2_reduced']:.4g}")
+    if "g2_at_dip" in result:
+        print(f"g2(tau0) = {result['g2_at_dip']}")
+        print(f"verdict = {result['verdict'].value}")
+    else:
+        print(f"tau_avg_ns = {result['tau_avg_ns']}")
+    if not result["converged"]:
         print("warning: fit did not converge", file=sys.stderr)
-    for flag in res.flags:
+    for flag in result["flags"]:
         print(f"flag: {flag}", file=sys.stderr)
+    if result.get("discarded"):
+        print(f"{result['discarded']} photons outside the sync window",
+              file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_simulate(args) -> int:
-    law = BlinkingLaw(kind=args.blinking, alpha_on=args.alpha,
+    period_ps = (None if args.period is None
+                 else int(round(args.period * PS_PER_NS)))
+    blinking = _given(kind=args.blinking, alpha_on=args.alpha,
                       alpha_off=args.alpha,
                       off_emission_rate_per_ms=args.background_per_ms)
-    emitter = EmitterModel(lifetime_ns=args.lifetime_ns, blinking=law)
-    excitation = ExcitationConfig(
-        mode=args.mode, cw_rate_per_s=args.rate_per_s,
-        pulse_period_ps=int(round(args.period * PS_PER_NS)),
-        excitation_probability=args.excitation_probability)
-    detector = DetectorModel(
-        efficiency=args.efficiency, dark_rate_per_ms=args.dark_rate_per_ms,
-        jitter_sigma_ps=args.jitter_ps, dead_time_ps=args.dead_time_ps)
-    duration = int(round(args.duration_s * PS_PER_S))
-    emission = generate_emission(emitter, excitation, duration, args.seed,
-                                 args.workers)
-    ch0, ch1, sync = detect_hbt(emission, detector, args.seed)
-    path = _resolve_out(args, args.output)
-    streams = [ch0, ch1] + ([sync] if len(sync) else [])
-    n = write_timestamps(streams, path)
-    print(f"wrote {n} records to {path}")
-    print(f"channel 0: {len(ch0)} events ({ch0.rate_per_ms:.2f}/ms)")
-    print(f"channel 1: {len(ch1)} events ({ch1.rate_per_ms:.2f}/ms)")
-    if len(sync):
-        print(f"sync: {len(sync)} pulses")
+    config = _given(
+        seed=args.seed, duration_s=args.duration_s, workers=args.workers,
+        output=args.output,
+        emitter=_given(lifetime_ns=args.lifetime_ns, blinking=blinking),
+        excitation=_given(
+            mode=args.mode, cw_rate_per_s=args.rate_per_s,
+            pulse_period_ps=period_ps,
+            excitation_probability=args.excitation_probability),
+        detector=_given(
+            efficiency=args.efficiency, dark_rate_per_ms=args.dark_rate_per_ms,
+            jitter_sigma_ps=args.jitter_ps, dead_time_ps=args.dead_time_ps))
+    result, _ = run_simulate(config, _outdir(args))
+    counts, rates = result["counts"], result["rates_per_ms"]
+    print(f"wrote {result['records']} records to {result['output']}")
+    for ch in (0, 1):
+        print(f"channel {ch}: {counts[f'channel_{ch}']} events "
+              f"({rates[f'channel_{ch}']:.2f}/ms)")
+    if counts["sync"]:
+        print(f"sync: {counts['sync']} pulses")
     return 0
 
 
 def cmd_correlate(args) -> int:
-    ch0, ch1, sync = _load_streams(args)
-    if ch0 is None or ch1 is None:
-        raise ValueError("input lacks events on both detector channels 0 and 1")
-    hist = cross_correlate(ch0, ch1, int(round(args.window * PS_PER_NS)),
-                           args.bin_width, args.workers)
+    config = _given(
+        input=args.input, duration_ps=args.duration_ps,
+        correlation=_given(window_ns=args.window, bin_width_ps=args.bin_width,
+                           workers=args.workers, period_ns=args.period,
+                           n_side=args.n_side))
+    _, streams = run_load(config)
+    hist = run_correlate(streams, config)
     print(f"{int(hist.counts.sum())} pairs in {hist.n_bins} bins")
-    if args.fit != "none":
-        if args.fit == "cw":
-            res = fitmod.fit_g2_cw(hist)
-        else:
-            period_ns = _sync_period_ns(sync, args.period)
-            res = fitmod.fit_g2_pw(hist, period_ns, args.n_side)
-        hist, g2 = fitmod.normalize_g2(hist, res)
-        _print_fit(res)
-        print(f"g2(tau0) = {g2}")
-        print(f"verdict = {fitmod.single_photon_verdict(g2).value}")
-    path = _resolve_out(args, args.output)
-    export_histogram_csv(hist, path)
+    if args.fit == "none":
+        path = os.path.join(_outdir(args), args.output)
+        export_histogram_csv(hist, path)
+    else:
+        config["correlation"]["csv"] = args.output
+        kind = "g2cw" if args.fit == "cw" else "g2pw"
+        result = run_g2_fit(kind, hist, streams, config, _outdir(args))
+        _print_fit(result)
+        path = result["csv"]
     print(f"histogram written to {path}")
     return 0
 
 
 def cmd_lifetime(args) -> int:
-    ch0, ch1, sync = _load_streams(args)
-    photons = _merged(ch0, ch1)
-    if sync is not None and len(sync) >= 2:
-        hist = sync_decay_histogram(photons, sync=sync,
-                                    bin_width=args.bin_width)
-    else:
-        period_ps = int(round(_sync_period_ns(None, args.period) * PS_PER_NS))
-        hist = sync_decay_histogram(photons, period=period_ps,
-                                    bin_width=args.bin_width)
-    res = fitmod.fit_multiexp(hist, args.components)
-    _print_fit(res)
-    print(f"tau_avg_ns = {fitmod.average_lifetime(res)}")
-    if hist.discarded:
-        print(f"{hist.discarded} photons outside the sync window",
-              file=sys.stderr)
-    path = _resolve_out(args, args.output)
-    export_histogram_csv(hist, path)
-    print(f"histogram written to {path}")
+    config = _given(
+        input=args.input, duration_ps=args.duration_ps,
+        lifetime=_given(bin_width_ps=args.bin_width, period_ns=args.period,
+                        n_components=args.components, csv=args.output))
+    _, streams = run_load(config)
+    result = run_lifetime(run_decay_histogram(streams, config), config,
+                          _outdir(args))
+    _print_fit(result)
+    print(f"histogram written to {result['csv']}")
     return 0
 
 
 def cmd_blink(args) -> int:
-    ch0, ch1, _ = _load_streams(args)
-    photons = _merged(ch0, ch1)
-    trace = intensity_trace(photons, int(round(args.bin_ms * PS_PER_MS)))
-    res = analyze_blinking(trace, threshold_per_ms=args.threshold,
-                           min_dwell_ms=args.min_dwell_ms,
-                           tau_min_ms=args.tau_min_ms)
-    print(f"threshold = {res.threshold:g} counts/ms over {trace.n_bins} bins")
-    print(f"on dwells = {res.on_durations_ms.size}, "
-          f"off dwells = {res.off_durations_ms.size}")
-    for state, alpha, model in (("on", res.alpha_on, res.model_on),
-                                ("off", res.alpha_off, res.model_off)):
+    config = _given(
+        input=args.input, duration_ps=args.duration_ps,
+        blinking=_given(threshold_per_ms=args.threshold,
+                        bin_width_ms=args.bin_ms,
+                        min_dwell_ms=args.min_dwell_ms,
+                        tau_min_ms=args.tau_min_ms))
+    _, streams = run_load(config)
+    res = run_blinking(streams, config)
+    print(f"threshold = {res['threshold_per_ms']:g} counts/ms")
+    print(f"on dwells = {res['n_on_dwells']}, "
+          f"off dwells = {res['n_off_dwells']}")
+    for state in ("on", "off"):
+        alpha = res[f"alpha_{state}"]
         if alpha is None:
             print(f"{state}: too few dwells to characterize")
         else:
-            print(f"{state}: alpha = {alpha}, model = {model}")
-    print(f"mean rates: on {res.mean_on_rate_per_ms:.2f}/ms, "
-          f"off {res.mean_off_rate_per_ms:.2f}/ms")
+            print(f"{state}: alpha = {alpha}, model = {res[f'model_{state}']}")
+    print(f"mean rates: on {res['mean_on_rate_per_ms']:.2f}/ms, "
+          f"off {res['mean_off_rate_per_ms']:.2f}/ms")
     return 0
 
 
@@ -225,23 +189,16 @@ def cmd_fit(args) -> int:
     if args.model in ("cw", "pulsed"):
         window_ps = int(round(-centers[0] * PS_PER_NS + bin_ps / 2.0))
         hist = CoincidenceHistogram(bin_ps, window_ps, counts)
-        if args.model == "cw":
-            res = fitmod.fit_g2_cw(hist)
-        else:
-            if not args.period:
-                raise ValueError("pulsed fit needs --period (ns)")
-            res = fitmod.fit_g2_pw(hist, args.period, args.n_side)
-        _, g2 = fitmod.normalize_g2(hist, res)
-        _print_fit(res)
-        print(f"g2(tau0) = {g2}")
-        print(f"verdict = {fitmod.single_photon_verdict(g2).value}")
+        config = {"correlation": _given(period_ns=args.period,
+                                        n_side=args.n_side)}
+        kind = "g2cw" if args.model == "cw" else "g2pw"
+        _print_fit(run_g2_fit(kind, hist, {}, config))
     else:
         period_ps = (int(round(args.period * PS_PER_NS)) if args.period
                      else int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0)))
-        res = fitmod.fit_multiexp(DecayHistogram(bin_ps, period_ps, counts),
-                                  args.components)
-        _print_fit(res)
-        print(f"tau_avg_ns = {fitmod.average_lifetime(res)}")
+        hist = DecayHistogram(bin_ps, period_ps, counts)
+        config = {"lifetime": _given(n_components=args.components)}
+        _print_fit(run_lifetime(hist, config))
     return 0
 
 
@@ -251,12 +208,12 @@ def cmd_pipeline(args) -> int:
     if not isinstance(config, dict):
         raise ValueError(f"job file {args.job} must hold a JSON object")
     doc = run_pipeline(config, base_dir=_outdir(args))
-    path = _resolve_out(args, args.output)
+    path = os.path.join(_outdir(args), args.output)
     doc.write(path)
     print(f"report written to {path}")
     for err in doc.errors:
-        print(f"error[{err.get('stage', '?')}]: {err.get('message', err)}",
-              file=sys.stderr)
+        where = ":".join(str(err[k]) for k in ("stage", "code") if k in err)
+        print(f"error[{where}]: {err['message']}", file=sys.stderr)
     return 0 if doc.ok else 1
 
 
@@ -272,6 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     overridable.add_argument(
         "--config", default=None, metavar="JSON",
         help="JSON file whose values override command-line flags")
+    reader = argparse.ArgumentParser(add_help=False)
+    reader.add_argument("input", help="binary timestamp file")
+    reader.add_argument("--duration-ps", type=int)
 
     parser = argparse.ArgumentParser(
         prog="photonkit",
@@ -281,68 +241,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common, overridable],
                        help="generate a synthetic timestamp file")
-    p.add_argument("--mode", choices=["cw", "pulsed"], default="cw")
-    p.add_argument("--duration-s", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lifetime-ns", type=float, default=4.7)
-    p.add_argument("--rate-per-s", type=float, default=1e6,
+    p.add_argument("--mode", choices=["cw", "pulsed"])
+    p.add_argument("--duration-s", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lifetime-ns", type=float)
+    p.add_argument("--rate-per-s", type=float,
                    help="CW excitation rate (1/s)")
-    p.add_argument("--period", type=float, default=100.0,
+    p.add_argument("--period", type=float,
                    help="pulse period in ns (pulsed mode)")
-    p.add_argument("--excitation-probability", type=float, default=1.0)
-    p.add_argument("--efficiency", type=float, default=1.0)
-    p.add_argument("--dark-rate-per-ms", type=float, default=1.0)
-    p.add_argument("--jitter-ps", type=float, default=600.0)
-    p.add_argument("--dead-time-ps", type=int, default=22_000)
+    p.add_argument("--excitation-probability", type=float)
+    p.add_argument("--efficiency", type=float)
+    p.add_argument("--dark-rate-per-ms", type=float)
+    p.add_argument("--jitter-ps", type=float)
+    p.add_argument("--dead-time-ps", type=int)
     p.add_argument("--blinking",
-                   choices=["none", "power_law", "two_state_exponential"],
-                   default="none")
-    p.add_argument("--alpha", type=float, default=0.5,
+                   choices=["none", "power_law", "two_state_exponential"])
+    p.add_argument("--alpha", type=float,
                    help="power-law exponent for both states")
-    p.add_argument("--background-per-ms", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("-o", "--output", default="timestamps.ptst")
+    p.add_argument("--background-per-ms", type=float,
+                   help="uncorrelated background in counts/ms")
+    p.add_argument("--workers", type=int)
+    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("correlate", parents=[common, overridable],
+    p = sub.add_parser("correlate", parents=[common, overridable, reader],
                        help="cross-correlate the two detector channels")
-    p.add_argument("input", help="binary timestamp file")
-    p.add_argument("--window", type=float, default=1000.0,
-                   help="half-window in ns")
-    p.add_argument("--bin-width", type=int, default=500,
-                   help="bin width in ps")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--window", type=float, help="half-window in ns")
+    p.add_argument("--bin-width", type=int, help="bin width in ps")
+    p.add_argument("--workers", type=int)
     p.add_argument("--fit", choices=["none", "cw", "pulsed"], default="none")
-    p.add_argument("--period", type=float, default=None,
+    p.add_argument("--period", type=float,
                    help="pulse period in ns when the file has no sync channel")
-    p.add_argument("--n-side", type=int, default=5,
+    p.add_argument("--n-side", type=int,
                    help="side peaks per side in the pulsed fit")
-    p.add_argument("--duration-ps", type=int, default=None)
     p.add_argument("-o", "--output", default="g2.csv")
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("lifetime", parents=[common, overridable],
+    p = sub.add_parser("lifetime", parents=[common, overridable, reader],
                        help="sync-referenced decay histogram and fit")
-    p.add_argument("input", help="binary timestamp file")
-    p.add_argument("--bin-width", type=int, default=500,
-                   help="bin width in ps")
-    p.add_argument("--period", type=float, default=None,
+    p.add_argument("--bin-width", type=int, help="bin width in ps")
+    p.add_argument("--period", type=float,
                    help="pulse period in ns when the file has no sync channel")
-    p.add_argument("--components", type=int, default=3)
-    p.add_argument("--duration-ps", type=int, default=None)
+    p.add_argument("--components", type=int)
     p.add_argument("-o", "--output", default="decay.csv")
     p.set_defaults(func=cmd_lifetime)
 
-    p = sub.add_parser("blink", parents=[common, overridable],
+    p = sub.add_parser("blink", parents=[common, overridable, reader],
                        help="intensity thresholding and dwell statistics")
-    p.add_argument("input", help="binary timestamp file")
-    p.add_argument("--threshold", type=float, default=50.0,
+    p.add_argument("--threshold", type=float,
                    help="ON/OFF threshold in counts/ms")
-    p.add_argument("--bin-ms", type=float, default=1.0,
-                   help="intensity bin width in ms")
-    p.add_argument("--min-dwell-ms", type=float, default=0.0)
-    p.add_argument("--tau-min-ms", type=float, default=None)
-    p.add_argument("--duration-ps", type=int, default=None)
+    p.add_argument("--bin-ms", type=float, help="intensity bin width in ms")
+    p.add_argument("--min-dwell-ms", type=float)
+    p.add_argument("--tau-min-ms", type=float)
     p.set_defaults(func=cmd_blink)
 
     p = sub.add_parser("fit", parents=[common, overridable],
@@ -350,10 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="histogram CSV with bin_center_ns,count")
     p.add_argument("--model", choices=["cw", "pulsed", "decay"],
                    required=True)
-    p.add_argument("--period", type=float, default=None,
-                   help="pulse period in ns")
-    p.add_argument("--components", type=int, default=3)
-    p.add_argument("--n-side", type=int, default=5)
+    p.add_argument("--period", type=float, help="pulse period in ns")
+    p.add_argument("--components", type=int)
+    p.add_argument("--n-side", type=int)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("pipeline", parents=[common],

@@ -108,7 +108,7 @@ class _ArrayRecord:
             a = getattr(self, name)
             b = getattr(other, name)
             if isinstance(a, np.ndarray):
-                if not (b.shape == a.shape and np.array_equal(a, b)):
+                if not np.array_equal(a, b):
                     return False
             elif a != b:
                 return False

@@ -31,6 +31,7 @@ from .core import (
     IntensityTrace,
     Segment,
     TimestampStream,
+    _ArrayRecord,
 )
 
 __all__ = [
@@ -113,13 +114,14 @@ class BlinkingLaw:
 class EmitterModel:
     """Photophysics of the simulated emitter.
 
-    ``lifetime_ns`` is the exciton decay constant tau_X. A biexciton photon
-    can precede the exciton one when ``biexciton_probability`` > 0; its decay
-    constant is shorter in practice, so the default pairing puts it earlier
-    without enforced ordering.
+    ``lifetime_ns`` is the exciton decay constant tau_X (default 4.7 ns). A
+    biexciton photon can precede the exciton one when
+    ``biexciton_probability`` > 0; its decay constant is shorter in
+    practice, so the default pairing puts it earlier without enforced
+    ordering.
     """
 
-    lifetime_ns: float
+    lifetime_ns: float = 4.7
     biexciton_lifetime_ns: float = 0.8
     biexciton_probability: float = 0.0
     quantum_yield: float = 1.0
@@ -141,13 +143,13 @@ class EmitterModel:
 class ExcitationConfig:
     """Excitation mode and its parameters.
 
-    CW drives the emitter as a renewal process at ``cw_rate_per_s``
-    excitations per second; pulsed excitation fires at a fixed period
-    (default 100 ns, a 10 MHz laser) and excites with a per-pulse
-    probability, absorbing somewhere inside the pulse width.
+    CW (the default mode) drives the emitter as a renewal process at
+    ``cw_rate_per_s`` excitations per second; pulsed excitation fires at a
+    fixed period (default 100 ns, a 10 MHz laser) and excites with a
+    per-pulse probability, absorbing somewhere inside the pulse width.
     """
 
-    mode: str
+    mode: str = "cw"
     cw_rate_per_s: float = 1e6
     pulse_period_ps: int = 100_000
     excitation_probability: float = 1.0
@@ -194,24 +196,8 @@ class DetectorModel:
             raise ValueError("dead_time_ps must be >= 0")
 
 
-class _ArrayEq:
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        for name in self.__dataclass_fields__:  # type: ignore[attr-defined]
-            a, b = getattr(self, name), getattr(other, name)
-            if isinstance(a, np.ndarray):
-                if not np.array_equal(a, b):
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 @dataclass(frozen=True, eq=False)
-class EmissionRecord(_ArrayEq):
+class EmissionRecord(_ArrayRecord):
     """Ideal (pre-detector) photon emission times with ground truth.
 
     ``times`` are sorted int64 ps; ``is_signal`` flags emitter photons as

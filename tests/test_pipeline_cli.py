@@ -311,3 +311,63 @@ class TestCli:
         for name in ("simulate", "correlate", "lifetime", "blink", "fit",
                      "pipeline"):
             assert name in proc.stdout
+
+
+class TestCliPipelineParity:
+    """The CLI subcommands and JSON jobs run the same stage functions, so
+    the same nominal job gives byte-identical files and equal results."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("parity")
+        out = {}
+        for mode in ("cw", "pulsed"):
+            cli_path = base / f"cli_{mode}.ptst"
+            flags = ["--mode", "pulsed"] if mode == "pulsed" else []
+            assert cli_main(["simulate", "--seed", "5", "--duration-s", "0.05",
+                             *flags, "-o", str(cli_path)]) == 0
+            job = {"mode": "simulate", "seed": 5, "duration_s": 0.05,
+                   "output": f"job_{mode}.ptst"}
+            if mode == "pulsed":
+                job["excitation"] = {"mode": "pulsed"}
+            doc = run_pipeline(job, base_dir=str(base))
+            assert doc.ok, doc.errors
+            out[mode] = cli_path, base / f"job_{mode}.ptst"
+        return out
+
+    @pytest.mark.parametrize("mode", ["cw", "pulsed"])
+    def test_simulate_files_are_byte_identical(self, pairs, mode):
+        cli_path, job_path = pairs[mode]
+        assert cli_path.read_bytes() == job_path.read_bytes()
+
+    def test_lifetime_matches_pipeline_analysis(self, pairs, tmp_path,
+                                                capsys):
+        cli_path, _ = pairs["pulsed"]
+        capsys.readouterr()
+        assert cli_main(["lifetime", str(cli_path), "--components", "1",
+                         "--outdir", str(tmp_path)]) == 0
+        printed = out_lines(capsys).split("tau_avg_ns = ")[1].splitlines()[0]
+        doc = run_pipeline({"mode": "analyze", "input": str(cli_path),
+                            "analyses": ["lifetime"],
+                            "lifetime": {"n_components": 1}},
+                           base_dir=str(tmp_path))
+        assert doc.ok, doc.errors
+        assert printed == str(doc.results["lifetime"]["tau_avg_ns"])
+
+
+class TestErrorEntries:
+    def test_bad_magic_keeps_type_and_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ptst"
+        bad.write_bytes(b"XXXX" + bytes(15))
+        job = {"mode": "analyze", "input": str(bad), "analyses": ["g2cw"]}
+        doc = run_pipeline(job, base_dir=str(tmp_path))
+        entry = doc.errors[0]
+        assert entry["stage"] == "input"
+        assert entry["type"] == "BadMagicError"
+        assert entry["code"] == "bad_magic"
+        assert "code" not in doc.errors[1]
+
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        assert cli_main(["pipeline", str(tmp_path / "job.json"),
+                         "--outdir", str(tmp_path)]) == 1
+        assert "error[input:bad_magic]: " in capsys.readouterr().err
