@@ -23,6 +23,7 @@ from .core import (
     IntensityTrace,
     Measurement,
     MultiExpParams,
+    PeriodicStream,
     Segment,
     TimestampStream,
     ValidationReport,

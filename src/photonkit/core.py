@@ -12,6 +12,7 @@ instances can be shared freely between analysis stages.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ __all__ = [
     "Measurement",
     "Verdict",
     "TimestampStream",
+    "PeriodicStream",
     "ValidationReport",
     "validate_stream",
     "CoincidenceHistogram",
@@ -148,7 +150,70 @@ class TimestampStream(_ArrayRecord):
         """Mean detected rate in counts per millisecond."""
         if self.duration <= 0:
             return 0.0
-        return self.events.size / (self.duration / PS_PER_MS)
+        return len(self) / (self.duration / PS_PER_MS)
+
+
+@dataclass(frozen=True)
+class PeriodicStream:
+    """A perfectly periodic stream, such as an ideal laser sync, kept as
+    its grid instead of one timestamp per pulse.
+
+    Pulses sit at ``offset + k * period`` for k = 0 .. count-1. It stands
+    in for the equivalent :class:`TimestampStream`: ``len`` and
+    ``rate_per_ms`` read the grid, and ``events`` builds the pulse array
+    on first access only, then keeps it (read-only).
+
+    Parameters
+    ----------
+    channel : int
+        Channel id, usually 255 (sync).
+    offset : int
+        First pulse in ps, >= 0.
+    period : int
+        Pulse spacing in ps, > 0.
+    count : int
+        Number of pulses, >= 1.
+    duration : int
+        Observation span in ps, not before the last pulse.
+    """
+
+    channel: int
+    offset: int
+    period: int
+    count: int
+    duration: int
+
+    def __post_init__(self):
+        for name in ("channel", "offset", "period", "count", "duration"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.offset < 0:
+            raise ValueError(f"offset must be >= 0, got {self.offset}")
+        if self.period <= 0:
+            raise ValueError(f"period must be positive, got {self.period}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if self.duration < self.last:
+            raise ValueError(
+                f"duration {self.duration} is before the last pulse "
+                f"{self.last}")
+        if self.last > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"last pulse {self.last} overflows the signed 64-bit ps range")
+
+    @property
+    def last(self) -> int:
+        """Time of the last pulse in ps."""
+        return self.offset + (self.count - 1) * self.period
+
+    @functools.cached_property
+    def events(self) -> np.ndarray:
+        return _freeze(self.offset + np.arange(self.count, dtype=np.int64)
+                       * self.period)
+
+    def __len__(self) -> int:
+        return self.count
+
+    rate_per_ms = TimestampStream.rate_per_ms
 
 
 @dataclass(frozen=True, eq=False)

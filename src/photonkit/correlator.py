@@ -17,6 +17,7 @@ from .core import (
     CoincidenceHistogram,
     DecayHistogram,
     IntensityTrace,
+    PeriodicStream,
     TimestampStream,
 )
 
@@ -153,23 +154,44 @@ def brute_force_correlate(a: TimestampStream, b: TimestampStream, window: int,
     return CoincidenceHistogram(bin_width, window, counts)
 
 
+def _grid_delays(t: np.ndarray, offset: int, period: int,
+                 count: int | None) -> np.ndarray:
+    """Delay of each sorted time since the latest pulse at or before it,
+    on the grid ``offset + k*period`` for k < count (unbounded when count
+    is None). Times before the first pulse are dropped."""
+    t = t[np.searchsorted(t, offset, side="left"):]
+    delay = t - offset
+    delay %= period
+    if count is not None:
+        last = offset + (count - 1) * period
+        past = int(np.searchsorted(t, last, side="left"))
+        delay[past:] = t[past:] - last
+    return delay
+
+
 def sync_decay_histogram(photons: TimestampStream,
-                         sync: TimestampStream | None = None,
+                         sync: TimestampStream | PeriodicStream | None = None,
                          period: int | None = None,
                          bin_width: int = 500) -> DecayHistogram:
     """Histogram photon delays relative to the preceding sync pulse.
 
-    Either an explicit sync stream or a fixed ``period`` (sync at every
-    multiple of it, starting at 0) must be given; an explicit ``period``
-    wins when both are present. Photons arriving before the first sync, or
-    with a delay past the last bin edge (a skipped sync), are not binned
-    and are counted in ``discarded``.
+    Either a sync stream or a fixed ``period`` (sync at every multiple of
+    it, starting at 0) must be given; an explicit ``period`` wins when
+    both are present. Photons arriving before the first sync, or with a
+    delay past the last bin edge (a skipped sync, or a photon after the
+    last pulse), are not binned and are counted in ``discarded``.
+
+    A :class:`PeriodicStream` sync and ``period`` share one arithmetic
+    path, ``k = (t - offset) // period`` clamped to the last pulse, which
+    gives the same delays as searching the materialized pulse array. An
+    explicit sync :class:`TimestampStream` is searched pulse by pulse.
 
     Parameters
     ----------
     photons : TimestampStream
-    sync : TimestampStream, optional
-        Sync pulses; the period is inferred from their median spacing.
+    sync : TimestampStream or PeriodicStream, optional
+        Sync pulses. For an explicit stream the period is inferred from
+        the median spacing.
     period : int, optional
         Sync period in ps.
     bin_width : int
@@ -179,15 +201,14 @@ def sync_decay_histogram(photons: TimestampStream,
     if bin_width <= 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     t = photons.events
+    s = None   # explicit sync pulses, searched instead of the grid
     if period is not None:
         period = int(period)
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        if bin_width > period:
-            raise ValueError(
-                f"bin_width ({bin_width}) must not exceed period ({period})")
-        delay = t % period
-        discarded = 0
+        offset, count = 0, None
+    elif isinstance(sync, PeriodicStream):
+        offset, period, count = sync.offset, sync.period, sync.count
     elif sync is not None:
         _require_sorted(sync, "sync")
         s = sync.events
@@ -195,21 +216,22 @@ def sync_decay_histogram(photons: TimestampStream,
             raise ValueError(
                 "need at least two sync pulses to infer the period")
         period = int(np.median(np.diff(s)))
-        if bin_width > period:
-            raise ValueError(
-                f"bin_width ({bin_width}) must not exceed period ({period})")
-        pos = np.searchsorted(s, t, side="right") - 1
-        before_first = pos < 0
-        discarded = int(np.count_nonzero(before_first))
-        good = ~before_first
-        delay = t[good] - s[pos[good]]
     else:
         raise ValueError("either a sync stream or a period is required")
+    if bin_width > period:
+        raise ValueError(
+            f"bin_width ({bin_width}) must not exceed period ({period})")
 
+    if s is None:
+        delay = _grid_delays(t, offset, period, count)
+    else:
+        pos = np.searchsorted(s, t, side="right") - 1
+        good = pos >= 0
+        delay = t[good] - s[pos[good]]
     n_bins = -(-period // bin_width)
     bins = delay // bin_width
     overflow = bins >= n_bins
-    discarded += int(np.count_nonzero(overflow))
+    discarded = t.size - delay.size + int(np.count_nonzero(overflow))
     counts = np.bincount(bins[~overflow], minlength=n_bins)
     return DecayHistogram(bin_width, period, counts.astype(np.int64), discarded)
 

@@ -33,6 +33,7 @@ from .core import (
     SYNC_CHANNEL,
     CoincidenceHistogram,
     DecayHistogram,
+    PeriodicStream,
     TimestampStream,
 )
 from .correlator import cross_correlate, intensity_trace, sync_decay_histogram
@@ -89,7 +90,7 @@ def _fit_entry(res) -> dict:
     }
 
 
-def _sync(streams: dict) -> TimestampStream | None:
+def _sync(streams: dict) -> TimestampStream | PeriodicStream | None:
     sync = streams.get(SYNC_CHANNEL)
     return sync if sync is not None and len(sync) >= 2 else None
 
@@ -105,9 +106,12 @@ def merged_photons(streams: dict) -> TimestampStream:
 
 
 def resolved_period_ns(streams: dict, config: dict, stage_cfg: dict) -> float:
-    """Pulse period from the sync channel, else from ``period_ns`` in the
-    stage config, else from the job config."""
+    """Pulse period from the sync channel (its grid period, or the median
+    spacing of explicit pulses), else from ``period_ns`` in the stage
+    config, else from the job config."""
     sync = _sync(streams)
+    if isinstance(sync, PeriodicStream):
+        return sync.period / PS_PER_NS
     if sync is not None:
         return float(np.median(np.diff(sync.events))) / PS_PER_NS
     period = stage_cfg.get("period_ns", config.get("period_ns"))

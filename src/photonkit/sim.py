@@ -29,6 +29,7 @@ from .core import (
     PS_PER_S,
     SYNC_CHANNEL,
     IntensityTrace,
+    PeriodicStream,
     Segment,
     TimestampStream,
     _ArrayRecord,
@@ -452,7 +453,8 @@ def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
 
 def detect_hbt(emission: EmissionRecord | TimestampStream,
                detector: DetectorModel, seed: int,
-               ) -> tuple[TimestampStream, TimestampStream, TimestampStream]:
+               ) -> tuple[TimestampStream, TimestampStream,
+                          TimestampStream | PeriodicStream]:
     """Route an emission record through the splitter and both detectors.
 
     Each photon goes to arm 0 with probability ``splitter_ratio``, survives
@@ -462,9 +464,11 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
 
     Returns
     -------
-    (ch0, ch1, sync) : TimestampStream
-        The two detector streams and the sync stream (empty unless the
-        emission was pulsed; sync pulses are ideal).
+    (ch0, ch1, sync) : TimestampStream, TimestampStream, sync stream
+        The two detector streams and the sync stream. Pulsed emission
+        gives an ideal sync, a :class:`PeriodicStream` with a pulse at
+        every multiple of the period before ``duration``; otherwise the
+        sync is an empty :class:`TimestampStream`.
     """
     detector.validate()
     if isinstance(emission, TimestampStream):
@@ -494,11 +498,11 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
         streams.append(TimestampStream(channel, ch_times, duration))
 
     if emission.excitation is not None and emission.excitation.mode == "pulsed":
-        sync_times = np.arange(0, duration, emission.excitation.pulse_period_ps,
-                               dtype=np.int64)
+        period = emission.excitation.pulse_period_ps
+        sync = PeriodicStream(SYNC_CHANNEL, 0, period, -(-duration // period),
+                              duration)
     else:
-        sync_times = np.empty(0, dtype=np.int64)
-    sync = TimestampStream(SYNC_CHANNEL, sync_times, duration)
+        sync = TimestampStream(SYNC_CHANNEL, np.empty(0, np.int64), duration)
     return streams[0], streams[1], sync
 
 

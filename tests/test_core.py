@@ -47,6 +47,40 @@ class TestTimestampStream:
         assert pk.TimestampStream(0, [], 0).rate_per_ms == 0.0
 
 
+class TestPeriodicStream:
+    def test_length_rate_and_last_pulse(self):
+        s = pk.PeriodicStream(255, 300, 1000, 5, 10_000)
+        assert len(s) == 5
+        assert s.last == 4300
+        assert s.rate_per_ms == pytest.approx(5 / (10_000 / pk.PS_PER_MS))
+
+    def test_events_built_on_first_access_and_frozen(self):
+        s = pk.PeriodicStream(255, 300, 1000, 5, 10_000)
+        assert "events" not in vars(s)
+        np.testing.assert_array_equal(s.events, [300, 1300, 2300, 3300, 4300])
+        assert s.events.dtype == np.int64
+        assert not s.events.flags.writeable
+        assert s.events is s.events
+
+    def test_equality_ignores_the_cached_grid(self):
+        a = pk.PeriodicStream(255, 0, 100, 3, 300)
+        b = pk.PeriodicStream(255, 0, 100, 3, 300)
+        a.events
+        assert a == b
+        assert a != pk.PeriodicStream(255, 0, 100, 4, 300)
+
+    @pytest.mark.parametrize("args", [
+        (255, -1, 100, 3, 300),    # offset before zero
+        (255, 0, 0, 3, 300),       # zero period
+        (255, 0, 100, 0, 300),     # no pulses
+        (255, 0, 100, 3, 199),     # duration before the last pulse
+        (255, 0, 2**62, 3, 2**63),  # last pulse past the int64 ps range
+    ])
+    def test_invalid_grid_rejected(self, args):
+        with pytest.raises(ValueError):
+            pk.PeriodicStream(*args)
+
+
 class TestValidateStream:
     def test_clean(self):
         r = pk.validate_stream(pk.TimestampStream(0, [1, 2, 3], 10))

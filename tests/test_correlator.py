@@ -174,6 +174,65 @@ class TestSyncDecayHistogram:
             pk.sync_decay_histogram(stream([3, 1], 10), period=100, bin_width=10)
 
 
+class TestPeriodicSyncOracle:
+    """A PeriodicStream sync must bin exactly like its materialized pulses,
+    which go through the explicit-stream search."""
+
+    @given(photons=st.lists(st.integers(0, 8000), max_size=60),
+           offset=st.integers(0, 1500),
+           period=st.integers(1, 700),
+           count=st.integers(2, 12),
+           bin_seed=st.integers(0, 10**6),
+           tail=st.integers(0, 1500),
+           at_edges=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_materialized_sync(self, photons, offset, period, count,
+                                       bin_seed, tail, at_edges):
+        sync = pk.PeriodicStream(255, offset, period, count,
+                                 offset + (count - 1) * period + tail)
+        bin_width = 1 + bin_seed % period
+        t = [p for p in photons if p <= sync.duration]
+        if at_edges:   # before the offset, on the last pulse, at duration
+            t += [max(offset - 1, 0), sync.last, sync.duration]
+        ph = stream(sorted(t), sync.duration)
+        fast = pk.sync_decay_histogram(ph, sync=sync, bin_width=bin_width)
+        ref = pk.sync_decay_histogram(
+            ph, sync=pk.TimestampStream(255, sync.events, sync.duration),
+            bin_width=bin_width)
+        assert fast == ref
+        assert int(fast.counts.sum()) + fast.discarded == len(ph)
+
+    def test_photon_at_duration_on_a_pulse_multiple(self):
+        # duration = count * period: the searched grid and the periodic
+        # sync discard the photon (delay = period), the unbounded fold of
+        # ``period=`` puts it in bin 0.
+        sync = pk.PeriodicStream(255, 0, 100, 10, 1000)
+        ph = stream([1000], 1000)
+        h = pk.sync_decay_histogram(ph, sync=sync, bin_width=10)
+        assert h.discarded == 1 and h.counts.sum() == 0
+        folded = pk.sync_decay_histogram(ph, period=100, bin_width=10)
+        assert folded.counts[0] == 1 and folded.discarded == 0
+
+    def test_period_wins_over_periodic_sync(self):
+        sync = pk.PeriodicStream(255, 40, 500, 2, 1000)
+        h = pk.sync_decay_histogram(stream([130], 1000), sync=sync,
+                                    period=100, bin_width=10)
+        assert h.period == 100 and h.counts[3] == 1
+
+    def test_grid_is_never_materialized(self):
+        sync = pk.PeriodicStream(255, 0, 100_000, 10**7, 10**12)
+        ph = stream(np.arange(5, 10**12, 10**7), 10**12)
+        h = pk.sync_decay_histogram(ph, sync=sync, bin_width=500)
+        assert "events" not in vars(sync)
+        assert h.discarded == 0 and h.counts[0] == len(ph)
+
+    def test_bin_wider_than_grid_period_rejected(self):
+        sync = pk.PeriodicStream(255, 0, 100, 3, 300)
+        with pytest.raises(ValueError, match="must not exceed period"):
+            pk.sync_decay_histogram(stream([5], 300), sync=sync,
+                                    bin_width=200)
+
+
 class TestIntensityTraceBinning:
     def test_conservation_and_shape(self):
         rng = np.random.default_rng(23)

@@ -13,16 +13,24 @@ from photonkit.core import (
     CoincidenceHistogram,
     DecayHistogram,
     Measurement,
+    PeriodicStream,
     TimestampStream,
     Verdict,
 )
+from photonkit.correlator import sync_decay_histogram
 from photonkit.fileio import (
     FORMAT_VERSION,
     MAGIC,
+    PERIODIC_TAG,
     RECORD_DTYPE,
     BadMagicError,
+    BadPeriodError,
+    BadPulseCountError,
+    BadTableTagError,
+    DuplicateChannelError,
     ReportDocument,
     TimestampFileError,
+    TimestampOverflowError,
     TruncatedFileError,
     UnsortedRecordsError,
     UnsupportedVersionError,
@@ -232,6 +240,182 @@ class TestReadErrors:
         for cls in (BadMagicError, UnsupportedVersionError,
                     TruncatedFileError, UnsortedRecordsError):
             assert issubclass(cls, TimestampFileError)
+
+
+def periodic_table(entries, tag=PERIODIC_TAG, n_entries=None):
+    """Bytes of a periodic table holding ``entries`` of (channel, offset,
+    period, count), with the tag and entry count overridable."""
+    n = len(entries) if n_entries is None else n_entries
+    return (struct.pack("<4sB", tag, n)
+            + b"".join(struct.pack("<BQQQ", *e) for e in entries))
+
+
+SYNC = PeriodicStream(255, 300, 1000, 50, 60_000)
+
+
+class TestPeriodicTable:
+    def test_round_trip_keeps_the_grid(self, tmp_path):
+        path = tmp_path / "sync.ptst"
+        photons = stream([100, 2500, 9000], channel=0, duration=60_000)
+        assert write_timestamps([photons, SYNC], path) == 3
+        assert path.stat().st_size == (HEADER.size + 3 * RECORD_DTYPE.itemsize
+                                       + 5 + 25)
+        back = read_timestamps(path, duration=60_000)
+        assert back[0] == photons
+        assert back[255] == SYNC
+        assert "events" not in vars(back[255])
+
+    def test_table_follows_records(self, tmp_path):
+        path = tmp_path / "sync.ptst"
+        write_timestamps([SYNC, stream([7], channel=1)], path)
+        raw = path.read_bytes()
+        _, version, n_channels, _, n_records = HEADER.unpack(raw[:HEADER.size])
+        assert (version, n_channels, n_records) == (2, 2, 1)
+        table = raw[HEADER.size + RECORD_DTYPE.itemsize:]
+        assert table == periodic_table([(255, 300, 1000, 50)])
+
+    def test_default_duration_counts_the_last_pulse(self, tmp_path):
+        path = tmp_path / "sync.ptst"
+        write_timestamps([stream([100, 900]), SYNC], path)
+        back = read_timestamps(path)
+        assert back[0].duration == back[255].duration == SYNC.last == 49_300
+
+    def test_duration_before_last_pulse_rejected(self, tmp_path):
+        path = tmp_path / "sync.ptst"
+        write_timestamps([stream([100, 900]), SYNC], path)
+        with pytest.raises(ValueError, match="before the last event"):
+            read_timestamps(path, duration=49_299)
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        other = PeriodicStream(7, 0, 333, 4, 60_000)
+        p1, p2 = tmp_path / "one.ptst", tmp_path / "two.ptst"
+        write_timestamps([SYNC, stream([5], channel=1), other], p1)
+        write_timestamps([other, stream([5], channel=1), SYNC], p2)
+        assert file_digest(p1) == file_digest(p2)
+
+    def test_whole_tick_grid_stays_a_table_entry(self, tmp_path):
+        path = tmp_path / "coarse.ptst"
+        sync = PeriodicStream(255, 2000, 100_000, 10, 10**6)
+        assert write_timestamps([sync], path, resolution=1000) == 0
+        assert read_timestamps(path, duration=10**6)[255] == sync
+
+    def test_fractional_tick_grid_written_as_records(self, tmp_path):
+        # Offset 1500 ps is not a whole 1000 ps tick: the pulses go out as
+        # records and are quantized exactly like the explicit stream.
+        sync = PeriodicStream(255, 1500, 100_000, 10, 10**6)
+        periodic, explicit = tmp_path / "p.ptst", tmp_path / "e.ptst"
+        assert write_timestamps([sync], periodic, resolution=1000) == 10
+        write_timestamps([TimestampStream(255, sync.events, sync.duration)],
+                         explicit, resolution=1000)
+        assert file_digest(periodic) == file_digest(explicit)
+        back = read_timestamps(periodic)[255]
+        assert isinstance(back, TimestampStream)
+        np.testing.assert_array_equal(back.events,
+                                      sync.events // 1000 * 1000)
+
+    def test_duplicate_channel_ids_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="two streams"):
+            write_timestamps([TimestampStream(0, [1, 5], 10),
+                              TimestampStream(0, [3], 10)],
+                             tmp_path / "x.ptst")
+        with pytest.raises(ValueError, match="two streams"):
+            write_timestamps([stream([1], channel=255), SYNC],
+                             tmp_path / "x.ptst")
+
+    def test_v1_file_with_sync_records_still_reads(self, tmp_path):
+        rng = np.random.default_rng(5)
+        photons = np.sort(rng.integers(0, SYNC.duration + 1, 80))
+        recs = sorted([(int(t), 0) for t in photons]
+                      + [(int(t), 255) for t in SYNC.events])
+        v1, v2 = tmp_path / "v1.ptst", tmp_path / "v2.ptst"
+        write_raw(v1, version=1, n_channels=2, records=recs)
+        write_timestamps([stream(photons, duration=SYNC.duration), SYNC], v2)
+        old = read_timestamps(v1, duration=SYNC.duration)
+        new = read_timestamps(v2, duration=SYNC.duration)
+        assert isinstance(old[255], TimestampStream)
+        np.testing.assert_array_equal(old[255].events, SYNC.events)
+        assert old[0] == new[0]
+        assert (sync_decay_histogram(old[0], sync=old[255], bin_width=50)
+                == sync_decay_histogram(new[0], sync=new[255], bin_width=50))
+
+
+class TestPeriodicTableErrors:
+    def read_with_table(self, tmp_path, table, version=FORMAT_VERSION,
+                        resolution=1):
+        path = tmp_path / "bad.ptst"
+        write_raw(path, version=version, resolution=resolution,
+                  records=[(10, 0)])
+        path.write_bytes(path.read_bytes() + table)
+        return read_timestamps(path)
+
+    def test_bad_table_tag(self, tmp_path):
+        with pytest.raises(BadTableTagError) as err:
+            self.read_with_table(
+                tmp_path, periodic_table([(255, 0, 100, 3)], tag=b"XSYN"))
+        assert err.value.code == "bad_table_tag"
+
+    def test_entry_count_past_end_of_file(self, tmp_path):
+        with pytest.raises(TruncatedFileError, match="promises 3") as err:
+            self.read_with_table(
+                tmp_path, periodic_table([(255, 0, 100, 3)], n_entries=3))
+        assert err.value.code == "truncated"
+
+    def test_table_cut_inside_its_tag(self, tmp_path):
+        with pytest.raises(TruncatedFileError):
+            self.read_with_table(tmp_path, PERIODIC_TAG)
+
+    def test_zero_period(self, tmp_path):
+        with pytest.raises(BadPeriodError) as err:
+            self.read_with_table(tmp_path, periodic_table([(255, 0, 0, 3)]))
+        assert err.value.code == "bad_period"
+
+    def test_zero_count(self, tmp_path):
+        with pytest.raises(BadPulseCountError) as err:
+            self.read_with_table(tmp_path, periodic_table([(255, 0, 100, 0)]))
+        assert err.value.code == "bad_pulse_count"
+
+    def test_last_pulse_overflows_after_scaling(self, tmp_path):
+        # The last pulse at 2**41 ticks fits in 64 bits; at 2**22 ps per
+        # tick it lands on 2**63 ps, one past the signed range. One pulse
+        # fewer still reads.
+        fits = periodic_table([(255, 0, 2**30, 2**11)])
+        back = self.read_with_table(tmp_path, fits, resolution=2**22)
+        assert back[255].last == 2**63 - 2**52
+        table = periodic_table([(255, 0, 2**30, 2**11 + 1)])
+        with pytest.raises(TimestampOverflowError, match="last pulse") as err:
+            self.read_with_table(tmp_path, table, resolution=2**22)
+        assert err.value.code == "timestamp_overflow"
+
+    def test_channel_in_records_and_table(self, tmp_path):
+        with pytest.raises(DuplicateChannelError, match="records") as err:
+            self.read_with_table(tmp_path, periodic_table([(0, 0, 100, 3)]))
+        assert err.value.code == "duplicate_channel"
+
+    def test_channel_repeated_within_table(self, tmp_path):
+        table = periodic_table([(255, 0, 100, 3), (255, 50, 100, 3)])
+        with pytest.raises(DuplicateChannelError, match="periodic table") \
+                as err:
+            self.read_with_table(tmp_path, table)
+        assert err.value.code == "duplicate_channel"
+
+    def test_trailing_data_after_table(self, tmp_path):
+        table = periodic_table([(255, 0, 100, 3)]) + b"\x00"
+        with pytest.raises(TimestampFileError, match="trailing"):
+            self.read_with_table(tmp_path, table)
+
+    def test_v1_file_must_not_carry_a_table(self, tmp_path):
+        with pytest.raises(TimestampFileError, match="trailing") as err:
+            self.read_with_table(tmp_path, periodic_table([(255, 0, 100, 3)]),
+                                 version=1)
+        assert not isinstance(err.value, BadTableTagError)
+
+    def test_codes_are_distinct(self):
+        classes = (TimestampFileError, BadMagicError, UnsupportedVersionError,
+                   TruncatedFileError, UnsortedRecordsError,
+                   TimestampOverflowError, BadTableTagError, BadPeriodError,
+                   BadPulseCountError, DuplicateChannelError)
+        assert all(issubclass(c, TimestampFileError) for c in classes)
+        assert len({c.code for c in classes}) == len(classes)
 
 
 class TestHistogramCsv:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from photonkit import fit as fitmod
+from photonkit import pipeline
 from photonkit.cli import main as cli_main
-from photonkit.core import PS_PER_NS, Verdict
+from photonkit.core import PS_PER_NS, SYNC_CHANNEL, PeriodicStream, Verdict
 from photonkit.correlator import cross_correlate
 from photonkit.fileio import file_digest, read_histogram_csv, read_timestamps
 from photonkit.pipeline import run_pipeline
@@ -113,6 +114,45 @@ class TestRunPipeline:
 
         parsed = json.loads(doc.to_json())
         assert parsed["results"]["g2pw"]["verdict"] == "single_photon"
+
+    def test_pulsed_jobs_never_materialize_the_sync_grid(self, tmp_path,
+                                                       monkeypatch):
+        # The pulse array of a PeriodicStream is cached on first access, so
+        # an uncached grid after both jobs means no stage ever built it.
+        syncs = []
+
+        def spy(fn, pick):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                syncs.append(pick(out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "detect_hbt",
+                            spy(pipeline.detect_hbt, lambda out: out[2]))
+        monkeypatch.setattr(pipeline, "read_timestamps",
+                            spy(pipeline.read_timestamps,
+                                lambda out: out[SYNC_CHANNEL]))
+        sim = run_pipeline({
+            "mode": "simulate", "seed": 4, "duration_s": 0.05,
+            "excitation": {"mode": "pulsed", "excitation_probability": 0.5},
+            "detector": {"efficiency": 0.6}, "output": "pulsed.ptst",
+        }, base_dir=str(tmp_path))
+        assert sim.ok, sim.errors
+        doc = run_pipeline({
+            "mode": "analyze", "input": str(tmp_path / "pulsed.ptst"),
+            "duration_ps": 5 * 10**10, "analyses": ["g2pw", "lifetime"],
+            "correlation": {"window_ns": 600.0},
+            "lifetime": {"n_components": 1},
+        })
+        assert doc.ok, doc.errors
+        assert sim.results["simulate"]["records"] == sum(
+            doc.results["input"]["counts"][c] for c in ("0", "1"))
+        assert len(syncs) == 2
+        for sync in syncs:
+            assert isinstance(sync, PeriodicStream)
+            assert len(sync) == 500_000
+            assert "events" not in vars(sync)
 
     def test_g2pw_without_period_is_an_error_entry(self, cw_run, tmp_path):
         _, path = cw_run

@@ -229,6 +229,18 @@ class TestDetectHbt:
         _, _, sync = pk.detect_hbt(cw, pk.DetectorModel(), seed=1)
         assert len(sync) == 0
 
+    @pytest.mark.parametrize("duration", [10**9, 10**9 + 1, 99_999])
+    def test_pulsed_sync_is_a_grid_without_materializing(self, duration):
+        em = quiet_emitter()
+        pulsed = pk.generate_emission(
+            em, pk.ExcitationConfig("pulsed"), duration, seed=1)
+        _, _, sync = pk.detect_hbt(pulsed, pk.DetectorModel(), seed=1)
+        assert isinstance(sync, pk.PeriodicStream)
+        assert (sync.offset, sync.period, sync.duration) == (0, 100_000,
+                                                            duration)
+        assert "events" not in vars(sync)
+        assert len(sync) == np.arange(0, duration, 100_000).size
+
     def test_accepts_raw_timestamp_stream(self):
         src = pk.simulate_poissonian(1e6, PS_S, seed=3)
         det = pk.DetectorModel(dark_rate_per_ms=0.0, jitter_sigma_ps=0.0,
