@@ -120,10 +120,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_correlate(args) -> int:
     config = _given(
-        input=args.input, duration_ps=args.duration_ps,
+        input=args.input, duration_ps=args.duration_ps, workers=args.workers,
         correlation=_given(window_ns=args.window, bin_width_ps=args.bin_width,
-                           workers=args.workers, period_ns=args.period,
-                           n_side=args.n_side))
+                           period_ns=args.period, n_side=args.n_side))
     _, streams = run_load(config)
     hist = run_correlate(streams, config)
     print(f"{int(hist.counts.sum())} pairs in {hist.n_bins} bins")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a)
     out.flags.writeable = False
     return out
+
+
+def _map_workers(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, computed on ``workers`` threads when
+    that is more than one; the results keep the order of ``items``."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ appear once counts are handed to the fitting layer. Delay bins are half-open
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .core import (
@@ -19,6 +17,7 @@ from .core import (
     IntensityTrace,
     PeriodicStream,
     TimestampStream,
+    _map_workers,
 )
 
 __all__ = [
@@ -100,32 +99,20 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     _require_sorted(a, "a")
     _require_sorted(b, "b")
     n_bins = _check_binning(window, bin_width)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     ta = a.events
     tb = b.events
-    if ta.size == 0 or tb.size == 0:
-        return CoincidenceHistogram(bin_width, window, np.zeros(n_bins, np.int64))
 
     # Partner index ranges: tb in [ta - window, ta + window). side="left" on
     # the upper edge is what discards delays exactly at +window.
     lo = np.searchsorted(tb, ta - window, side="left")
     hi = np.searchsorted(tb, ta + window, side="left")
 
-    if workers == 1:
-        counts = _pair_counts(ta, tb, lo, hi, window, bin_width, n_bins)
-    else:
-        edges = np.linspace(0, ta.size, workers + 1).astype(np.int64)
-        slices = [(int(edges[i]), int(edges[i + 1])) for i in range(workers)
-                  if edges[i] < edges[i + 1]]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda s: _pair_counts(ta[s[0]:s[1]], tb, lo[s[0]:s[1]],
-                                       hi[s[0]:s[1]], window, bin_width, n_bins),
-                slices))
-        counts = np.zeros(n_bins, dtype=np.int64)
-        for p in parts:
-            counts += p
+    def part(i: int) -> np.ndarray:
+        s = slice(ta.size * i // workers, ta.size * (i + 1) // workers)
+        return _pair_counts(ta[s], tb, lo[s], hi[s], window, bin_width, n_bins)
+
+    counts = sum(_map_workers(part, range(workers), workers),
+                 np.zeros(n_bins, np.int64))
     return CoincidenceHistogram(bin_width, window, counts)
 
 

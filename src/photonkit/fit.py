@@ -381,7 +381,7 @@ def fit_g2_cw(histogram: CoincidenceHistogram) -> FitResult:
                      raw.chi2_reduced, raw.converged, raw.iterations, raw.flags)
 
 
-def _comb_search(tau, counts, period_ns, n_side, a0):
+def _comb_search(tau, counts, period_ns, n_side):
     """Locate tau0 by scoring a comb of side-peak positions over candidate
     offsets within one period of zero delay."""
     cand = np.nonzero(np.abs(tau) <= period_ns / 2.0)[0]
@@ -426,7 +426,7 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
             f"({(n_side + 0.5) * period_ns:.1f} ns)")
 
     a0 = float(np.percentile(counts, 10.0))
-    i0 = _comb_search(tau, counts, period_ns, n_side, a0)
+    i0 = _comb_search(tau, counts, period_ns, n_side)
     tau0_0 = float(tau[i0])
     bin_ns = histogram.bin_width / 1000.0
 

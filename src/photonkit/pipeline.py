@@ -101,7 +101,7 @@ def merged_photons(streams: dict) -> TimestampStream:
              if s is not None and len(s)]
     if not parts:
         raise ValueError("no detector events to analyze")
-    events = np.sort(np.concatenate([s.events for s in parts]))
+    events = np.sort(np.concatenate([s.events for s in parts]), kind="stable")
     return TimestampStream(CHANNEL_A, events, max(s.duration for s in parts))
 
 
@@ -176,8 +176,8 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
     corr_cfg = config.get("correlation") or {}
     window = int(round(float(corr_cfg.get("window_ns", 1000.0)) * PS_PER_NS))
     bin_width = int(corr_cfg.get("bin_width_ps", 500))
-    workers = int(corr_cfg.get("workers", config.get("workers", 1)))
-    return cross_correlate(ch0, ch1, window, bin_width, workers)
+    return cross_correlate(ch0, ch1, window, bin_width,
+                           int(config.get("workers", 1)))
 
 
 def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,

@@ -8,15 +8,15 @@ dead time, and dark counts, which is the standard intensity-correlation
 arrangement.
 
 Generation is decomposed into (state segment x 1 s block) pieces, each with
-its own RNG stream derived from (seed, tag, piece index). Worker threads
-only change who computes a piece, never what it contains, so output is
-bit-identical for any ``workers`` value.
+its own RNG stream derived from (seed, tag, piece index). ``workers`` maps
+the pieces over the package's one thread pool (``core._map_workers``); a
+worker changes only who computes a piece, never what it contains, so
+output is bit-identical for any ``workers`` value.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +33,7 @@ from .core import (
     Segment,
     TimestampStream,
     _ArrayRecord,
+    _map_workers,
 )
 
 __all__ = [
@@ -369,8 +370,6 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     excitation.validate()
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     law = emitter.blinking
     segments = _blinking_segments(law, duration, seed)
@@ -397,15 +396,9 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
         n = rng.poisson(bg_rate * (hi - lo) / PS_PER_MS)
         return lo + rng.random(n) * (hi - lo)
 
-    if workers == 1:
-        signal_parts = [gen_signal(i) for i in range(len(pieces))]
-        bg_parts = ([gen_background(j) for j in range(n_blocks)]
-                    if bg_rate > 0 else [])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            signal_parts = list(pool.map(gen_signal, range(len(pieces))))
-            bg_parts = (list(pool.map(gen_background, range(n_blocks)))
-                        if bg_rate > 0 else [])
+    signal_parts = _map_workers(gen_signal, range(len(pieces)), workers)
+    bg_parts = (_map_workers(gen_background, range(n_blocks), workers)
+                if bg_rate > 0 else [])
 
     signal = np.concatenate(signal_parts) if signal_parts else np.empty(0)
     background = np.concatenate(bg_parts) if bg_parts else np.empty(0)
@@ -434,20 +427,13 @@ def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
     if uncertain.size == 0:
         return times
     keep = np.ones(times.size, dtype=bool)
+    kept = memoryview(keep)  # Python-speed item access in the loop
     t = times.tolist()
-    prev_idx = -2
-    prev_kept = True
-    last_kept_time = t[0]
     for idx in uncertain.tolist():
-        if idx - 1 != prev_idx or prev_kept:
+        if kept[idx - 1]:
             last_kept_time = t[idx - 1]
-        if t[idx] - last_kept_time >= dead:
-            prev_kept = True
-            # last_kept_time will be refreshed from t[idx] next iteration
-        else:
-            keep[idx] = False
-            prev_kept = False
-        prev_idx = idx
+        if t[idx] - last_kept_time < dead:
+            kept[idx] = False
     return times[keep]
 
 

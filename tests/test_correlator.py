@@ -266,3 +266,26 @@ class TestIntensityTraceBinning:
             pk.intensity_trace(stream([], 0))
         with pytest.raises(ValueError):
             pk.intensity_trace(stream([3, 1], 10))
+
+
+class TestWorkerSlices:
+    def test_more_workers_than_events(self):
+        rng = np.random.default_rng(5)
+        a = stream(np.sort(rng.integers(0, 10**5, 3)), 10**5)
+        b = stream(np.sort(rng.integers(0, 10**5, 50)), 10**5, 1)
+        one = pk.cross_correlate(a, b, window=50_000, bin_width=500, workers=1)
+        for workers in (4, 7):
+            many = pk.cross_correlate(a, b, window=50_000, bin_width=500,
+                                      workers=workers)
+            np.testing.assert_array_equal(many.counts, one.counts)
+        assert one.counts.sum() > 0
+
+    def test_empty_streams_on_several_workers(self):
+        hist = pk.cross_correlate(stream([], 1000), stream([], 1000, 1),
+                                  window=100, bin_width=10, workers=3)
+        np.testing.assert_array_equal(hist.counts, np.zeros(20, np.int64))
+
+    def test_zero_workers_rejected_on_empty_streams(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            pk.cross_correlate(stream([], 1000), stream([], 1000, 1),
+                               window=100, bin_width=10, workers=0)

@@ -1,0 +1,89 @@
+"""Golden seeded outputs: a refactor that claims "same results" must leave
+these integers unchanged.
+
+Two small jobs, one pulsed and one CW with power-law blinking, are
+simulated to a timestamp file, read back, and binned. The file's SHA-256
+and the g2, decay and intensity histogram counts are pinned. Only
+integers are pinned (counts as their sum and the SHA-256 of their
+little-endian int64 bytes), never fitted floats, so the check is exact.
+The CW job runs on two workers and the pulsed job on one, which covers
+both sides of the worker pool.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from photonkit.core import PS_PER_MS
+from photonkit.correlator import intensity_trace
+from photonkit.pipeline import (
+    merged_photons,
+    run_correlate,
+    run_decay_histogram,
+    run_load,
+    run_simulate,
+)
+
+JOBS = {
+    "pulsed": {
+        "seed": 7, "duration_s": 0.05, "workers": 1,
+        "excitation": {"mode": "pulsed", "excitation_probability": 0.5},
+        "correlation": {"window_ns": 600.0},
+    },
+    "cw_blinking": {
+        "seed": 7, "duration_s": 0.3, "workers": 2,
+        "emitter": {"blinking": {"kind": "power_law", "max_dwell_ms": 50.0}},
+        "excitation": {"cw_rate_per_s": 5e6},
+        "correlation": {"window_ns": 1000.0},
+    },
+}
+
+GOLDEN = {
+    "pulsed": {
+        "ptst": "6628fd6db871202cc33418088fa391f3"
+                "c5673a9b5f7489c667567c6f20f8f94f",
+        "g2": (346263, "94ef1c36ecf4387c89183c22c7bd12cf"
+                       "61afb90cc5608f960725624cd3b05f1f"),
+        "decay": (250552, "ee1413be7c8ba6665315bd9e6b3ef965"
+                          "5ce92fb72918ff61e3dfc7467c520753"),
+        "intensity": (250552, "198e3c87296489d1e93231c4f11bfed0"
+                              "8ab874d5a3f4ad546c1181cd0b5afec1"),
+    },
+    "cw_blinking": {
+        "ptst": "22be7769460e1e93719c41886af1b3ef"
+                "644a5dc35882ab5e52ad058d00b6c525",
+        "g2": (1416529, "3841664280791e28ada60a5594ed7173"
+                        "4f9514cbb77f064ce4c2482142ff6902"),
+        "intensity": (609173, "7d4448dd072bd606dcd26de6bbe5cd3d"
+                              "28dfbe99c722d03273b8126667aa563f"),
+    },
+}
+
+
+def pin(counts) -> tuple[int, str]:
+    counts = np.asarray(counts, dtype="<i8")
+    return int(counts.sum()), hashlib.sha256(counts.tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module", params=sorted(JOBS))
+def outputs(request, tmp_path_factory):
+    name = request.param
+    job = JOBS[name]
+    base = tmp_path_factory.mktemp("golden")
+    result, _ = run_simulate({**job, "output": f"{name}.ptst"}, str(base))
+    _, streams = run_load({"input": result["output"]})
+    out = {
+        "ptst": result["sha256"],
+        "g2": pin(run_correlate(streams, job).counts),
+        "intensity": pin(
+            intensity_trace(merged_photons(streams), PS_PER_MS).counts),
+    }
+    if "decay" in GOLDEN[name]:
+        out["decay"] = pin(run_decay_histogram(streams, job).counts)
+    return name, out
+
+
+def test_seeded_outputs_are_bit_identical(outputs):
+    name, out = outputs
+    assert out == GOLDEN[name]

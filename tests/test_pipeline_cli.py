@@ -1,14 +1,18 @@
 """End-to-end tests for the pipeline orchestrator and the CLI."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from photonkit import fit as fitmod
 from photonkit import pipeline
+from photonkit.cli import build_parser
 from photonkit.cli import main as cli_main
 from photonkit.core import PS_PER_NS, SYNC_CHANNEL, PeriodicStream, Verdict
 from photonkit.correlator import cross_correlate
@@ -411,3 +415,63 @@ class TestErrorEntries:
         assert cli_main(["pipeline", str(tmp_path / "job.json"),
                          "--outdir", str(tmp_path)]) == 1
         assert "error[input:bad_magic]: " in capsys.readouterr().err
+
+
+class TestWorkersKey:
+    def test_correlate_workers_flag_maps_to_job_workers(
+            self, pulsed_path, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append(args[-1])
+            return cross_correlate(*args)
+
+        monkeypatch.setattr(pipeline, "cross_correlate", spy)
+        for workers in ("1", "2"):
+            assert cli_main(["correlate", str(pulsed_path), "--window", "600",
+                             "--workers", workers, "--outdir", str(tmp_path),
+                             "-o", f"raw_w{workers}.csv"]) == 0
+        assert seen == [1, 2]
+        assert ((tmp_path / "raw_w1.csv").read_bytes()
+                == (tmp_path / "raw_w2.csv").read_bytes())
+
+
+class TestReadmeFlagTable:
+    """The README's flag -> job-config table matches the parser."""
+
+    UNMAPPED = {"-h", "--help", "--outdir", "--config", "--fit"}
+
+    @staticmethod
+    def table_rows():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### One implementation behind both")[1]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not cells[1].startswith("`"):
+                continue
+            for command in cells[0].split(", "):
+                rows.setdefault(command, set()).update(
+                    re.findall(r"`([^`]+)`", cells[1]))
+        return rows
+
+    @staticmethod
+    def parser_flags():
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {name: [a.option_strings or [a.dest] for a in p._actions]
+                for name, p in sub.choices.items()}
+
+    def test_table_flags_exist_on_their_subcommands(self):
+        flags = self.parser_flags()
+        for command, listed in self.table_rows().items():
+            known = {f for names in flags[command] for f in names}
+            assert listed <= known, (command, listed - known)
+
+    def test_every_mapped_flag_is_in_the_table(self):
+        rows = self.table_rows()
+        flags = self.parser_flags()
+        for command in ("simulate", "correlate", "lifetime", "blink"):
+            for names in flags[command]:
+                if self.UNMAPPED.isdisjoint(names):
+                    assert rows[command].intersection(names), (command, names)
