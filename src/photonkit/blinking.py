@@ -25,7 +25,7 @@ from .core import (
     Measurement,
     Segment,
     _ArrayRecord,
-    _freeze,
+    _array,
 )
 
 __all__ = [
@@ -51,19 +51,9 @@ class DwellDensity(_ArrayRecord):
     in log-log coordinates.
     """
 
-    edges_ms: np.ndarray
-    counts: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges_ms",
-            _freeze(np.asarray(self.edges_ms, dtype=np.float64)))
-        object.__setattr__(
-            self, "counts", _freeze(np.asarray(self.counts, dtype=np.int64)))
-        object.__setattr__(
-            self, "density",
-            _freeze(np.asarray(self.density, dtype=np.float64)))
+    edges_ms: np.ndarray = _array(np.float64)
+    counts: np.ndarray = _array(np.int64)
+    density: np.ndarray = _array(np.float64)
 
     @property
     def n_total(self) -> int:

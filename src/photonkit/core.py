@@ -6,7 +6,9 @@ Channels 0 and 1 are the two detector arms of the beam-splitter setup,
 channel 255 carries laser synchronization pulses.
 
 Arrays held by the dataclasses below are made read-only on construction so
-instances can be shared freely between analysis stages.
+instances can be shared freely between analysis stages. One place does it
+for every record in the package: ``_ArrayRecord`` converts each field
+declared with ``_array(dtype)`` to its dtype and freezes it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import enum
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,8 +114,23 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _array(dtype):
+    """Declare an :class:`_ArrayRecord` field as an array of ``dtype``."""
+    return field(metadata={"dtype": dtype})
+
+
 class _ArrayRecord:
-    """Mixin giving value-based equality to dataclasses that hold arrays."""
+    """Mixin for dataclasses that hold arrays: fields declared with
+    :func:`_array` are converted and made read-only on construction (a
+    validating record calls this ``__post_init__`` first), and equality
+    compares arrays by value."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = f.metadata.get("dtype")
+            if dtype is not None:
+                object.__setattr__(self, f.name, _freeze(
+                    np.asarray(getattr(self, f.name), dtype=dtype)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -146,12 +163,11 @@ class TimestampStream(_ArrayRecord):
     """
 
     channel: int
-    events: np.ndarray
+    events: np.ndarray = _array(np.int64)
     duration: int
 
     def __post_init__(self):
-        ev = np.asarray(self.events, dtype=np.int64)
-        object.__setattr__(self, "events", _freeze(ev))
+        super().__post_init__()
         object.__setattr__(self, "duration", int(self.duration))
 
     def __len__(self) -> int:
@@ -233,15 +249,10 @@ class ValidationReport(_ArrayRecord):
     """Outcome of :func:`validate_stream`. Reports, never raises."""
 
     n_events: int
-    order_violations: np.ndarray  # indices i where events[i] < events[i-1]
+    order_violations: np.ndarray = _array(np.int64)  # out-of-order indices
     n_duplicates: int             # events sharing a timestamp with a neighbor
     n_negative: int
     n_past_duration: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "order_violations",
-            _freeze(np.asarray(self.order_violations, dtype=np.int64)))
 
     @property
     def ok(self) -> bool:
@@ -303,28 +314,27 @@ class CoincidenceHistogram(_ArrayRecord):
 
     bin_width: int
     window: int
-    counts: np.ndarray
+    counts: np.ndarray = _array(np.int64)
     center_offset: int | None = None
     normalization: float | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         bw = int(self.bin_width)
         w = int(self.window)
         if bw <= 0:
             raise ValueError(f"bin_width must be positive, got {bw}")
         if w < bw:
             raise ValueError(f"window ({w}) must be >= bin_width ({bw})")
-        c = np.asarray(self.counts, dtype=np.int64)
         expected = _n_bins(2 * w, bw)
-        if c.size != expected:
+        if self.counts.size != expected:
             raise ValueError(
                 f"expected {expected} bins for window {w} and bin width {bw}, "
-                f"got {c.size}")
-        if np.any(c < 0):
+                f"got {self.counts.size}")
+        if np.any(self.counts < 0):
             raise ValueError("histogram counts must be non-negative")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "window", w)
-        object.__setattr__(self, "counts", _freeze(c))
         if self.normalization is not None and not self.normalization > 0:
             raise ValueError(
                 f"normalization must be positive, got {self.normalization}")
@@ -367,27 +377,26 @@ class DecayHistogram(_ArrayRecord):
 
     bin_width: int
     period: int
-    counts: np.ndarray
+    counts: np.ndarray = _array(np.int64)
     discarded: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         bw = int(self.bin_width)
         t = int(self.period)
         if bw <= 0:
             raise ValueError(f"bin_width must be positive, got {bw}")
         if bw > t:
             raise ValueError(f"bin_width ({bw}) must not exceed period ({t})")
-        c = np.asarray(self.counts, dtype=np.int64)
         expected = _n_bins(t, bw)
-        if c.size != expected:
+        if self.counts.size != expected:
             raise ValueError(
                 f"expected {expected} bins for period {t} and bin width {bw}, "
-                f"got {c.size}")
-        if np.any(c < 0):
+                f"got {self.counts.size}")
+        if np.any(self.counts < 0):
             raise ValueError("histogram counts must be non-negative")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "period", t)
-        object.__setattr__(self, "counts", _freeze(c))
         object.__setattr__(self, "discarded", int(self.discarded))
 
     @property
@@ -411,24 +420,23 @@ class IntensityTrace(_ArrayRecord):
     threshold units of counts per millisecond.
     """
 
-    counts: np.ndarray
+    counts: np.ndarray = _array(np.int64)
     bin_width: int = PS_PER_MS
     duration: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         bw = int(self.bin_width)
         if bw <= 0:
             raise ValueError(f"bin_width must be positive, got {bw}")
-        c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 0):
+        if np.any(self.counts < 0):
             raise ValueError("trace counts must be non-negative")
-        dur = int(self.duration) if self.duration else c.size * bw
-        if _n_bins(dur, bw) != c.size:
+        dur = int(self.duration) if self.duration else self.counts.size * bw
+        if _n_bins(dur, bw) != self.counts.size:
             raise ValueError(
                 f"expected {_n_bins(dur, bw)} bins for duration {dur} and "
-                f"bin width {bw}, got {c.size}")
+                f"bin width {bw}, got {self.counts.size}")
         object.__setattr__(self, "bin_width", bw)
-        object.__setattr__(self, "counts", _freeze(c))
         object.__setattr__(self, "duration", dur)
 
     @property
@@ -507,17 +515,17 @@ class G2PwParams(_ArrayRecord):
     """
 
     background: float
-    peak_heights: np.ndarray
+    peak_heights: np.ndarray = _array(np.float64)
     tau0_ns: float
     tau_x_ns: float
     period_ns: float
 
     def __post_init__(self):
-        h = np.asarray(self.peak_heights, dtype=np.float64)
-        if h.size % 2 != 1 or h.size < 3:
+        super().__post_init__()
+        n = self.peak_heights.size
+        if n % 2 != 1 or n < 3:
             raise ValueError(
-                f"peak_heights must have odd length >= 3, got {h.size}")
-        object.__setattr__(self, "peak_heights", _freeze(h))
+                f"peak_heights must have odd length >= 3, got {n}")
 
     @property
     def n_side(self) -> int:
@@ -562,21 +570,19 @@ class MultiExpParams(_ArrayRecord):
     """
 
     floor: float
-    amplitudes: np.ndarray
-    lifetimes_ns: np.ndarray
+    amplitudes: np.ndarray = _array(np.float64)
+    lifetimes_ns: np.ndarray = _array(np.float64)
     tau0_ns: float
 
     def __post_init__(self):
-        b = np.asarray(self.amplitudes, dtype=np.float64)
-        t = np.asarray(self.lifetimes_ns, dtype=np.float64)
+        super().__post_init__()
+        b, t = self.amplitudes, self.lifetimes_ns
         if b.size != t.size or b.size == 0:
             raise ValueError(
                 f"amplitudes ({b.size}) and lifetimes ({t.size}) must have "
                 "equal nonzero length")
         if np.any(np.diff(t) < 0):
             raise ValueError("lifetimes must be sorted ascending")
-        object.__setattr__(self, "amplitudes", _freeze(b))
-        object.__setattr__(self, "lifetimes_ns", _freeze(t))
 
     @property
     def n_components(self) -> int:
@@ -613,19 +619,12 @@ class FitResult(_ArrayRecord):
 
     params: object
     names: tuple[str, ...]
-    sigma: np.ndarray
-    covariance: np.ndarray
+    sigma: np.ndarray = _array(np.float64)
+    covariance: np.ndarray = _array(np.float64)
     chi2_reduced: float
     converged: bool
     iterations: int
     flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "sigma", _freeze(np.asarray(self.sigma, dtype=np.float64)))
-        object.__setattr__(
-            self, "covariance",
-            _freeze(np.asarray(self.covariance, dtype=np.float64)))
 
     def value_of(self, name: str) -> Measurement:
         """Look up one fitted parameter with its uncertainty by name."""
@@ -652,19 +651,11 @@ class BlinkingResult(_ArrayRecord):
     """
 
     threshold: float
-    on_durations_ms: np.ndarray
-    off_durations_ms: np.ndarray
+    on_durations_ms: np.ndarray = _array(np.float64)
+    off_durations_ms: np.ndarray = _array(np.float64)
     alpha_on: Measurement | None
     alpha_off: Measurement | None
     model_on: str | None
     model_off: str | None
     mean_on_rate_per_ms: float
     mean_off_rate_per_ms: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "on_durations_ms",
-            _freeze(np.asarray(self.on_durations_ms, dtype=np.float64)))
-        object.__setattr__(
-            self, "off_durations_ms",
-            _freeze(np.asarray(self.off_durations_ms, dtype=np.float64)))

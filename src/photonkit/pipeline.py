@@ -56,6 +56,30 @@ __all__ = ["run_pipeline", "KNOWN_ANALYSES"]
 
 KNOWN_ANALYSES = ("g2cw", "g2pw", "lifetime", "blinking")
 
+# The keys a job config may hold: each analysis section and the top level.
+_SECTION_KEYS = {
+    "correlation": ("window_ns", "bin_width_ps", "period_ns", "n_side", "csv"),
+    "lifetime": ("bin_width_ps", "period_ns", "n_components", "csv"),
+    "blinking": ("bin_width_ms", "threshold_per_ms", "min_dwell_ms",
+                 "tau_min_ms"),
+}
+_JOB_KEYS = ("mode", "seed", "duration_s", "workers", "output", "input",
+             "duration_ps", "emitter", "excitation", "detector", "analyses",
+             *_SECTION_KEYS)
+
+
+def _check_keys(cfg: dict, known, label: str) -> None:
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {label} options: {', '.join(unknown)}")
+
+
+def _section(config: dict, name: str) -> dict:
+    """An analysis section of a job config, rejecting unknown keys."""
+    cfg = config.get(name) or {}
+    _check_keys(cfg, _SECTION_KEYS[name], name)
+    return cfg
+
 
 def _build(cls, cfg, label: str):
     """Construct a config dataclass from a dict, rejecting unknown keys.
@@ -63,9 +87,7 @@ def _build(cls, cfg, label: str):
     sub-dict the same way."""
     cfg = dict(cfg or {})
     fields = dataclasses.fields(cls)
-    unknown = sorted(set(cfg) - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"unknown {label} options: {', '.join(unknown)}")
+    _check_keys(cfg, [f.name for f in fields], label)
     for f in fields:
         if f.name in cfg and dataclasses.is_dataclass(f.default_factory):
             cfg[f.name] = _build(f.default_factory, cfg[f.name], f.name)
@@ -105,18 +127,17 @@ def merged_photons(streams: dict) -> TimestampStream:
     return TimestampStream(CHANNEL_A, events, max(s.duration for s in parts))
 
 
-def resolved_period_ns(streams: dict, config: dict, stage_cfg: dict) -> float:
+def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
     """Pulse period from the sync channel (its grid period, or the median
     spacing of explicit pulses), else from ``period_ns`` in the stage
-    config, else from the job config."""
+    config."""
     sync = _sync(streams)
     if isinstance(sync, PeriodicStream):
         return sync.period / PS_PER_NS
     if sync is not None:
         return float(np.median(np.diff(sync.events))) / PS_PER_NS
-    period = stage_cfg.get("period_ns", config.get("period_ns"))
-    if period:
-        return float(period)
+    if stage_cfg.get("period_ns"):
+        return float(stage_cfg["period_ns"])
     raise ValueError(
         "pulse period unknown: no sync channel in the data and no "
         "period_ns in the config (--period on the command line)")
@@ -173,7 +194,7 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
     if ch0 is None or ch1 is None:
         raise ValueError(
             "analysis needs events on both detector channels 0 and 1")
-    corr_cfg = config.get("correlation") or {}
+    corr_cfg = _section(config, "correlation")
     window = int(round(float(corr_cfg.get("window_ns", 1000.0)) * PS_PER_NS))
     bin_width = int(corr_cfg.get("bin_width_ps", 500))
     return cross_correlate(ch0, ch1, window, bin_width,
@@ -183,11 +204,11 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
 def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
                config: dict, base: str = ".") -> dict:
     """Fit the CW ("g2cw") or pulsed ("g2pw") g2 model and normalize."""
-    corr_cfg = config.get("correlation") or {}
+    corr_cfg = _section(config, "correlation")
     if kind == "g2cw":
         res = fit.fit_g2_cw(histogram)
     else:
-        period_ns = resolved_period_ns(streams, config, corr_cfg)
+        period_ns = resolved_period_ns(streams, corr_cfg)
         res = fit.fit_g2_pw(histogram, period_ns,
                             int(corr_cfg.get("n_side", 5)))
     normalized, g2 = fit.normalize_g2(histogram, res)
@@ -204,12 +225,12 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
 def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
     """Sync-referenced decay histogram of both detector channels; without
     a sync channel, photons are folded on the configured period."""
-    life_cfg = config.get("lifetime") or {}
+    life_cfg = _section(config, "lifetime")
     bin_width = int(life_cfg.get("bin_width_ps", 500))
     photons = merged_photons(streams)
     sync = _sync(streams)
     period_ps = None if sync is not None else int(round(
-        resolved_period_ns(streams, config, life_cfg) * PS_PER_NS))
+        resolved_period_ns(streams, life_cfg) * PS_PER_NS))
     return sync_decay_histogram(photons, sync=sync, period=period_ps,
                                 bin_width=bin_width)
 
@@ -217,7 +238,7 @@ def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
 def run_lifetime(histogram: DecayHistogram, config: dict,
                  base: str = ".") -> dict:
     """Multi-exponential fit of a decay histogram."""
-    life_cfg = config.get("lifetime") or {}
+    life_cfg = _section(config, "lifetime")
     res = fit.fit_multiexp(histogram, int(life_cfg.get("n_components", 3)))
     out = {
         **_fit_entry(res),
@@ -231,7 +252,7 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
 def run_blinking(streams: dict, config: dict) -> dict:
     """Threshold the intensity trace of both detector channels and
     characterize ON/OFF dwell statistics."""
-    blink_cfg = config.get("blinking") or {}
+    blink_cfg = _section(config, "blinking")
     bin_width = int(round(float(blink_cfg.get("bin_width_ms", 1.0))
                           * PS_PER_MS))
     res = analyze_blinking(
@@ -273,10 +294,12 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
     ----------
     config : dict
         Job description; see the module docstring for the shape. The dict
-        is echoed verbatim into the report.
+        is echoed verbatim into the report. An unknown top-level key
+        raises ``ValueError``; an unknown key in an analysis section
+        becomes that analysis's error entry.
     base_dir : str, optional
         Directory that relative output paths are resolved against.
-        Defaults to ``config["output_dir"]``, then the current directory.
+        Defaults to the current directory.
 
     Returns
     -------
@@ -286,10 +309,11 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
         entry names the stage, the exception's class as ``type``, its
         message, and its stable ``code`` when it has one.
     """
+    _check_keys(config, _JOB_KEYS, "job")
     mode = config.get("mode")
     if mode not in ("simulate", "analyze"):
         raise ValueError(f"mode must be 'simulate' or 'analyze', got {mode!r}")
-    base = base_dir or config.get("output_dir") or "."
+    base = base_dir or "."
     results: dict = {}
     errors: list = []
     input_info: dict | None = None

@@ -33,6 +33,7 @@ from .core import (
     Segment,
     TimestampStream,
     _ArrayRecord,
+    _array,
     _map_workers,
 )
 
@@ -207,21 +208,16 @@ class EmissionRecord(_ArrayRecord):
     that produced them.
     """
 
-    times: np.ndarray
-    is_signal: np.ndarray
+    times: np.ndarray = _array(np.int64)
+    is_signal: np.ndarray = _array(bool)
     segments: tuple[Segment, ...]
     duration: int
     excitation: ExcitationConfig | None
 
     def __post_init__(self):
-        t = np.ascontiguousarray(np.asarray(self.times, dtype=np.int64))
-        s = np.ascontiguousarray(np.asarray(self.is_signal, dtype=bool))
-        if t.size != s.size:
+        super().__post_init__()
+        if self.times.size != self.is_signal.size:
             raise ValueError("times and is_signal must have equal length")
-        t.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "is_signal", s)
         object.__setattr__(self, "duration", int(self.duration))
 
     def __len__(self) -> int:
@@ -246,7 +242,11 @@ def sample_dwells_ms(law: BlinkingLaw, on: bool, n: int, seed: int) -> np.ndarra
     without generating whole photon streams.
     """
     law.validate()
-    rng = _rng(seed, _TAG_SEGMENTS, 1 if on else 2)
+    return _draw_dwells_ms(law, on, _rng(seed, _TAG_SEGMENTS, 1 if on else 2), n)
+
+
+def _draw_dwells_ms(law: BlinkingLaw, on: bool, rng, n: int) -> np.ndarray:
+    """``n`` dwell durations (ms) of one state, drawn from ``rng``."""
     if law.kind == "power_law":
         alpha = law.alpha_on if on else law.alpha_off
         return _truncated_pareto_ms(rng, alpha, law.min_dwell_ms, law.max_dwell_ms, n)
@@ -264,13 +264,7 @@ def _blinking_segments(law: BlinkingLaw, duration: int, seed: int) -> tuple[Segm
     t = 0
     on = True
     while t < duration:
-        if law.kind == "power_law":
-            alpha = law.alpha_on if on else law.alpha_off
-            dwell_ms = _truncated_pareto_ms(
-                rng, alpha, law.min_dwell_ms, law.max_dwell_ms, 1)[0]
-        else:
-            mean = law.mean_on_ms if on else law.mean_off_ms
-            dwell_ms = rng.exponential(mean)
+        dwell_ms = _draw_dwells_ms(law, on, rng, 1)[0]
         dwell = max(int(round(dwell_ms * PS_PER_MS)), 1)
         end = min(t + dwell, duration)
         segments.append(Segment(on, t, end))

@@ -1,13 +1,14 @@
 """Golden seeded outputs: a refactor that claims "same results" must leave
 these integers unchanged.
 
-Two small jobs, one pulsed and one CW with power-law blinking, are
-simulated to a timestamp file, read back, and binned. The file's SHA-256
+Three small jobs, one pulsed and two CW with power-law and two-state
+exponential blinking, are simulated to a timestamp file, read back, and
+binned. The file's SHA-256
 and the g2, decay and intensity histogram counts are pinned. Only
 integers are pinned (counts as their sum and the SHA-256 of their
 little-endian int64 bytes), never fitted floats, so the check is exact.
-The CW job runs on two workers and the pulsed job on one, which covers
-both sides of the worker pool.
+The power-law job runs on two workers and the others on one, which
+covers both sides of the worker pool.
 """
 
 import hashlib
@@ -37,6 +38,13 @@ JOBS = {
         "excitation": {"cw_rate_per_s": 5e6},
         "correlation": {"window_ns": 1000.0},
     },
+    "cw_two_state": {
+        "seed": 7, "duration_s": 0.3, "workers": 1,
+        "emitter": {"blinking": {"kind": "two_state_exponential",
+                                 "mean_on_ms": 20.0, "mean_off_ms": 10.0}},
+        "excitation": {"cw_rate_per_s": 5e6},
+        "correlation": {"window_ns": 1000.0},
+    },
 }
 
 GOLDEN = {
@@ -57,6 +65,14 @@ GOLDEN = {
                         "4f9514cbb77f064ce4c2482142ff6902"),
         "intensity": (609173, "7d4448dd072bd606dcd26de6bbe5cd3d"
                               "28dfbe99c722d03273b8126667aa563f"),
+    },
+    "cw_two_state": {
+        "ptst": "a42991521e0a91f09023e0e565e99eeb"
+                "dc2fcbbfabc305f91468fe536ce89c32",
+        "g2": (2010812, "e48b198895782b2cff4b04b0a3158d23"
+                        "5dbc1a42e3e37d38a543fbb96229b1bc"),
+        "intensity": (862587, "469da4da47e45e3de95fd618f3007061"
+                              "7289054275afedd88bbe04b74d1a8aec"),
     },
 }
 

@@ -436,6 +436,47 @@ class TestWorkersKey:
                 == (tmp_path / "raw_w2.csv").read_bytes())
 
 
+class TestUnknownJobKeys:
+    """Every job-config key is read by some stage or rejected."""
+
+    @pytest.mark.parametrize("analysis, section, key", [
+        ("g2cw", "correlation", "window_nss"),
+        ("g2cw", "correlation", "workers"),  # the removed per-stage key
+        ("lifetime", "lifetime", "components"),
+        ("blinking", "blinking", "threshold"),
+    ])
+    def test_section_typo_is_that_analysis_error_entry(
+            self, cw_run, tmp_path, analysis, section, key):
+        _, path = cw_run
+        other = "blinking" if analysis != "blinking" else "g2cw"
+        cfg = {"mode": "analyze", "input": str(path),
+               "analyses": [analysis, other], section: {key: 5}}
+        doc = run_pipeline(cfg, base_dir=str(tmp_path))
+        assert not doc.ok
+        assert doc.errors == [{
+            "stage": analysis, "type": "ValueError",
+            "message": f"unknown {section} options: {key}"}]
+        assert other in doc.results
+
+    @pytest.mark.parametrize("key", ["analysis", "period_ns", "output_dir"])
+    def test_top_level_typo_raises(self, cw_run, key):
+        _, path = cw_run
+        cfg = {"mode": "analyze", "input": str(path), key: ["g2cw"]}
+        with pytest.raises(ValueError, match=f"unknown job options: {key}$"):
+            run_pipeline(cfg)
+
+    def test_pipeline_subcommand_rejects_top_level_typo(self, cw_run,
+                                                        tmp_path, capsys):
+        _, path = cw_run
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"mode": "analyze", "input": str(path),
+                                   "analysis": ["g2cw"]}))
+        assert cli_main(["pipeline", str(job), "--outdir",
+                         str(tmp_path)]) == 1
+        assert "unknown job options: analysis" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestReadmeFlagTable:
     """The README's flag -> job-config table matches the parser."""
 
@@ -475,3 +516,16 @@ class TestReadmeFlagTable:
             for names in flags[command]:
                 if self.UNMAPPED.isdisjoint(names):
                     assert rows[command].intersection(names), (command, names)
+
+
+class TestReadmePythonApi:
+    """The README's Python API block runs as written."""
+
+    def test_python_block_runs(self, capsys):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        assert "single_photon" in out
+        assert "PeriodicStream(channel=255" in out
