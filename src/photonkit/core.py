@@ -8,7 +8,8 @@ channel 255 carries laser synchronization pulses.
 Arrays held by the dataclasses below are made read-only on construction so
 instances can be shared freely between analysis stages. One place does it
 for every record in the package: ``_ArrayRecord`` converts each field
-declared with ``_array(dtype)`` to its dtype and freezes it.
+declared with ``_array(dtype)`` to its dtype and freezes it, copying it
+first when it is a view of another array.
 """
 
 from __future__ import annotations
@@ -79,7 +80,11 @@ def ns_to_ps(t_ns):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """Read-only contiguous ``a``. A view is copied first, since whoever
+    holds its base could still write through it."""
     out = np.ascontiguousarray(a)
+    if out.base is not None:
+        out = out.copy()
     out.flags.writeable = False
     return out
 

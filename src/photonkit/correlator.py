@@ -102,14 +102,13 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     ta = a.events
     tb = b.events
 
-    # Partner index ranges: tb in [ta - window, ta + window). side="left" on
-    # the upper edge is what discards delays exactly at +window.
-    lo = np.searchsorted(tb, ta - window, side="left")
-    hi = np.searchsorted(tb, ta + window, side="left")
-
     def part(i: int) -> np.ndarray:
-        s = slice(ta.size * i // workers, ta.size * (i + 1) // workers)
-        return _pair_counts(ta[s], tb, lo[s], hi[s], window, bin_width, n_bins)
+        t = ta[ta.size * i // workers:ta.size * (i + 1) // workers]
+        # Partner index ranges: tb in [t - window, t + window). side="left"
+        # on the upper edge is what discards delays exactly at +window.
+        lo = np.searchsorted(tb, t - window, side="left")
+        hi = np.searchsorted(tb, t + window, side="left")
+        return _pair_counts(t, tb, lo, hi, window, bin_width, n_bins)
 
     counts = sum(_map_workers(part, range(workers), workers),
                  np.zeros(n_bins, np.int64))

@@ -295,9 +295,11 @@ def _cw_piece(rng, lo: int, hi: int, rate_per_ps: float, tau_x_ps: float,
     t = float(lo)
     while t < hi:
         n = max(int((hi - t) / mean_cycle * 1.2) + 16, 16)
-        cycles = rng.exponential(1.0 / rate_per_ps, n) + rng.exponential(tau_x_ps, n)
-        emits = t + np.cumsum(cycles)
-        out.append(emits[emits < hi])
+        emits = rng.exponential(1.0 / rate_per_ps, n)
+        emits += rng.exponential(tau_x_ps, n)
+        np.cumsum(emits, out=emits)
+        emits += t  # non-decreasing, so the times before hi are a prefix
+        out.append(emits[:np.searchsorted(emits, hi)])
         t = emits[-1]
     times = np.concatenate(out) if out else np.empty(0)
     if quantum_yield < 1.0 and times.size:
@@ -314,9 +316,11 @@ def _pulsed_piece(rng, lo: int, hi: int, exc: ExcitationConfig,
     k1 = -(-hi // period)  # first pulse at or after hi (excluded)
     if k1 <= k0:
         return np.empty(0)
-    pulse_t = np.arange(k0, k1, dtype=np.int64) * period
-    if exc.excitation_probability < 1.0:
-        pulse_t = pulse_t[rng.random(pulse_t.size) < exc.excitation_probability]
+    p = exc.excitation_probability
+    if p < 1.0:  # index the excited pulses, never the whole pulse grid
+        pulse_t = (k0 + np.flatnonzero(rng.random(k1 - k0) < p)) * period
+    else:
+        pulse_t = np.arange(k0, k1, dtype=np.int64) * period
     n = pulse_t.size
     if n == 0:
         return np.empty(0)
@@ -394,14 +398,16 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     bg_parts = (_map_workers(gen_background, range(n_blocks), workers)
                 if bg_rate > 0 else [])
 
-    signal = np.concatenate(signal_parts) if signal_parts else np.empty(0)
-    background = np.concatenate(bg_parts) if bg_parts else np.empty(0)
-    times = np.concatenate((signal, background))
-    flags = np.concatenate((np.ones(signal.size, bool), np.zeros(background.size, bool)))
-
-    times = np.rint(times).astype(np.int64)
-    inside = (times >= 0) & (times <= duration)
-    times, flags = times[inside], flags[inside]
+    parts = signal_parts + bg_parts
+    times = np.concatenate(parts) if parts else np.empty(0)
+    flags = np.zeros(times.size, bool)
+    flags[:sum(part.size for part in signal_parts)] = True
+    times = np.rint(times, out=times).astype(np.int64)
+    # Every draw is added to a piece start >= 0, so only a decay past the
+    # end of the trace can fall outside it.
+    if times.size and times.max() > duration:
+        inside = times <= duration
+        times, flags = times[inside], flags[inside]
     order = np.argsort(times, kind="stable")
     return EmissionRecord(times[order], flags[order], segments, duration, excitation)
 
@@ -412,21 +418,24 @@ def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
 
     Events whose raw gap to their predecessor already satisfies the dead
     time are provably kept (dropping events only moves the last-kept time
-    earlier), so only the others need a sequential pass.
+    earlier), so only the others, the contested events, need a sequential
+    pass. That pass reads just the contested events and their
+    predecessors, so beyond a few vector passes over ``times`` the cost
+    scales with the number of contested events, not the stream length.
     """
     if dead <= 0 or times.size < 2:
         return times
-    gaps = np.diff(times)
-    uncertain = np.nonzero(gaps < dead)[0] + 1
+    uncertain = np.flatnonzero(np.diff(times) < dead) + 1
     if uncertain.size == 0:
         return times
     keep = np.ones(times.size, dtype=bool)
     kept = memoryview(keep)  # Python-speed item access in the loop
-    t = times.tolist()
-    for idx in uncertain.tolist():
+    for idx, t_prev, t in zip(uncertain.tolist(),
+                              times[uncertain - 1].tolist(),
+                              times[uncertain].tolist()):
         if kept[idx - 1]:
-            last_kept_time = t[idx - 1]
-        if t[idx] - last_kept_time < dead:
+            last_kept_time = t_prev
+        if t - last_kept_time < dead:
             kept[idx] = False
     return times[keep]
 

@@ -41,6 +41,14 @@ class TestTimestampStream:
         assert s.events.dtype == np.int64
         assert len(s) == 3
 
+    def test_view_is_copied_so_its_base_cannot_write_through(self):
+        a = np.arange(10, dtype=np.int64)
+        s = pk.TimestampStream(0, a[:5], 10)
+        a[0] = 99
+        np.testing.assert_array_equal(s.events, [0, 1, 2, 3, 4])
+        assert s.events.base is None
+        assert not s.events.flags.writeable
+
     def test_rate_per_ms(self):
         s = pk.TimestampStream(0, np.arange(500), pk.PS_PER_MS)
         assert s.rate_per_ms == pytest.approx(500.0)

@@ -1,9 +1,10 @@
 """Golden seeded outputs: a refactor that claims "same results" must leave
 these integers unchanged.
 
-Three small jobs, one pulsed and two CW with power-law and two-state
-exponential blinking, are simulated to a timestamp file, read back, and
-binned. The file's SHA-256
+Four small jobs are simulated to a timestamp file, read back, and binned:
+two pulsed (one at excitation probability 0.5; one at probability 1 with
+biexciton emission and a quantum yield below 1) and two CW with power-law
+and two-state exponential blinking. The file's SHA-256
 and the g2, decay and intensity histogram counts are pinned. Only
 integers are pinned (counts as their sum and the SHA-256 of their
 little-endian int64 bytes), never fitted floats, so the check is exact.
@@ -32,6 +33,12 @@ JOBS = {
         "excitation": {"mode": "pulsed", "excitation_probability": 0.5},
         "correlation": {"window_ns": 600.0},
     },
+    "pulsed_full": {
+        "seed": 7, "duration_s": 0.05, "workers": 1,
+        "emitter": {"quantum_yield": 0.9, "biexciton_probability": 0.2},
+        "excitation": {"mode": "pulsed", "excitation_probability": 1.0},
+        "correlation": {"window_ns": 600.0},
+    },
     "cw_blinking": {
         "seed": 7, "duration_s": 0.3, "workers": 2,
         "emitter": {"blinking": {"kind": "power_law", "max_dwell_ms": 50.0}},
@@ -57,6 +64,16 @@ GOLDEN = {
                           "5ce92fb72918ff61e3dfc7467c520753"),
         "intensity": (250552, "198e3c87296489d1e93231c4f11bfed0"
                               "8ab874d5a3f4ad546c1181cd0b5afec1"),
+    },
+    "pulsed_full": {
+        "ptst": "8eb57b5e5cbb2087679eeddb47c2ce18"
+                "0a71538ca527fdfa386bf1aef281e406",
+        "g2": (1420859, "6237717dd3badbf4c975f4514fcfa67e"
+                        "6e42050848282c6e760b9b97cd23f7ec"),
+        "decay": (501016, "b61ca79a14b2adf6a164ee187ab638c9"
+                          "00bd7bab686954e63f473c40249b6a12"),
+        "intensity": (501016, "2e2b6e5075153f64e30cdf7e2ee0cdf7"
+                              "63f33fa8ee0ac79dd9d14ee37a512c84"),
     },
     "cw_blinking": {
         "ptst": "22be7769460e1e93719c41886af1b3ef"

@@ -175,6 +175,40 @@ class TestDeadTimeFilter:
         if out.size > 1:
             assert np.diff(out).min() >= dead
 
+    @staticmethod
+    def longest_contested_run(times, dead):
+        """Longest run of consecutive events closer than ``dead`` to their
+        predecessor."""
+        contested = np.concatenate(([0], (np.diff(times) < dead).view(np.int8), [0]))
+        edges = np.flatnonzero(np.diff(contested))
+        return int((edges[1::2] - edges[::2]).max()) if edges.size else 0
+
+    def test_matches_greedy_oracle_at_cw_density(self):
+        # 2e5 events at the contested fraction of a CW detector channel
+        # (a few %), plus bursts of 3-6 events inside one dead time and
+        # some exact repeats, so long contested runs are certain.
+        dead = 22_000
+        rng = np.random.default_rng(11)
+        times = np.cumsum(rng.exponential(dead / 0.03, 200_000)).astype(np.int64)
+        starts = rng.choice(times, 400, replace=False)
+        bursts = [s + np.sort(rng.integers(0, dead, rng.integers(2, 6)))
+                  for s in starts]
+        times = np.sort(np.concatenate([times, *bursts, times[:1000:10]]))
+        contested = np.mean(np.diff(times) < dead)
+        assert 0.02 < contested < 0.06
+        assert self.longest_contested_run(times, dead) >= 3
+        out = _dead_time_filter(times, dead)
+        np.testing.assert_array_equal(out, greedy_dead_time(times.tolist(), dead))
+
+    def test_matches_greedy_oracle_when_most_events_are_contested(self):
+        dead = 22_000
+        rng = np.random.default_rng(12)
+        times = np.cumsum(rng.exponential(dead / 4, 50_000)).astype(np.int64)
+        assert np.mean(np.diff(times) < dead) > 0.9
+        out = _dead_time_filter(times, dead)
+        np.testing.assert_array_equal(out, greedy_dead_time(times.tolist(), dead))
+        assert out.size < times.size // 3
+
 
 class TestDetectHbt:
     def test_dark_counts_only(self):
