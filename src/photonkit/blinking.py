@@ -41,6 +41,8 @@ __all__ = [
     "analyze_blinking",
 ]
 
+_MIN_FIT_SEGMENTS = 8  # fewest surviving dwells for which a state is fitted
+
 
 @dataclass(frozen=True, eq=False)
 class DwellDensity(_ArrayRecord):
@@ -242,15 +244,14 @@ def alpha_distribution(durations_ms, n_boot: int = 200, seed: int = 0,
 
 def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
                      min_dwell_ms: float = 0.0,
-                     tau_min_ms: float | None = None,
-                     min_fit_segments: int = 8) -> BlinkingResult:
+                     tau_min_ms: float | None = None) -> BlinkingResult:
     """Full blinking characterization of an intensity trace.
 
     The trace is thresholded into segments; the first and last segment of
     each state are dropped from the dwell statistics because the trace
     boundaries truncate them. Dwells shorter than ``min_dwell_ms`` are
     also dropped, which suppresses the bias from single-bin quantization
-    near the threshold. Each state with at least ``min_fit_segments``
+    near the threshold. Each state with at least ``_MIN_FIT_SEGMENTS`` (8)
     surviving dwells gets a power-law exponent and a model verdict;
     sparser states report None.
 
@@ -275,7 +276,7 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
                       if not s.on and s.duration_ms >= min_dwell_ms])
 
     def characterize(durations):
-        if durations.size < max(min_fit_segments, 2):
+        if durations.size < _MIN_FIT_SEGMENTS:
             return None, None
         comp = compare_dwell_models(durations, tau_min_ms)
         return comp.alpha, comp.verdict

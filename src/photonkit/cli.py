@@ -22,7 +22,8 @@ import json
 import os
 import sys
 
-from .core import PS_PER_NS, CoincidenceHistogram, DecayHistogram, Measurement
+from .core import (PS_PER_NS, CoincidenceHistogram, DecayHistogram,
+                   Measurement, ns_to_ps)
 from .fileio import TimestampFileError, export_histogram_csv, read_histogram_csv
 from .pipeline import (
     run_blinking,
@@ -91,8 +92,7 @@ def _print_fit(result: dict) -> None:
 # subcommands
 
 def cmd_simulate(args) -> int:
-    period_ps = (None if args.period is None
-                 else int(round(args.period * PS_PER_NS)))
+    period_ps = None if args.period is None else ns_to_ps(args.period)
     blinking = _given(kind=args.blinking, alpha_on=args.alpha,
                       alpha_off=args.alpha,
                       off_emission_rate_per_ms=args.background_per_ms)
@@ -184,7 +184,7 @@ def cmd_fit(args) -> int:
             "fit needs a raw histogram CSV with bin_center_ns,count columns")
     if centers.size < 2:
         raise ValueError("histogram CSV has fewer than 2 rows")
-    bin_ps = int(round((centers[1] - centers[0]) * PS_PER_NS))
+    bin_ps = ns_to_ps(centers[1] - centers[0])
     if args.model in ("cw", "pulsed"):
         window_ps = int(round(-centers[0] * PS_PER_NS + bin_ps / 2.0))
         hist = CoincidenceHistogram(bin_ps, window_ps, counts)
@@ -193,7 +193,7 @@ def cmd_fit(args) -> int:
         kind = "g2cw" if args.model == "cw" else "g2pw"
         _print_fit(run_g2_fit(kind, hist, {}, config))
     else:
-        period_ps = (int(round(args.period * PS_PER_NS)) if args.period
+        period_ps = (ns_to_ps(args.period) if args.period
                      else int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0)))
         hist = DecayHistogram(bin_ps, period_ps, counts)
         config = {"lifetime": _given(n_components=args.components)}

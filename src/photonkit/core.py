@@ -10,6 +10,10 @@ instances can be shared freely between analysis stages. One place does it
 for every record in the package: ``_ArrayRecord`` converts each field
 declared with ``_array(dtype)`` to its dtype and freezes it, copying it
 first when it is a view of another array.
+
+Histogram bin geometry is decided here too: the records and every builder
+of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
+``_decay_bins`` (period), the only checks of a bin width.
 """
 
 from __future__ import annotations
@@ -292,7 +296,36 @@ def validate_stream(stream: TimestampStream) -> ValidationReport:
 
 
 def _n_bins(span: int, bin_width: int) -> int:
-    return -(-int(span) // int(bin_width))
+    """ceil(span / bin_width), the only check of a histogram bin width."""
+    if bin_width <= 0:
+        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    return -(-span // bin_width)
+
+
+def _delay_bins(window: int, bin_width: int) -> int:
+    """Bin count of a delay histogram over [-window, +window)."""
+    n = _n_bins(2 * window, bin_width)
+    if window < bin_width:
+        raise ValueError(f"window ({window}) must be >= bin_width ({bin_width})")
+    return n
+
+
+def _decay_bins(period: int, bin_width: int) -> int:
+    """Bin count of a decay histogram over [0, period)."""
+    n = _n_bins(period, bin_width)
+    if bin_width > period:
+        raise ValueError(
+            f"bin_width ({bin_width}) must not exceed period ({period})")
+    return n
+
+
+def _check_counts(counts: np.ndarray, n_bins: int, grid: str) -> None:
+    """A histogram holds exactly ``n_bins`` non-negative counts."""
+    if counts.size != n_bins:
+        raise ValueError(
+            f"expected {n_bins} bins for {grid}, got {counts.size}")
+    if np.any(counts < 0):
+        raise ValueError("histogram counts must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,19 +358,9 @@ class CoincidenceHistogram(_ArrayRecord):
 
     def __post_init__(self):
         super().__post_init__()
-        bw = int(self.bin_width)
-        w = int(self.window)
-        if bw <= 0:
-            raise ValueError(f"bin_width must be positive, got {bw}")
-        if w < bw:
-            raise ValueError(f"window ({w}) must be >= bin_width ({bw})")
-        expected = _n_bins(2 * w, bw)
-        if self.counts.size != expected:
-            raise ValueError(
-                f"expected {expected} bins for window {w} and bin width {bw}, "
-                f"got {self.counts.size}")
-        if np.any(self.counts < 0):
-            raise ValueError("histogram counts must be non-negative")
+        bw, w = int(self.bin_width), int(self.window)
+        _check_counts(self.counts, _delay_bins(w, bw),
+                      f"window {w} and bin width {bw}")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "window", w)
         if self.normalization is not None and not self.normalization > 0:
@@ -387,19 +410,9 @@ class DecayHistogram(_ArrayRecord):
 
     def __post_init__(self):
         super().__post_init__()
-        bw = int(self.bin_width)
-        t = int(self.period)
-        if bw <= 0:
-            raise ValueError(f"bin_width must be positive, got {bw}")
-        if bw > t:
-            raise ValueError(f"bin_width ({bw}) must not exceed period ({t})")
-        expected = _n_bins(t, bw)
-        if self.counts.size != expected:
-            raise ValueError(
-                f"expected {expected} bins for period {t} and bin width {bw}, "
-                f"got {self.counts.size}")
-        if np.any(self.counts < 0):
-            raise ValueError("histogram counts must be non-negative")
+        bw, t = int(self.bin_width), int(self.period)
+        _check_counts(self.counts, _decay_bins(t, bw),
+                      f"period {t} and bin width {bw}")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "period", t)
         object.__setattr__(self, "discarded", int(self.discarded))
@@ -432,15 +445,9 @@ class IntensityTrace(_ArrayRecord):
     def __post_init__(self):
         super().__post_init__()
         bw = int(self.bin_width)
-        if bw <= 0:
-            raise ValueError(f"bin_width must be positive, got {bw}")
-        if np.any(self.counts < 0):
-            raise ValueError("trace counts must be non-negative")
         dur = int(self.duration) if self.duration else self.counts.size * bw
-        if _n_bins(dur, bw) != self.counts.size:
-            raise ValueError(
-                f"expected {_n_bins(dur, bw)} bins for duration {dur} and "
-                f"bin width {bw}, got {self.counts.size}")
+        _check_counts(self.counts, _n_bins(dur, bw),
+                      f"duration {dur} and bin width {bw}")
         object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "duration", dur)
 

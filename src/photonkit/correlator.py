@@ -1,9 +1,8 @@
 """Histogram builders: cross-correlation, sync-referenced decay, intensity.
 
 Delay arithmetic stays in signed 64-bit picoseconds throughout; floats only
-appear once counts are handed to the fitting layer. Delay bins are half-open
-[lo, hi): a pair landing exactly at +window is discarded, one exactly at
--window falls in bin 0.
+appear once counts are handed to the fitting layer. Bin counts and their
+validity come from :mod:`photonkit.core`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,10 @@ from .core import (
     IntensityTrace,
     PeriodicStream,
     TimestampStream,
+    _decay_bins,
+    _delay_bins,
     _map_workers,
+    _n_bins,
 )
 
 __all__ = [
@@ -35,15 +37,6 @@ def _require_sorted(stream: TimestampStream, name: str) -> None:
     ev = stream.events
     if ev.size > 1 and np.any(np.diff(ev) < 0):
         raise ValueError(f"{name} stream is not sorted by timestamp")
-
-
-def _check_binning(window: int, bin_width: int) -> int:
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    if window < bin_width:
-        raise ValueError(
-            f"window ({window}) must be at least one bin width ({bin_width})")
-    return -(-2 * window // bin_width)
 
 
 def _pair_counts(ta: np.ndarray, tb: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -98,7 +91,7 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     """
     _require_sorted(a, "a")
     _require_sorted(b, "b")
-    n_bins = _check_binning(window, bin_width)
+    n_bins = _delay_bins(window, bin_width)
     ta = a.events
     tb = b.events
 
@@ -124,7 +117,7 @@ def brute_force_correlate(a: TimestampStream, b: TimestampStream, window: int,
     """
     _require_sorted(a, "a")
     _require_sorted(b, "b")
-    n_bins = _check_binning(window, bin_width)
+    n_bins = _delay_bins(window, bin_width)
     ta = a.events
     tb = b.events
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -184,14 +177,10 @@ def sync_decay_histogram(photons: TimestampStream,
         Bin width in ps; must not exceed the period.
     """
     _require_sorted(photons, "photons")
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
     t = photons.events
     s = None   # explicit sync pulses, searched instead of the grid
     if period is not None:
         period = int(period)
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
         offset, count = 0, None
     elif isinstance(sync, PeriodicStream):
         offset, period, count = sync.offset, sync.period, sync.count
@@ -204,9 +193,7 @@ def sync_decay_histogram(photons: TimestampStream,
         period = int(np.median(np.diff(s)))
     else:
         raise ValueError("either a sync stream or a period is required")
-    if bin_width > period:
-        raise ValueError(
-            f"bin_width ({bin_width}) must not exceed period ({period})")
+    n_bins = _decay_bins(period, bin_width)
 
     if s is None:
         delay = _grid_delays(t, offset, period, count)
@@ -214,7 +201,6 @@ def sync_decay_histogram(photons: TimestampStream,
         pos = np.searchsorted(s, t, side="right") - 1
         good = pos >= 0
         delay = t[good] - s[pos[good]]
-    n_bins = -(-period // bin_width)
     bins = delay // bin_width
     overflow = bins >= n_bins
     discarded = t.size - delay.size + int(np.count_nonzero(overflow))
@@ -231,11 +217,9 @@ def intensity_trace(photons: TimestampStream,
     length.
     """
     _require_sorted(photons, "photons")
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    n_bins = _n_bins(photons.duration, bin_width)
     if photons.duration <= 0:
         raise ValueError("stream duration must be positive")
-    n_bins = -(-photons.duration // bin_width)
     bins = np.minimum(photons.events // bin_width, n_bins - 1)
     counts = np.bincount(bins, minlength=n_bins)
     return IntensityTrace(counts.astype(np.int64), bin_width, photons.duration)

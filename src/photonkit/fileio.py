@@ -45,6 +45,7 @@ try:
     TOOL_VERSION = version("photonkit")
 except PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0.1.0"
+_SCHEMA_VERSION = "1"  # of the report JSON
 
 __all__ = [
     "MAGIC",
@@ -413,15 +414,12 @@ class ReportDocument:
     errors: list = field(default_factory=list)
     input: dict | None = None
     created: str = field(default_factory=_now_iso)
-    schema_version: str = "1"
-    tool_name: str = "photonkit"
-    tool_version: str = TOOL_VERSION
 
     def to_dict(self) -> dict:
         doc = {
-            "schema_version": self.schema_version,
+            "schema_version": _SCHEMA_VERSION,
             "created": self.created,
-            "tool": {"name": self.tool_name, "version": self.tool_version},
+            "tool": {"name": "photonkit", "version": TOOL_VERSION},
             "config": self.config,
             "results": self.results,
             "errors": list(self.errors),

@@ -3,9 +3,9 @@
 The engine is damped least squares with Marquardt diagonal scaling. It is
 deliberately small and fully specified: convergence is declared when the
 relative chi-square improvement drops below 1e-9 or the accepted step norm
-below 1e-12, the iteration cap is 500, and the parameter covariance is
-(J^T W J)^-1 scaled by the reduced chi-square, falling back to a
-pseudo-inverse (and flagging it) when the normal matrix is singular.
+below 1e-12 (fixed), the iteration cap defaults to 500, and the parameter
+covariance is (J^T W J)^-1 scaled by the reduced chi-square, falling back
+to a pseudo-inverse (and flagging it) when the normal matrix is singular.
 
 Model functions take a plain parameter vector so the engine, the analytic
 Jacobians, and the finite-difference cross-checks all share one calling
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PS_PER_NS,
     CoincidenceHistogram,
     DecayHistogram,
     FitResult,
@@ -59,6 +60,11 @@ class NoDipError(ValueError):
 # ---------------------------------------------------------------------------
 # engine
 
+_CHI2_RTOL = 1e-9   # converged: relative chi-square drop below this
+_STEP_ATOL = 1e-12  # converged: accepted step norm below this
+_REL_STEP = 6e-6    # central-difference step relative to max(|theta|, 1)
+
+
 @dataclass(frozen=True)
 class _RawFit:
     theta: np.ndarray
@@ -70,13 +76,13 @@ class _RawFit:
     flags: tuple[str, ...]
 
 
-def numeric_jacobian(model, x, theta, rel_step: float = 6e-6) -> np.ndarray:
+def numeric_jacobian(model, x, theta) -> np.ndarray:
     """Central-difference Jacobian of ``model(x, theta)`` w.r.t. theta."""
     theta = np.asarray(theta, dtype=np.float64)
     p = theta.size
     cols = []
     for j in range(p):
-        h = rel_step * max(abs(theta[j]), 1.0)
+        h = _REL_STEP * max(abs(theta[j]), 1.0)
         up = theta.copy()
         dn = theta.copy()
         up[j] += h
@@ -86,9 +92,7 @@ def numeric_jacobian(model, x, theta, rel_step: float = 6e-6) -> np.ndarray:
 
 
 def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
-                        bounds=None, max_iterations: int = 500,
-                        chi2_rtol: float = 1e-9,
-                        step_atol: float = 1e-12) -> _RawFit:
+                        bounds=None, max_iterations: int = 500) -> _RawFit:
     """Minimize sum w_i * (y_i - model(x, theta)_i)^2 over theta.
 
     Parameters
@@ -184,10 +188,10 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
         drop = chi2 - chi2_t
         theta, r, chi2 = trial, rt, chi2_t
         lam = max(lam * 0.3, 1e-12)
-        if drop <= chi2_rtol * max(chi2, tiny):
+        if drop <= _CHI2_RTOL * max(chi2, tiny):
             converged = True
             break
-        if float(np.linalg.norm(moved)) < step_atol:
+        if float(np.linalg.norm(moved)) < _STEP_ATOL:
             converged = True
             break
 
@@ -363,14 +367,14 @@ def fit_g2_cw(histogram: CoincidenceHistogram) -> FitResult:
     if b0 <= 0:
         raise NoDipError(
             "histogram minimum is not below the plateau; no dip to fit")
-    bin_ns = histogram.bin_width / 1000.0
+    bin_ns = histogram.bin_width / PS_PER_NS
     half = _dip_half_width_ns(tau, counts, i_min, a0 * (1.0 - b0 / 2.0), bin_ns)
     tau_x0 = max(half / math.log(2.0), bin_ns / 2.0)
     if float(np.max(np.abs(tau - tau0_0))) < 5.0 * tau_x0:
         raise ValueError(
             "window too narrow: no plateau beyond 5 lifetimes of the dip")
 
-    window_ns = histogram.window / 1000.0
+    window_ns = histogram.window / PS_PER_NS
     bounds = [(1e-300, np.inf), (0.0, 1.0),
               (-window_ns, window_ns), (bin_ns * 1e-3, np.inf)]
     raw = levenberg_marquardt(
@@ -419,7 +423,7 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
     if not np.any(counts > 0):
         raise ValueError("cannot fit an all-zero histogram")
     tau = histogram.tau_centers_ns
-    window_ns = histogram.window / 1000.0
+    window_ns = histogram.window / PS_PER_NS
     if window_ns < (n_side + 0.5) * period_ns:
         raise ValueError(
             f"window ({window_ns:.1f} ns) must cover (n_side + 0.5) periods "
@@ -428,7 +432,7 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
     a0 = float(np.percentile(counts, 10.0))
     i0 = _comb_search(tau, counts, period_ns, n_side)
     tau0_0 = float(tau[i0])
-    bin_ns = histogram.bin_width / 1000.0
+    bin_ns = histogram.bin_width / PS_PER_NS
 
     quarter = period_ns / 4.0
     heights0 = np.zeros(2 * n_side + 1)

@@ -35,6 +35,7 @@ from .core import (
     DecayHistogram,
     PeriodicStream,
     TimestampStream,
+    ns_to_ps,
 )
 from .correlator import cross_correlate, intensity_trace, sync_decay_histogram
 from .fileio import (
@@ -195,7 +196,7 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
         raise ValueError(
             "analysis needs events on both detector channels 0 and 1")
     corr_cfg = _section(config, "correlation")
-    window = int(round(float(corr_cfg.get("window_ns", 1000.0)) * PS_PER_NS))
+    window = ns_to_ps(float(corr_cfg.get("window_ns", 1000.0)))
     bin_width = int(corr_cfg.get("bin_width_ps", 500))
     return cross_correlate(ch0, ch1, window, bin_width,
                            int(config.get("workers", 1)))
@@ -229,8 +230,8 @@ def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
     bin_width = int(life_cfg.get("bin_width_ps", 500))
     photons = merged_photons(streams)
     sync = _sync(streams)
-    period_ps = None if sync is not None else int(round(
-        resolved_period_ns(streams, life_cfg) * PS_PER_NS))
+    period_ps = None if sync is not None else ns_to_ps(
+        resolved_period_ns(streams, life_cfg))
     return sync_decay_histogram(photons, sync=sync, period=period_ps,
                                 bin_width=bin_width)
 

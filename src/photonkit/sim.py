@@ -35,6 +35,7 @@ from .core import (
     _ArrayRecord,
     _array,
     _map_workers,
+    _n_bins,
 )
 
 __all__ = [
@@ -482,7 +483,8 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
             dark = rng.integers(0, duration + 1, n_dark)
             ch_times = np.concatenate((ch_times, dark))
         ch_times = np.sort(ch_times, kind="stable")
-        ch_times = ch_times[(ch_times >= 0) & (ch_times <= duration)]
+        ch_times = ch_times[np.searchsorted(ch_times, 0, side="left"):
+                            np.searchsorted(ch_times, duration, side="right")]
         ch_times = _dead_time_filter(ch_times, detector.dead_time_ps)
         streams.append(TimestampStream(channel, ch_times, duration))
 
@@ -528,10 +530,10 @@ def simulate_intensity_trace(law: BlinkingLaw, on_rate_per_ms: float,
     law.validate()
     if on_rate_per_ms <= 0:
         raise ValueError(f"on_rate_per_ms must be positive, got {on_rate_per_ms}")
-    if duration <= 0 or bin_width <= 0:
-        raise ValueError("duration and bin_width must be positive")
+    n_bins = _n_bins(duration, bin_width)
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, got {duration}")
     segments = _blinking_segments(law, duration, seed)
-    n_bins = -(-duration // bin_width)
     on_fraction = np.zeros(n_bins)
     for seg in segments:
         if not seg.on:

@@ -289,3 +289,43 @@ class TestWorkerSlices:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             pk.cross_correlate(stream([], 1000), stream([], 1000, 1),
                                window=100, bin_width=10, workers=0)
+
+
+def _pair():
+    return stream([1, 2], 10), stream([3], 10, 1)
+
+
+class TestOneBinningRule:
+    """A builder rejects an invalid bin geometry with the same message as
+    the record it builds: both take the bin count from one rule."""
+
+    @pytest.mark.parametrize("build, record", [
+        (lambda: pk.cross_correlate(*_pair(), window=400, bin_width=500),
+         lambda: pk.CoincidenceHistogram(500, 400, [1])),
+        (lambda: pk.brute_force_correlate(*_pair(), window=400,
+                                          bin_width=500),
+         lambda: pk.CoincidenceHistogram(500, 400, [1])),
+        (lambda: pk.cross_correlate(*_pair(), window=5, bin_width=0),
+         lambda: pk.CoincidenceHistogram(0, 5, [1])),
+        (lambda: pk.sync_decay_histogram(stream([5], 10), period=2000,
+                                         bin_width=3000),
+         lambda: pk.DecayHistogram(3000, 2000, [1])),
+        (lambda: pk.sync_decay_histogram(stream([5], 10), period=2000,
+                                         bin_width=0),
+         lambda: pk.DecayHistogram(0, 2000, [1])),
+        (lambda: pk.intensity_trace(stream([1], 10), bin_width=0),
+         lambda: pk.IntensityTrace([1], bin_width=0)),
+        (lambda: pk.simulate_intensity_trace(pk.BlinkingLaw(), 10.0,
+                                             pk.PS_PER_S, seed=0,
+                                             bin_width=0),
+         lambda: pk.IntensityTrace([1], bin_width=0)),
+    ], ids=["cross_window", "brute_window", "cross_zero_bin",
+            "decay_period", "decay_zero_bin", "trace_zero_bin",
+            "sim_trace_zero_bin"])
+    def test_builder_and_record_agree(self, build, record):
+        with pytest.raises(ValueError) as from_record:
+            record()
+        with pytest.raises(ValueError) as from_builder:
+            build()
+        assert str(from_builder.value) == str(from_record.value)
+

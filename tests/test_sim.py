@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import photonkit as pk
 from photonkit.sim import _dead_time_filter
+from photonkit.sim import _TAG_DETECT, _rng
 
 PS_NS = pk.PS_PER_NS
 PS_MS = pk.PS_PER_MS
@@ -274,6 +275,32 @@ class TestDetectHbt:
                                                             duration)
         assert "events" not in vars(sync)
         assert len(sync) == np.arange(0, duration, 100_000).size
+
+    def test_trim_to_duration_equals_mask(self):
+        # 1 ps jitter on events piled at both ends pushes some below 0
+        # and some past the duration and leaves some exactly on either
+        # edge; the channel keeps exactly the jittered times inside
+        # [0, duration], edges included, as a mask would.
+        duration = 10**6
+        rng = np.random.default_rng(8)
+        ev = np.sort(np.concatenate((
+            np.zeros(300, np.int64), np.full(300, duration),
+            rng.integers(0, duration + 1, 400))))
+        det = pk.DetectorModel(dark_rate_per_ms=0.0, jitter_sigma_ps=1.0,
+                               dead_time_ps=0)
+        ch0, ch1, _ = pk.detect_hbt(pk.TimestampStream(0, ev, duration),
+                                    det, seed=5)
+        draws = _rng(5, _TAG_DETECT)  # the draws detect_hbt makes, in order
+        to_a = draws.random(ev.size) < det.splitter_ratio
+        kept = draws.random(ev.size) < det.efficiency
+        t = ev + np.rint(draws.normal(0.0, det.jitter_sigma_ps,
+                                      ev.size)).astype(np.int64)
+        for got, mask in ((ch0, to_a & kept), (ch1, ~to_a & kept)):
+            raw = np.sort(t[mask], kind="stable")
+            assert (raw < 0).any() and (raw > duration).any()
+            assert (raw == 0).any() and (raw == duration).any()
+            np.testing.assert_array_equal(
+                got.events, raw[(raw >= 0) & (raw <= duration)])
 
     def test_accepts_raw_timestamp_stream(self):
         src = pk.simulate_poissonian(1e6, PS_S, seed=3)
