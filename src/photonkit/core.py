@@ -13,7 +13,8 @@ first when it is a view of another array.
 
 Histogram bin geometry is decided here too: the records and every builder
 of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
-``_decay_bins`` (period), the only checks of a bin width.
+``_decay_bins`` (period), the only checks of a bin width, and the
+correlator's builders take their ps arguments through ``_whole_ps``.
 """
 
 from __future__ import annotations
@@ -293,6 +294,14 @@ def validate_stream(stream: TimestampStream) -> ValidationReport:
     negative = int(np.count_nonzero(ev < 0))
     past = int(np.count_nonzero(ev > stream.duration))
     return ValidationReport(int(ev.size), violations, duplicates, negative, past)
+
+
+def _whole_ps(value, name: str) -> int:
+    """``value`` as whole picoseconds: an integral float such as 600.0 is
+    its int, a fractional one is an error that names the argument."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number of ps, got {value}")
+    return int(value)
 
 
 def _n_bins(span: int, bin_width: int) -> int:

@@ -2,7 +2,9 @@
 
 Delay arithmetic stays in signed 64-bit picoseconds throughout; floats only
 appear once counts are handed to the fitting layer. Bin counts and their
-validity come from :mod:`photonkit.core`.
+validity come from :mod:`photonkit.core`. A window, bin width or period is
+taken as whole picoseconds: an integral float such as ``600.0`` bins like
+the int, a fractional one raises ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .core import (
     _delay_bins,
     _map_workers,
     _n_bins,
+    _whole_ps,
 )
 
 __all__ = [
@@ -91,6 +94,8 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     """
     _require_sorted(a, "a")
     _require_sorted(b, "b")
+    window = _whole_ps(window, "window")
+    bin_width = _whole_ps(bin_width, "bin_width")
     n_bins = _delay_bins(window, bin_width)
     ta = a.events
     tb = b.events
@@ -117,6 +122,8 @@ def brute_force_correlate(a: TimestampStream, b: TimestampStream, window: int,
     """
     _require_sorted(a, "a")
     _require_sorted(b, "b")
+    window = _whole_ps(window, "window")
+    bin_width = _whole_ps(bin_width, "bin_width")
     n_bins = _delay_bins(window, bin_width)
     ta = a.events
     tb = b.events
@@ -179,8 +186,9 @@ def sync_decay_histogram(photons: TimestampStream,
     _require_sorted(photons, "photons")
     t = photons.events
     s = None   # explicit sync pulses, searched instead of the grid
+    bin_width = _whole_ps(bin_width, "bin_width")
     if period is not None:
-        period = int(period)
+        period = _whole_ps(period, "period")
         offset, count = 0, None
     elif isinstance(sync, PeriodicStream):
         offset, period, count = sync.offset, sync.period, sync.count
@@ -217,6 +225,7 @@ def intensity_trace(photons: TimestampStream,
     length.
     """
     _require_sorted(photons, "photons")
+    bin_width = _whole_ps(bin_width, "bin_width")
     n_bins = _n_bins(photons.duration, bin_width)
     if photons.duration <= 0:
         raise ValueError("stream duration must be positive")

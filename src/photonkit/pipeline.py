@@ -157,8 +157,11 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
     workers = int(config.get("workers", 1))
-    emission = generate_emission(emitter, excitation, duration, seed, workers)
-    ch0, ch1, sync = detect_hbt(emission, detector, seed)
+    # The emission record is not kept: it is freed before the file is
+    # written, where this stage reaches its peak memory.
+    ch0, ch1, sync = detect_hbt(
+        generate_emission(emitter, excitation, duration, seed, workers),
+        detector, seed, workers)
     path = os.path.join(base, config.get("output", "timestamps.ptst"))
     streams = [ch0, ch1] + ([sync] if len(sync) else [])
     n = write_timestamps(streams, path)

@@ -12,6 +12,10 @@ its own RNG stream derived from (seed, tag, piece index). ``workers`` maps
 the pieces over the package's one thread pool (``core._map_workers``); a
 worker changes only who computes a piece, never what it contains, so
 output is bit-identical for any ``workers`` value.
+
+Detection takes ``workers`` too: each of its draws starts at its known
+offset in one seeded stream on its own generator, and its two channels are
+mapped, so its output does not depend on ``workers`` either.
 """
 
 from __future__ import annotations
@@ -225,8 +229,11 @@ class EmissionRecord(_ArrayRecord):
         return self.times.size
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *key])))
+def _rng(seed: int, *key: int, skip: int = 0) -> np.random.Generator:
+    """The stream for (seed, *key), advanced past its first ``skip``
+    64-bit outputs."""
+    bits = np.random.PCG64(np.random.SeedSequence([int(seed), *key]))
+    return np.random.Generator(bits.advance(skip))
 
 
 def _truncated_pareto_ms(rng, alpha: float, lo: float, hi: float, size: int) -> np.ndarray:
@@ -377,13 +384,16 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     tau_x_ps = emitter.lifetime_ns * PS_PER_NS
     rate_per_ps = excitation.cw_rate_per_s / PS_PER_S
 
+    def to_ps(times: np.ndarray) -> np.ndarray:
+        return np.rint(times, out=times).astype(np.int64)
+
     def gen_signal(i: int) -> np.ndarray:
         lo, hi = pieces[i]
         rng = _rng(seed, _TAG_SIGNAL, i)
         if excitation.mode == "cw":
-            return _cw_piece(rng, lo, hi, rate_per_ps, tau_x_ps,
-                             emitter.quantum_yield)
-        return _pulsed_piece(rng, lo, hi, excitation, emitter)
+            return to_ps(_cw_piece(rng, lo, hi, rate_per_ps, tau_x_ps,
+                                   emitter.quantum_yield))
+        return to_ps(_pulsed_piece(rng, lo, hi, excitation, emitter))
 
     bg_rate = law.off_emission_rate_per_ms  # counts per ms, whole trace
     n_blocks = -(-duration // _BLOCK_PS)
@@ -393,17 +403,17 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
         hi = min(lo + _BLOCK_PS, duration)
         rng = _rng(seed, _TAG_BACKGROUND, j)
         n = rng.poisson(bg_rate * (hi - lo) / PS_PER_MS)
-        return lo + rng.random(n) * (hi - lo)
+        return to_ps(lo + rng.random(n) * (hi - lo))
 
     signal_parts = _map_workers(gen_signal, range(len(pieces)), workers)
-    bg_parts = (_map_workers(gen_background, range(n_blocks), workers)
-                if bg_rate > 0 else [])
-
-    parts = signal_parts + bg_parts
-    times = np.concatenate(parts) if parts else np.empty(0)
+    n_signal = sum(part.size for part in signal_parts)
+    parts = signal_parts + (_map_workers(gen_background, range(n_blocks),
+                                         workers) if bg_rate > 0 else [])
+    del signal_parts
+    times = np.concatenate(parts) if parts else np.empty(0, np.int64)
+    del parts
     flags = np.zeros(times.size, bool)
-    flags[:sum(part.size for part in signal_parts)] = True
-    times = np.rint(times, out=times).astype(np.int64)
+    flags[:n_signal] = True
     # Every draw is added to a piece start >= 0, so only a decay past the
     # end of the trace can fall outside it.
     if times.size and times.max() > duration:
@@ -442,7 +452,7 @@ def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
 
 
 def detect_hbt(emission: EmissionRecord | TimestampStream,
-               detector: DetectorModel, seed: int,
+               detector: DetectorModel, seed: int, workers: int = 1,
                ) -> tuple[TimestampStream, TimestampStream,
                           TimestampStream | PeriodicStream]:
     """Route an emission record through the splitter and both detectors.
@@ -451,6 +461,13 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     with probability ``efficiency``, gets Gaussian timing jitter, and then
     competes with dark counts for the detector; events closer than the dead
     time to the previously registered one on the same channel are dropped.
+
+    ``workers`` threads run the draws and then the two channels. Any value
+    yields bit-identical output: the draws are one seeded stream in a
+    fixed order (splitter and efficiency uniforms, jitter normals, then
+    each channel's dark counts), and a uniform takes exactly one 64-bit
+    output per photon, so each draw starts at its known offset in that
+    stream on its own generator.
 
     Returns
     -------
@@ -465,28 +482,48 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
         emission = EmissionRecord(
             emission.events, np.ones(len(emission), bool),
             (Segment(True, 0, emission.duration),), emission.duration, None)
-    rng = _rng(seed, _TAG_DETECT)
     t = emission.times
     n = t.size
     duration = emission.duration
+    # Each task draws from its own generator, started at its draw's offset.
+    split_rng = _rng(seed, _TAG_DETECT)
+    kept_rng = _rng(seed, _TAG_DETECT, skip=n)
+    jitter_rng = _rng(seed, _TAG_DETECT, skip=2 * n)
 
-    to_a = rng.random(n) < detector.splitter_ratio
-    kept = rng.random(n) < detector.efficiency
-    if detector.jitter_sigma_ps > 0:
-        t = t + np.rint(rng.normal(0.0, detector.jitter_sigma_ps, n)).astype(np.int64)
+    def uniforms() -> tuple[np.ndarray, np.ndarray]:
+        return (split_rng.random(n) < detector.splitter_ratio,
+                kept_rng.random(n) < detector.efficiency)
 
-    streams = []
-    for channel, mask in ((CHANNEL_A, to_a & kept), (CHANNEL_B, ~to_a & kept)):
-        ch_times = t[mask]
-        n_dark = rng.poisson(detector.dark_rate_per_ms * duration / PS_PER_MS)
-        if n_dark:
-            dark = rng.integers(0, duration + 1, n_dark)
+    def jittered() -> np.ndarray:
+        if detector.jitter_sigma_ps <= 0:
+            return t
+        dt = jitter_rng.normal(0.0, detector.jitter_sigma_ps, n)
+        dt = np.rint(dt, out=dt).astype(np.int64)
+        dt += t
+        return dt
+
+    (to_a, kept), times = _map_workers(lambda task: task(),
+                                       (uniforms, jittered), workers)
+    darks = []
+    for _ in range(2):  # dark counts of channel A, then of channel B
+        n_dark = jitter_rng.poisson(detector.dark_rate_per_ms * duration
+                                    / PS_PER_MS)
+        darks.append(jitter_rng.integers(0, duration + 1, n_dark)
+                     if n_dark else None)
+
+    def channel(args) -> TimestampStream:
+        ch, dark = args
+        ch_times = times[(to_a if ch == CHANNEL_A else ~to_a) & kept]
+        if dark is not None:
             ch_times = np.concatenate((ch_times, dark))
-        ch_times = np.sort(ch_times, kind="stable")
+        ch_times.sort(kind="stable")
         ch_times = ch_times[np.searchsorted(ch_times, 0, side="left"):
                             np.searchsorted(ch_times, duration, side="right")]
-        ch_times = _dead_time_filter(ch_times, detector.dead_time_ps)
-        streams.append(TimestampStream(channel, ch_times, duration))
+        return TimestampStream(
+            ch, _dead_time_filter(ch_times, detector.dead_time_ps), duration)
+
+    streams = _map_workers(channel, zip((CHANNEL_A, CHANNEL_B), darks),
+                           workers)
 
     if emission.excitation is not None and emission.excitation.mode == "pulsed":
         period = emission.excitation.pulse_period_ps

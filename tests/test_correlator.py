@@ -329,3 +329,45 @@ class TestOneBinningRule:
             build()
         assert str(from_builder.value) == str(from_record.value)
 
+
+
+class TestWholePicoseconds:
+    """Window, bin width and period are whole picoseconds: an integral
+    float bins exactly like the int, a fractional one is rejected by name."""
+
+    @pytest.mark.parametrize("correlate", [pk.cross_correlate,
+                                           pk.brute_force_correlate])
+    def test_integral_float_bins_like_int(self, correlate):
+        a, b = random_pair(np.random.default_rng(5), 800, 800, 10**6)
+        want = correlate(a, b, 600, 500)
+        for window, bin_width in ((600.0, 500), (600, 500.0),
+                                  (np.float64(600.0), np.float32(500.0))):
+            got = correlate(a, b, window, bin_width)
+            np.testing.assert_array_equal(got.counts, want.counts)
+            assert (got.window, got.bin_width) == (600, 500)
+
+    @pytest.mark.parametrize("correlate", [pk.cross_correlate,
+                                           pk.brute_force_correlate])
+    @pytest.mark.parametrize("window, bin_width, name", [
+        (600.5, 500, "window"), (600, 499.9, "bin_width"),
+        (float("nan"), 500, "window"), (600, float("inf"), "bin_width")])
+    def test_fractional_value_rejected_by_name(self, correlate, window,
+                                               bin_width, name):
+        a, b = _pair()
+        with pytest.raises(ValueError, match=f"^{name} must be a whole"):
+            correlate(a, b, window, bin_width)
+
+    def test_decay_and_trace_builders(self):
+        photons = stream(np.arange(0, 10**6, 777), 10**6)
+        want = pk.sync_decay_histogram(photons, period=100_000, bin_width=500)
+        got = pk.sync_decay_histogram(photons, period=100_000.0,
+                                      bin_width=500.0)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert (got.period, got.bin_width) == (100_000, 500)
+        np.testing.assert_array_equal(
+            pk.intensity_trace(photons, 1000.0).counts,
+            pk.intensity_trace(photons, 1000).counts)
+        with pytest.raises(ValueError, match="^period must be a whole"):
+            pk.sync_decay_histogram(photons, period=100_000.5)
+        with pytest.raises(ValueError, match="^bin_width must be a whole"):
+            pk.intensity_trace(photons, 0.5)

@@ -1,15 +1,18 @@
 """Golden seeded outputs: a refactor that claims "same results" must leave
 these integers unchanged.
 
-Four small jobs are simulated to a timestamp file, read back, and binned:
+Five small jobs are simulated to a timestamp file, read back, and binned:
 two pulsed (one at excitation probability 0.5; one at probability 1 with
-biexciton emission and a quantum yield below 1) and two CW with power-law
-and two-state exponential blinking. The file's SHA-256
+biexciton emission and a quantum yield below 1), two CW with power-law
+and two-state exponential blinking, and one CW behind a lossy, unbalanced
+detector with dark counts (every other job detects every photon on a
+50:50 splitter, so only this one sees where the efficiency draws come
+from). The file's SHA-256
 and the g2, decay and intensity histogram counts are pinned. Only
 integers are pinned (counts as their sum and the SHA-256 of their
 little-endian int64 bytes), never fitted floats, so the check is exact.
-The power-law job runs on two workers and the others on one, which
-covers both sides of the worker pool.
+The power-law and lossy jobs run on two workers and the others on one,
+which covers both sides of the worker pool.
 """
 
 import hashlib
@@ -52,6 +55,12 @@ JOBS = {
         "excitation": {"cw_rate_per_s": 5e6},
         "correlation": {"window_ns": 1000.0},
     },
+    "cw_lossy": {
+        "seed": 7, "duration_s": 0.3, "workers": 2,
+        "detector": {"efficiency": 0.6, "splitter_ratio": 0.4,
+                     "dark_rate_per_ms": 5.0},
+        "correlation": {"window_ns": 1000.0},
+    },
 }
 
 GOLDEN = {
@@ -90,6 +99,14 @@ GOLDEN = {
                         "5dbc1a42e3e37d38a543fbb96229b1bc"),
         "intensity": (862587, "469da4da47e45e3de95fd618f3007061"
                               "7289054275afedd88bbe04b74d1a8aec"),
+    },
+    "cw_lossy": {
+        "ptst": "749b3035c7526f17e127a59033853533"
+                "9f05391234974ea5033880009e94a32e",
+        "g2": (54300, "78bb80b7587358286d23cc4c51a689e5"
+                      "2ccceb65ce97ee270f870701211a4d80"),
+        "intensity": (184167, "7a52be41e951957272323daa8661fc8c"
+                              "4e33d7cdddfa430a853eeab7d68daa07"),
     },
 }
 

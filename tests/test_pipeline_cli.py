@@ -18,6 +18,7 @@ from photonkit.core import PS_PER_NS, SYNC_CHANNEL, PeriodicStream, Verdict
 from photonkit.correlator import cross_correlate
 from photonkit.fileio import file_digest, read_histogram_csv, read_timestamps
 from photonkit.pipeline import run_pipeline
+from photonkit.sim import detect_hbt
 
 IDEAL_DETECTOR = {"efficiency": 1.0, "dark_rate_per_ms": 0.0,
                   "jitter_sigma_ps": 0.0, "dead_time_ps": 0}
@@ -434,6 +435,29 @@ class TestWorkersKey:
         assert seen == [1, 2]
         assert ((tmp_path / "raw_w1.csv").read_bytes()
                 == (tmp_path / "raw_w2.csv").read_bytes())
+
+    def test_simulate_workers_reach_detection(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append(args[-1])
+            return detect_hbt(*args)
+
+        monkeypatch.setattr(pipeline, "detect_hbt", spy)
+        lossy = {"efficiency": 0.6, "splitter_ratio": 0.4,
+                 "dark_rate_per_ms": 5.0}
+        digests = []
+        for workers in (1, 2):
+            doc = run_pipeline(
+                cw_config(workers=workers, detector=lossy,
+                          output=f"lossy_w{workers}.ptst"),
+                base_dir=str(tmp_path))
+            assert doc.ok
+            digests.append(doc.results["simulate"]["sha256"])
+        assert seen == [1, 2]
+        assert digests[0] == digests[1]
+        assert ((tmp_path / "lossy_w1.ptst").read_bytes()
+                == (tmp_path / "lossy_w2.ptst").read_bytes())
 
 
 class TestUnknownJobKeys:

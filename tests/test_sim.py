@@ -313,6 +313,101 @@ class TestDetectHbt:
         np.testing.assert_array_equal(merged, src.events)
 
 
+def sequential_detect(emission, det, seed):
+    """The two detector channels drawn the plain way: one generator, each
+    draw in order (splitter, efficiency, jitter, then each channel's dark
+    counts), one channel after the other."""
+    if isinstance(emission, pk.TimestampStream):
+        t, duration = emission.events, emission.duration
+    else:
+        t, duration = emission.times, emission.duration
+    rng = _rng(seed, _TAG_DETECT)
+    n = t.size
+    to_a = rng.random(n) < det.splitter_ratio
+    kept = rng.random(n) < det.efficiency
+    if det.jitter_sigma_ps > 0:
+        t = t + np.rint(rng.normal(0.0, det.jitter_sigma_ps, n)).astype(np.int64)
+    channels = []
+    for mask in (to_a & kept, ~to_a & kept):
+        ch = t[mask]
+        n_dark = rng.poisson(det.dark_rate_per_ms * duration / PS_MS)
+        if n_dark:
+            ch = np.concatenate((ch, rng.integers(0, duration + 1, n_dark)))
+        ch = np.sort(ch, kind="stable")
+        ch = ch[(ch >= 0) & (ch <= duration)]
+        channels.append(_dead_time_filter(ch, det.dead_time_ps))
+    return channels
+
+
+DETECTORS = {
+    "default": pk.DetectorModel(),
+    "lossy": pk.DetectorModel(efficiency=0.6, splitter_ratio=0.4,
+                              dark_rate_per_ms=5.0),
+    "no_jitter": pk.DetectorModel(efficiency=0.7, jitter_sigma_ps=0.0),
+    "no_dark": pk.DetectorModel(efficiency=0.7, dark_rate_per_ms=0.0),
+    "efficiency_0": pk.DetectorModel(efficiency=0.0, dark_rate_per_ms=3.0),
+    "efficiency_1": pk.DetectorModel(efficiency=1.0, splitter_ratio=0.3),
+    "splitter_0": pk.DetectorModel(efficiency=0.8, splitter_ratio=0.0),
+    "splitter_1": pk.DetectorModel(efficiency=0.8, splitter_ratio=1.0),
+}
+
+
+@pytest.fixture(scope="module")
+def emissions():
+    """About 10^5 photons each: CW with background, pulsed at half
+    excitation, a raw Poissonian stream, and an empty record."""
+    em = quiet_emitter(blinking=pk.BlinkingLaw(off_emission_rate_per_ms=20.0))
+    return {
+        "cw": pk.generate_emission(
+            em, pk.ExcitationConfig("cw", cw_rate_per_s=1e5), PS_S, seed=21),
+        "pulsed": pk.generate_emission(
+            em, pk.ExcitationConfig("pulsed", excitation_probability=0.5),
+            PS_S // 50, seed=22),
+        "raw_stream": pk.simulate_poissonian(1e5, PS_S, seed=23),
+        "empty": pk.EmissionRecord(
+            np.empty(0, np.int64), np.empty(0, bool),
+            (pk.Segment(True, 0, PS_S // 10),), PS_S // 10, None),
+    }
+
+
+class TestDetectWorkers:
+    """``detect_hbt`` starts each draw at its offset in the one detection
+    stream on its own generator and maps the channels over the worker
+    pool; at any worker count it must equal the plain sequential draw."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("det_name", sorted(DETECTORS))
+    @pytest.mark.parametrize("source", ["cw", "pulsed"])
+    def test_matches_sequential_draws(self, emissions, source, det_name,
+                                      workers):
+        emission = emissions[source]
+        assert 5e4 < len(emission) < 2e5
+        det = DETECTORS[det_name]
+        ch0, ch1, _ = pk.detect_hbt(emission, det, seed=31, workers=workers)
+        want0, want1 = sequential_detect(emission, det, seed=31)
+        np.testing.assert_array_equal(ch0.events, want0)
+        np.testing.assert_array_equal(ch1.events, want1)
+        assert (ch0.channel, ch1.channel) == (pk.CHANNEL_A, pk.CHANNEL_B)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["raw_stream", "empty"])
+    def test_raw_and_empty_inputs(self, emissions, source, workers):
+        emission = emissions[source]
+        det = DETECTORS["lossy"]
+        ch0, ch1, sync = pk.detect_hbt(emission, det, seed=32,
+                                       workers=workers)
+        want0, want1 = sequential_detect(emission, det, seed=32)
+        np.testing.assert_array_equal(ch0.events, want0)
+        np.testing.assert_array_equal(ch1.events, want1)
+        assert len(ch0) and len(ch1)  # dark counts at least
+        assert len(sync) == 0
+
+    def test_zero_workers_rejected(self, emissions):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            pk.detect_hbt(emissions["cw"], pk.DetectorModel(), seed=1,
+                          workers=0)
+
+
 class TestPoissonian:
     def test_rate(self):
         s = pk.simulate_poissonian(1e6, PS_S, seed=0)
