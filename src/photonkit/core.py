@@ -13,8 +13,10 @@ first when it is a view of another array.
 
 Histogram bin geometry is decided here too: the records and every builder
 of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
-``_decay_bins`` (period), the only checks of a bin width, and the
-correlator's builders take their ps arguments through ``_whole_ps``.
+``_decay_bins`` (period), the only checks of a bin width. The
+correlator's builders, ``sim.generate_emission`` (duration) and
+``sim.simulate_intensity_trace`` (duration, bin width) take their ps
+arguments through ``_whole_ps``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,14 @@ version-2 file without the table has exactly the version-1 layout;
 version-1 files still read, and must not carry a table. The file does
 not store the observation duration; readers infer it from the last
 timestamp or pulse unless the caller overrides it.
+
+The writer and the reader each move a file's bytes once. Given a
+``hashlib`` object they feed it those same bytes in file order, so the
+caller has the file's digest without reading the file again. Given
+``workers`` > 1 they hash on one thread of the package's pool
+(``core._map_workers``) while another writes the file or checks the
+records, and they fill the record columns or gather the channels as
+separate tasks. Neither the bytes nor the streams depend on ``workers``.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -38,6 +47,7 @@ from .core import (
     PeriodicStream,
     TimestampStream,
     Verdict,
+    _map_workers,
 )
 
 try:
@@ -79,6 +89,13 @@ PERIODIC_TAG = b"PSYN"
 _TABLE_HEAD = struct.Struct("<4sB")
 _TABLE_ENTRY = struct.Struct("<BQQQ")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Bytes before a file read into memory, so that its records land 8-aligned.
+_RECORD_SHIFT = -_HEADER.size % 8
+# Records per step of a column fill or a channel gather. Small steps keep
+# a worker's temporaries small, and the arrays that outlive a call are
+# allocated by the calling thread, so no worker thread's heap holds on to
+# a column's worth of memory afterwards.
+_GATHER_BLOCK = 1 << 16
 
 
 class TimestampFileError(Exception):
@@ -123,7 +140,8 @@ class DuplicateChannelError(TimestampFileError):
     code = "duplicate_channel"
 
 
-def write_timestamps(streams, path, resolution: int = 1) -> int:
+def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
+                     hasher=None) -> int:
     """Write streams to one binary file; returns the number of 16-byte
     records written.
 
@@ -134,6 +152,11 @@ def write_timestamps(streams, path, resolution: int = 1) -> int:
     offset and period are whole ticks goes into the periodic table as one
     entry and adds no records; any other one is written pulse by pulse,
     quantized like every record.
+
+    ``workers`` > 1 fills the two record columns, and then writes the file
+    and feeds ``hasher``, on that many threads; the bytes do not depend on
+    it. ``hasher`` (a :mod:`hashlib` object) is fed every byte of the file
+    in file order.
 
     Raises
     ------
@@ -147,7 +170,7 @@ def write_timestamps(streams, path, resolution: int = 1) -> int:
     streams = list(streams)
     if len(streams) > 255:
         raise ValueError(f"at most 255 channels per file, got {len(streams)}")
-    parts_t, parts_ch, table = [], [], []
+    parts, table = [], []
     seen = set()
     for s in streams:
         if not 0 <= s.channel <= 255:
@@ -163,23 +186,44 @@ def write_timestamps(streams, path, resolution: int = 1) -> int:
         if s.events.size and s.events.min() < 0:
             raise ValueError(
                 f"channel {s.channel} has negative timestamps")
-        parts_t.append(s.events.astype(np.uint64) // resolution)
-        parts_ch.append(np.full(s.events.size, s.channel, dtype=np.uint8))
-    t = np.concatenate(parts_t) if parts_t else np.empty(0, np.uint64)
-    ch = np.concatenate(parts_ch) if parts_ch else np.empty(0, np.uint8)
-    order = np.lexsort((ch, t))
+        parts.append((s.channel, s.events))
+    # Concatenated in channel order, a stable sort by time alone breaks
+    # ties on the channel.
+    parts.sort(key=lambda part: part[0])
+    t = np.concatenate([ev for _, ev in parts] or [np.empty(0, np.int64)])
+    if resolution != 1:
+        t //= resolution
+    ch = np.repeat(np.array([c for c, _ in parts], np.uint8),
+                   [ev.size for _, ev in parts])
+    order = np.argsort(t, kind="stable")
     records = np.zeros(t.size, dtype=RECORD_DTYPE)
-    records["t"] = t[order]
-    records["ch"] = ch[order]
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(streams),
-                             resolution, t.size))
-        records.tofile(f)
-        if table:
-            f.write(_TABLE_HEAD.pack(PERIODIC_TAG, len(table)))
-            for entry in sorted(table):
-                f.write(_TABLE_ENTRY.pack(*entry))
-    return int(t.size)
+
+    def fill(field):
+        name, column = field
+        out = records[name]
+        for lo in range(0, column.size, _GATHER_BLOCK):
+            block = slice(lo, lo + _GATHER_BLOCK)
+            out[block] = column[order[block]]
+
+    _map_workers(fill, (("t", t), ("ch", ch)), workers)
+    chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(streams), resolution,
+                           records.size), records.view(np.uint8)]
+    if table:
+        chunks.append(_TABLE_HEAD.pack(PERIODIC_TAG, len(table)) + b"".join(
+            _TABLE_ENTRY.pack(*entry) for entry in sorted(table)))
+
+    def write():
+        with open(path, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+
+    def digest():
+        for chunk in chunks:
+            hasher.update(chunk)
+
+    _map_workers(lambda task: task(),
+                 [write] if hasher is None else [digest, write], workers)
+    return int(records.size)
 
 
 def _read_table(tail: bytes, fmt_version: int, n_records: int) -> list:
@@ -210,7 +254,17 @@ def _read_table(tail: bytes, fmt_version: int, n_records: int) -> list:
             for i in range(n)]
 
 
-def read_timestamps(path, duration: int | None = None,
+def _read_file(path) -> np.ndarray:
+    """The whole file as bytes, placed so that its records start on an
+    8-byte boundary in memory."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        data = np.empty(_RECORD_SHIFT + size, np.uint8)[_RECORD_SHIFT:]
+        return data[:f.readinto(data)]
+
+
+def read_timestamps(path, duration: int | None = None, workers: int = 1,
+                    hasher=None,
                     ) -> dict[int, TimestampStream | PeriodicStream]:
     """Read a binary timestamp file into streams keyed by channel id.
 
@@ -218,6 +272,11 @@ def read_timestamps(path, duration: int | None = None,
     entry comes back as a :class:`PeriodicStream`. The duration defaults
     to the last timestamp or pulse in the file; pass ``duration`` to set
     the true observation span when it is known.
+
+    The file is read once, into one buffer sized from the file. ``hasher``
+    (a :mod:`hashlib` object) is fed all of its bytes in file order.
+    ``workers`` > 1 hashes while the records are checked, and gathers the
+    channels, on that many threads; the streams do not depend on it.
 
     Raises
     ------
@@ -227,41 +286,50 @@ def read_timestamps(path, duration: int | None = None,
         On the corresponding structural defect. Each carries a stable
         ``code`` attribute for machine handling.
     """
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise TruncatedFileError(
-                f"file ends inside the {_HEADER.size}-byte header")
-        magic, fmt_version, _n_channels, resolution, n_records = \
-            _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise BadMagicError(f"expected magic {MAGIC!r}, found {magic!r}")
-        if fmt_version not in _READABLE_VERSIONS:
-            raise UnsupportedVersionError(
-                f"format version {fmt_version} not supported "
-                f"(expected one of {_READABLE_VERSIONS})")
-        if resolution == 0:
-            raise TimestampFileError("resolution field is zero")
-        records = np.fromfile(f, dtype=RECORD_DTYPE, count=n_records)
-        if records.size < n_records:
-            raise TruncatedFileError(
-                f"header promises {n_records} records, file holds "
-                f"{records.size}")
-        # 255 entries at most, so one byte more than a full table is
-        # enough to see any excess.
-        tail = f.read(_TABLE_HEAD.size + 255 * _TABLE_ENTRY.size + 1)
-    table = _read_table(tail, fmt_version, n_records)
+    data = _read_file(path)
+    if data.size < _HEADER.size:
+        raise TruncatedFileError(
+            f"file ends inside the {_HEADER.size}-byte header")
+    magic, fmt_version, _n_channels, resolution, n_records = \
+        _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise BadMagicError(f"expected magic {MAGIC!r}, found {magic!r}")
+    if fmt_version not in _READABLE_VERSIONS:
+        raise UnsupportedVersionError(
+            f"format version {fmt_version} not supported "
+            f"(expected one of {_READABLE_VERSIONS})")
+    if resolution == 0:
+        raise TimestampFileError("resolution field is zero")
+    held = (data.size - _HEADER.size) // RECORD_DTYPE.itemsize
+    if n_records > held:
+        raise TruncatedFileError(
+            f"header promises {n_records} records, file holds {held}")
+    end = _HEADER.size + n_records * RECORD_DTYPE.itemsize
+    records = data[_HEADER.size:end].view(RECORD_DTYPE)
+    # 255 entries at most, so one byte more than a full table is enough
+    # to see any excess.
+    table = _read_table(
+        data[end:end + _TABLE_HEAD.size + 255 * _TABLE_ENTRY.size + 1]
+        .tobytes(), fmt_version, n_records)
 
     t = records["t"]
-    if t.size and not bool(np.all(t[1:] >= t[:-1])):
-        bad = int(np.nonzero(t[1:] < t[:-1])[0][0]) + 1
-        raise UnsortedRecordsError(
-            f"record {bad} goes backwards in time")
-    if t.size and int(t[-1]) * resolution > _INT64_MAX:
-        raise TimestampOverflowError(
-            "timestamps overflow the signed 64-bit ps range")
     ch = records["ch"]
-    record_channels = np.flatnonzero(np.bincount(ch, minlength=256)).tolist()
+
+    def check_records() -> np.ndarray:
+        if t.size and not bool(np.all(t[1:] >= t[:-1])):
+            bad = int(np.nonzero(t[1:] < t[:-1])[0][0]) + 1
+            raise UnsortedRecordsError(
+                f"record {bad} goes backwards in time")
+        if t.size and int(t[-1]) * resolution > _INT64_MAX:
+            raise TimestampOverflowError(
+                "timestamps overflow the signed 64-bit ps range")
+        return np.bincount(ch, minlength=256)
+
+    tasks = [check_records]
+    if hasher is not None:
+        tasks.append(lambda: hasher.update(data))
+    counts = _map_workers(lambda task: task(), tasks, workers)[0]
+    record_channels = np.flatnonzero(counts).tolist()
     seen = set(record_channels)
     last_event = int(t[-1]) * resolution if t.size else 0
     for c, offset, period, count in table:
@@ -291,11 +359,22 @@ def read_timestamps(path, duration: int | None = None,
 
     # The records are globally sorted, non-negative and at most
     # ``last_event``, so every per-channel slice is a valid stream.
-    times = t.astype(np.int64)
-    if resolution != 1:
-        times *= resolution
-    out = {c: TimestampStream(c, times[ch == c], duration)
-           for c in record_channels}
+    times = t.view(np.int64)
+    channels = [(c, np.empty(counts[c], np.int64)) for c in record_channels]
+
+    def gather(channel):
+        c, events = channel
+        at = 0
+        for lo in range(0, times.size, _GATHER_BLOCK):
+            block = slice(lo, lo + _GATHER_BLOCK)
+            part = times[block][ch[block] == c]
+            events[at:at + part.size] = part
+            at += part.size
+        if resolution != 1:
+            events *= resolution
+
+    _map_workers(gather, channels, workers)
+    out = {c: TimestampStream(c, events, duration) for c, events in channels}
     for c, offset, period, count in table:
         out[c] = PeriodicStream(c, offset * resolution, period * resolution,
                                 count, duration)

@@ -40,6 +40,7 @@ from .core import (
     _array,
     _map_workers,
     _n_bins,
+    _whole_ps,
 )
 
 __all__ = [
@@ -359,7 +360,7 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     emitter : EmitterModel
     excitation : ExcitationConfig
     duration : int
-        Trace length in ps.
+        Trace length in whole ps.
     seed : int
         Master seed; the full output is a pure function of (inputs, seed).
     workers : int
@@ -374,6 +375,7 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     """
     emitter.validate()
     excitation.validate()
+    duration = _whole_ps(duration, "duration")
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
 
@@ -560,13 +562,16 @@ def simulate_intensity_trace(law: BlinkingLaw, on_rate_per_ms: float,
     coverage, exactly as photon-level binning would in expectation; counts
     are Poisson draws around that expectation. Suited to long traces where
     per-photon simulation is wasteful. The OFF (and background) level is the
-    law's ``off_emission_rate_per_ms``.
+    law's ``off_emission_rate_per_ms``. ``duration`` and ``bin_width`` are
+    whole ps.
 
     Returns the trace and the ground-truth segments.
     """
     law.validate()
     if on_rate_per_ms <= 0:
         raise ValueError(f"on_rate_per_ms must be positive, got {on_rate_per_ms}")
+    duration = _whole_ps(duration, "duration")
+    bin_width = _whole_ps(bin_width, "bin_width")
     n_bins = _n_bins(duration, bin_width)
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")

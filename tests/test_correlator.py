@@ -371,3 +371,37 @@ class TestWholePicoseconds:
             pk.sync_decay_histogram(photons, period=100_000.5)
         with pytest.raises(ValueError, match="^bin_width must be a whole"):
             pk.intensity_trace(photons, 0.5)
+
+
+class TestSimulatorWholePicoseconds:
+    """The simulator takes durations and bin widths as whole picoseconds
+    too: an integral float simulates exactly like the int, a fractional one
+    is rejected by name."""
+
+    LAW = pk.BlinkingLaw(kind="power_law", max_dwell_ms=50.0)
+
+    def test_integral_float_simulates_like_int(self):
+        want = pk.simulate_intensity_trace(self.LAW, 100.0, 10**9, 3,
+                                           bin_width=10**6)
+        got = pk.simulate_intensity_trace(self.LAW, 100.0, 1e9, 3,
+                                          bin_width=1e6)
+        assert got == want
+        assert (got[0].duration, got[0].bin_width) == (10**9, 10**6)
+        emitter = pk.EmitterModel(blinking=self.LAW)
+        excitation = pk.ExcitationConfig(cw_rate_per_s=2e6)
+        assert (pk.generate_emission(emitter, excitation, 1e9, 3)
+                == pk.generate_emission(emitter, excitation, 10**9, 3))
+
+    @pytest.mark.parametrize("duration, bin_width, name", [
+        (1e9 + 0.5, 10**6, "duration"), (1e9, 1e6 + 0.5, "bin_width"),
+        (float("nan"), 10**6, "duration"), (1e9, float("inf"), "bin_width")])
+    def test_fractional_value_rejected_by_name(self, duration, bin_width,
+                                               name):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole"):
+            pk.simulate_intensity_trace(self.LAW, 100.0, duration, 3,
+                                        bin_width=bin_width)
+
+    def test_fractional_emission_duration_rejected(self):
+        with pytest.raises(ValueError, match="^duration must be a whole"):
+            pk.generate_emission(pk.EmitterModel(), pk.ExcitationConfig(),
+                                 1e9 + 0.5, 3)

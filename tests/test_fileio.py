@@ -8,6 +8,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonkit.core import (
     CoincidenceHistogram,
@@ -51,15 +53,22 @@ def stream(events, channel=0, duration=None):
     return TimestampStream(channel, events, duration)
 
 
-def write_raw(path, *, magic=MAGIC, version=FORMAT_VERSION, n_channels=1,
-              resolution=1, records=()):
-    """Hand-assemble a timestamp file, bypassing the writer's checks."""
+def file_bytes(*, magic=MAGIC, version=FORMAT_VERSION, n_channels=1,
+               resolution=1, records=(), n_records=None):
+    """Hand-assemble a timestamp file's bytes, bypassing the writer's
+    checks; ``n_records`` overrides the header's record count."""
     recs = np.zeros(len(records), dtype=RECORD_DTYPE)
     for i, (t, ch) in enumerate(records):
         recs["t"][i] = t
         recs["ch"][i] = ch
-    data = HEADER.pack(magic, version, n_channels, resolution, len(records))
-    path.write_bytes(data + recs.tobytes())
+    n = len(records) if n_records is None else n_records
+    return HEADER.pack(magic, version, n_channels, resolution, n) \
+        + recs.tobytes()
+
+
+def write_raw(path, **kwargs):
+    """Hand-assemble a timestamp file, bypassing the writer's checks."""
+    path.write_bytes(file_bytes(**kwargs))
 
 
 class TestTimestampRoundTrip:
@@ -235,6 +244,15 @@ class TestReadErrors:
         write_raw(path, resolution=2**32 - 1, records=[(2**32, 0)])
         with pytest.raises(TimestampFileError, match="overflow"):
             read_timestamps(path)
+
+    def test_record_count_past_the_file_size(self, tmp_path):
+        # A header promising 2**40 records must not size an allocation.
+        path = tmp_path / "bad.ptst"
+        write_raw(path, records=[(10, 0), (20, 0)], n_records=2**40)
+        assert path.stat().st_size == 51
+        with pytest.raises(TruncatedFileError, match="file holds 2") as err:
+            read_timestamps(path)
+        assert err.value.code == "truncated"
 
     def test_errors_share_a_base_class(self):
         for cls in (BadMagicError, UnsupportedVersionError,
@@ -416,6 +434,167 @@ class TestPeriodicTableErrors:
                    BadPulseCountError, DuplicateChannelError)
         assert all(issubclass(c, TimestampFileError) for c in classes)
         assert len({c.code for c in classes}) == len(classes)
+
+
+def reference_write(streams, resolution=1) -> bytes:
+    """The file's bytes as a lexsort over structured records builds them."""
+    parts_t, parts_ch, table = [], [], []
+    for s in streams:
+        if (isinstance(s, PeriodicStream) and s.offset % resolution == 0
+                and s.period % resolution == 0):
+            table.append((s.channel, s.offset // resolution,
+                          s.period // resolution, s.count))
+            continue
+        parts_t.append(s.events.astype(np.uint64) // resolution)
+        parts_ch.append(np.full(s.events.size, s.channel, dtype=np.uint8))
+    t = np.concatenate(parts_t) if parts_t else np.empty(0, np.uint64)
+    ch = np.concatenate(parts_ch) if parts_ch else np.empty(0, np.uint8)
+    order = np.lexsort((ch, t))
+    records = np.zeros(t.size, dtype=RECORD_DTYPE)
+    records["t"] = t[order]
+    records["ch"] = ch[order]
+    raw = (HEADER.pack(MAGIC, FORMAT_VERSION, len(streams), resolution,
+                       t.size) + records.tobytes())
+    return raw + (periodic_table(sorted(table)) if table else b"")
+
+
+def reference_read(raw: bytes) -> dict:
+    """Streams decoded from a well-formed file's bytes, one channel mask at
+    a time."""
+    _, _, _, resolution, n = HEADER.unpack_from(raw)
+    end = HEADER.size + n * RECORD_DTYPE.itemsize
+    records = np.frombuffer(raw[HEADER.size:end], dtype=RECORD_DTYPE)
+    times = records["t"].astype(np.int64) * resolution
+    tail = raw[end:]
+    table = [struct.unpack_from("<BQQQ", tail, 5 + 25 * i)
+             for i in range(tail[4])] if tail else []
+    duration = max([int(times[-1]) if n else 0]
+                   + [(o + (k - 1) * p) * resolution for _, o, p, k in table])
+    out = {int(c): TimestampStream(int(c), times[records["ch"] == c],
+                                   duration)
+           for c in np.unique(records["ch"])}
+    for c, o, p, k in table:
+        out[c] = PeriodicStream(c, o * resolution, p * resolution, k,
+                                duration)
+    return out
+
+
+@st.composite
+def stream_sets(draw):
+    """Up to five streams in any channel order, with ties across channels
+    (events on a 250 ps grid, quantized further at 1000 ps per tick),
+    empty streams, and periodic streams on and off the tick grid."""
+    streams = []
+    for c in draw(st.lists(st.integers(0, 255), unique=True, max_size=5)):
+        if draw(st.booleans()):
+            offset = draw(st.integers(0, 4)) * 500
+            period = draw(st.integers(1, 6)) * 500
+            count = draw(st.integers(1, 20))
+            streams.append(PeriodicStream(c, offset, period, count,
+                                          offset + (count - 1) * period))
+        else:
+            events = np.sort(draw(st.lists(st.integers(0, 40),
+                                           max_size=30))).astype(np.int64)
+            streams.append(stream(events * 250, channel=c))
+    return streams
+
+
+def corrupt_files():
+    """(bytes, error class) for every structural defect the reader
+    rejects, with the defect as the id."""
+    one = file_bytes(records=[(10, 0)])
+    v1 = file_bytes(records=[(10, 0)], version=1)
+    cases = [
+        ("bad_magic", file_bytes(magic=b"XXXX"), BadMagicError),
+        ("version", file_bytes(version=FORMAT_VERSION + 1),
+         UnsupportedVersionError),
+        ("short_header", b"PTST\x01\x00", TruncatedFileError),
+        ("short_body", file_bytes(records=[(10, 0), (20, 0)])[:-16],
+         TruncatedFileError),
+        ("huge_count", file_bytes(records=[(10, 0), (20, 0)], n_records=2**40),
+         TruncatedFileError),
+        ("trailing", one + b"\x00", BadTableTagError),
+        ("zero_resolution", file_bytes(resolution=0), TimestampFileError),
+        ("unsorted", file_bytes(records=[(100, 0), (50, 0)]),
+         UnsortedRecordsError),
+        ("overflow", file_bytes(records=[(5, 0), (2**63, 0)]),
+         TimestampOverflowError),
+        ("scaled_overflow",
+         file_bytes(resolution=2**32 - 1, records=[(2**32, 0)]),
+         TimestampOverflowError),
+        ("table_tag", one + periodic_table([(255, 0, 100, 3)], tag=b"XSYN"),
+         BadTableTagError),
+        ("table_count", one + periodic_table([(255, 0, 100, 3)], n_entries=3),
+         TruncatedFileError),
+        ("table_cut", one + PERIODIC_TAG, TruncatedFileError),
+        ("zero_period", one + periodic_table([(255, 0, 0, 3)]),
+         BadPeriodError),
+        ("zero_count", one + periodic_table([(255, 0, 100, 0)]),
+         BadPulseCountError),
+        ("pulse_overflow", file_bytes(records=[(10, 0)], resolution=2**22)
+         + periodic_table([(255, 0, 2**30, 2**11 + 1)]),
+         TimestampOverflowError),
+        ("record_and_table", one + periodic_table([(0, 0, 100, 3)]),
+         DuplicateChannelError),
+        ("table_twice", one + periodic_table([(255, 0, 100, 3),
+                                              (255, 50, 100, 3)]),
+         DuplicateChannelError),
+        ("table_trailing", one + periodic_table([(255, 0, 100, 3)]) + b"\x00",
+         TimestampFileError),
+        ("v1_table", v1 + periodic_table([(255, 0, 100, 3)]),
+         TimestampFileError),
+    ]
+    return [pytest.param(raw, cls, id=name) for name, raw, cls in cases]
+
+
+class TestWriteReadWorkers:
+    """The writer and the reader against references that sort with lexsort
+    and decode channel by channel: identical bytes, streams and digests at
+    every worker count, and identical errors."""
+
+    @given(stream_sets(), st.sampled_from([1, 1000]))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_and_streams_match_the_references(self, tmp_path_factory,
+                                                    streams, resolution):
+        path = tmp_path_factory.mktemp("workers") / "x.ptst"
+        want = reference_write(streams, resolution)
+        expected = reference_read(want)
+        for workers in (1, 2, 3):
+            hasher = hashlib.sha256()
+            n = write_timestamps(streams, path, resolution, workers=workers,
+                                 hasher=hasher)
+            raw = path.read_bytes()
+            assert raw == want
+            assert n == HEADER.unpack_from(raw)[4]
+            assert hasher.hexdigest() == hashlib.sha256(raw).hexdigest()
+            hasher = hashlib.sha256()
+            assert read_timestamps(path, workers=workers,
+                                   hasher=hasher) == expected
+            assert hasher.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+    def test_large_tied_streams(self, tmp_path):
+        rng = np.random.default_rng(17)
+        streams = [stream(np.sort(rng.integers(0, 10**6, 50_000)), channel=c)
+                   for c in (7, 0, 1)]
+        streams.append(PeriodicStream(255, 0, 1000, 1000, 10**6))
+        path = tmp_path / "big.ptst"
+        for resolution in (1, 1000):
+            want = reference_write(streams, resolution)
+            for workers in (1, 2, 3):
+                write_timestamps(streams, path, resolution, workers=workers)
+                assert path.read_bytes() == want
+                assert (read_timestamps(path, workers=workers)
+                        == reference_read(want))
+
+    @pytest.mark.parametrize("raw, cls", corrupt_files())
+    def test_errors_keep_type_and_code(self, tmp_path, raw, cls):
+        path = tmp_path / "bad.ptst"
+        path.write_bytes(raw)
+        for kwargs in ({}, {"workers": 2, "hasher": hashlib.sha256()}):
+            with pytest.raises(cls) as err:
+                read_timestamps(path, **kwargs)
+            assert type(err.value) is cls
+            assert err.value.code == cls.code
 
 
 class TestHistogramCsv:

@@ -1,6 +1,7 @@
 """End-to-end tests for the pipeline orchestrator and the CLI."""
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -44,6 +45,40 @@ def cw_run(tmp_path_factory):
     doc = run_pipeline(cw_config(), base_dir=str(base))
     assert doc.ok
     return doc, base / "cw.ptst"
+
+
+class TestReportDigest:
+    """The reports take the file's SHA-256 from the bytes the writer and
+    the reader move, so it must equal a digest of the file itself, and the
+    reports must read the same at any worker count."""
+
+    JOB = {"mode": "simulate", "seed": 5, "duration_s": 0.05,
+           "excitation": {"mode": "pulsed", "excitation_probability": 0.5},
+           "detector": {"efficiency": 0.6}, "output": "pulsed.ptst"}
+    # SHA-256 of the simulate and analyze reports' JSON without
+    # ``created``, ``tool`` and ``config``, recorded when the pipeline
+    # still hashed the file by reading it back.
+    REPORTS = ("3f0f5d7a64f3f404a182c3989284d66d"
+               "59e56671b9872190a6189422c18619c6",
+               "9ac6977e02123a1ae1f5772ffd6ca934"
+               "143d076ea2c773fd389472b1f3249fa1")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_digests_match_the_file(self, tmp_path, monkeypatch, workers):
+        monkeypatch.chdir(tmp_path)
+        sim = run_pipeline({**self.JOB, "workers": workers})
+        ana = run_pipeline({"mode": "analyze", "input": "pulsed.ptst",
+                            "workers": workers})
+        assert sim.ok and ana.ok
+        digest = file_digest(tmp_path / "pulsed.ptst")
+        assert sim.results["simulate"]["sha256"] == digest
+        assert sim.input["sha256"] == ana.input["sha256"] == digest
+        for doc, want in zip((sim, ana), self.REPORTS):
+            stripped = doc.to_dict()
+            for key in ("created", "tool", "config"):
+                del stripped[key]
+            text = json.dumps(stripped, sort_keys=True).encode()
+            assert hashlib.sha256(text).hexdigest() == want
 
 
 class TestRunPipeline:
