@@ -9,14 +9,15 @@ Arrays held by the dataclasses below are made read-only on construction so
 instances can be shared freely between analysis stages. One place does it
 for every record in the package: ``_ArrayRecord`` converts each field
 declared with ``_array(dtype)`` to its dtype and freezes it, copying it
-first when it is a view of another array.
+first when it is a view of another array. A contiguous array of that dtype
+that owns its data is adopted and frozen in place, read-only for the
+caller too: pass a copy to keep writing to it.
 
 Histogram bin geometry is decided here too: the records and every builder
 of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
-``_decay_bins`` (period), the only checks of a bin width. The
-correlator's builders, ``sim.generate_emission`` (duration) and
-``sim.simulate_intensity_trace`` (duration, bin width) take their ps
-arguments through ``_whole_ps``.
+``_decay_bins`` (period), the only checks of a bin width. Each field
+declared with ``_ps``, and each ps argument of the correlator's builders
+and the ``sim`` generators, goes through ``_whole_ps``.
 """
 
 from __future__ import annotations
@@ -126,23 +127,38 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _whole_ps(value, name: str) -> int:
+    """``value`` as whole picoseconds: an integral float such as 600.0 is
+    its int, a fractional one is an error that names the argument."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number of ps, got {value}")
+    return int(value)
+
+
 def _array(dtype):
     """Declare an :class:`_ArrayRecord` field as an array of ``dtype``."""
-    return field(metadata={"dtype": dtype})
+    return field(metadata={"convert": lambda value, name: _freeze(
+        np.asarray(value, dtype=dtype))})
+
+
+def _ps(**kw):
+    """Declare an :class:`_ArrayRecord` field as whole picoseconds."""
+    return field(metadata={"convert": _whole_ps}, **kw)
 
 
 class _ArrayRecord:
-    """Mixin for dataclasses that hold arrays: fields declared with
-    :func:`_array` are converted and made read-only on construction (a
-    validating record calls this ``__post_init__`` first), and equality
-    compares arrays by value."""
+    """Mixin for record dataclasses: on construction, fields declared with
+    :func:`_array` are converted and made read-only and fields declared
+    with :func:`_ps` are taken as whole picoseconds (a validating record
+    calls this ``__post_init__`` first), and equality compares arrays by
+    value."""
 
     def __post_init__(self):
         for f in fields(self):
-            dtype = f.metadata.get("dtype")
-            if dtype is not None:
-                object.__setattr__(self, f.name, _freeze(
-                    np.asarray(getattr(self, f.name), dtype=dtype)))
+            convert = f.metadata.get("convert")
+            if convert is not None:
+                object.__setattr__(self, f.name,
+                                   convert(getattr(self, f.name), f.name))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -169,18 +185,15 @@ class TimestampStream(_ArrayRecord):
     channel : int
         Channel id. 0 and 1 are detector arms, 255 is the sync channel.
     events : ndarray of int64
-        Arrival times in ps, non-decreasing, all within [0, duration].
+        Arrival times in ps, non-decreasing, all within [0, duration]. An
+        owned int64 array is frozen in place; pass a copy to keep writing.
     duration : int
         Observation span in ps.
     """
 
     channel: int
     events: np.ndarray = _array(np.int64)
-    duration: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "duration", int(self.duration))
+    duration: int = _ps()
 
     def __len__(self) -> int:
         return self.events.size
@@ -194,7 +207,7 @@ class TimestampStream(_ArrayRecord):
 
 
 @dataclass(frozen=True)
-class PeriodicStream:
+class PeriodicStream(_ArrayRecord):
     """A perfectly periodic stream, such as an ideal laser sync, kept as
     its grid instead of one timestamp per pulse.
 
@@ -218,13 +231,14 @@ class PeriodicStream:
     """
 
     channel: int
-    offset: int
-    period: int
+    offset: int = _ps()
+    period: int = _ps()
     count: int
-    duration: int
+    duration: int = _ps()
 
     def __post_init__(self):
-        for name in ("channel", "offset", "period", "count", "duration"):
+        super().__post_init__()
+        for name in ("channel", "count"):
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.offset < 0:
             raise ValueError(f"offset must be >= 0, got {self.offset}")
@@ -298,14 +312,6 @@ def validate_stream(stream: TimestampStream) -> ValidationReport:
     return ValidationReport(int(ev.size), violations, duplicates, negative, past)
 
 
-def _whole_ps(value, name: str) -> int:
-    """``value`` as whole picoseconds: an integral float such as 600.0 is
-    its int, a fractional one is an error that names the argument."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number of ps, got {value}")
-    return int(value)
-
-
 def _n_bins(span: int, bin_width: int) -> int:
     """ceil(span / bin_width), the only check of a histogram bin width."""
     if bin_width <= 0:
@@ -361,19 +367,17 @@ class CoincidenceHistogram(_ArrayRecord):
         by the normalization stage.
     """
 
-    bin_width: int
-    window: int
+    bin_width: int = _ps()
+    window: int = _ps()
     counts: np.ndarray = _array(np.int64)
     center_offset: int | None = None
     normalization: float | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        bw, w = int(self.bin_width), int(self.window)
+        bw, w = self.bin_width, self.window
         _check_counts(self.counts, _delay_bins(w, bw),
                       f"window {w} and bin width {bw}")
-        object.__setattr__(self, "bin_width", bw)
-        object.__setattr__(self, "window", w)
         if self.normalization is not None and not self.normalization > 0:
             raise ValueError(
                 f"normalization must be positive, got {self.normalization}")
@@ -414,18 +418,16 @@ class DecayHistogram(_ArrayRecord):
     first sync pulse, or with a delay past the last bin edge).
     """
 
-    bin_width: int
-    period: int
+    bin_width: int = _ps()
+    period: int = _ps()
     counts: np.ndarray = _array(np.int64)
     discarded: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        bw, t = int(self.bin_width), int(self.period)
+        bw, t = self.bin_width, self.period
         _check_counts(self.counts, _decay_bins(t, bw),
                       f"period {t} and bin width {bw}")
-        object.__setattr__(self, "bin_width", bw)
-        object.__setattr__(self, "period", t)
         object.__setattr__(self, "discarded", int(self.discarded))
 
     @property
@@ -450,16 +452,15 @@ class IntensityTrace(_ArrayRecord):
     """
 
     counts: np.ndarray = _array(np.int64)
-    bin_width: int = PS_PER_MS
-    duration: int = 0
+    bin_width: int = _ps(default=PS_PER_MS)
+    duration: int = _ps(default=0)
 
     def __post_init__(self):
         super().__post_init__()
-        bw = int(self.bin_width)
-        dur = int(self.duration) if self.duration else self.counts.size * bw
+        bw = self.bin_width
+        dur = self.duration or self.counts.size * bw
         _check_counts(self.counts, _n_bins(dur, bw),
                       f"duration {dur} and bin width {bw}")
-        object.__setattr__(self, "bin_width", bw)
         object.__setattr__(self, "duration", dur)
 
     @property

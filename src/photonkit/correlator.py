@@ -32,7 +32,7 @@ __all__ = [
     "intensity_trace",
 ]
 
-# Cap on expanded pair indices per vectorized block, bounds working memory.
+# brute_force_correlate's block size in pairs; bounds its working memory.
 _PAIR_BUDGET = 4_000_000
 
 
@@ -44,26 +44,26 @@ def _require_sorted(stream: TimestampStream, name: str) -> None:
 
 def _pair_counts(ta: np.ndarray, tb: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  window: int, bin_width: int, n_bins: int) -> np.ndarray:
-    """Histogram all (a, b) pairs given per-a partner index ranges in b."""
+    """Histogram all (a, b) pairs given per-a partner index ranges in b.
+
+    Pass k bins the k-th partner of every event that has one: the cost is
+    the pairs plus one pass per partner rank (at most 2*window/d + 1 for a
+    detector dead time d), and each pass's arrays are no longer than ``ta``.
+    """
     counts = np.zeros(n_bins, dtype=np.int64)
     lens = hi - lo
-    cum = np.cumsum(lens)
-    start = 0
-    n = ta.size
-    while start < n:
-        base = cum[start - 1] if start else 0
-        stop = int(np.searchsorted(cum, base + _PAIR_BUDGET, side="left")) + 1
-        stop = min(max(stop, start + 1), n)
-        l, h = lo[start:stop], hi[start:stop]
-        chunk_lens = h - l
-        total = int(chunk_lens.sum())
-        if total:
-            offsets = np.cumsum(chunk_lens) - chunk_lens
-            idx = np.repeat(l - offsets, chunk_lens) + np.arange(total)
-            delta = tb[idx] - np.repeat(ta[start:stop], chunk_lens)
-            counts += np.bincount((delta + window) // bin_width,
-                                  minlength=n_bins)
-        start = stop
+    idx = np.flatnonzero(lens)
+    k = 0
+    while idx.size:
+        at = lo[idx]
+        at += k
+        delta = tb[at]
+        delta -= ta[idx]
+        delta += window
+        delta //= bin_width
+        counts += np.bincount(delta, minlength=n_bins)
+        k += 1
+        idx = idx[lens[idx] > k]
     return counts
 
 
@@ -72,9 +72,9 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     """Full cross-correlation histogram of delays t_b - t_a.
 
     Every ordered pair with delay in [-window, +window) increments one bin.
-    Both streams must be sorted; the partner range for each event is found
-    with two moving cursors (binary search on the sorted partner stream), so
-    cost scales with events times in-window partners rather than all pairs.
+    Both streams must be sorted. Binary search finds each event's partner
+    range; the cost is the in-window pairs plus one pass per partner rank,
+    and each pass's memory is linear in the worker's slice of events.
 
     Parameters
     ----------

@@ -48,6 +48,7 @@ from .core import (
     TimestampStream,
     Verdict,
     _map_workers,
+    _whole_ps,
 )
 
 try:
@@ -352,7 +353,7 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
     if duration is None:
         duration = last_event
     else:
-        duration = int(duration)
+        duration = _whole_ps(duration, "duration")
         if duration < last_event:
             raise ValueError(
                 f"duration {duration} is before the last event {last_event}")

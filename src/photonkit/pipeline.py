@@ -204,8 +204,7 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
             "analysis needs events on both detector channels 0 and 1")
     corr_cfg = _section(config, "correlation")
     window = ns_to_ps(float(corr_cfg.get("window_ns", 1000.0)))
-    bin_width = int(corr_cfg.get("bin_width_ps", 500))
-    return cross_correlate(ch0, ch1, window, bin_width,
+    return cross_correlate(ch0, ch1, window, corr_cfg.get("bin_width_ps", 500),
                            int(config.get("workers", 1)))
 
 
@@ -234,13 +233,12 @@ def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
     """Sync-referenced decay histogram of both detector channels; without
     a sync channel, photons are folded on the configured period."""
     life_cfg = _section(config, "lifetime")
-    bin_width = int(life_cfg.get("bin_width_ps", 500))
     photons = merged_photons(streams)
     sync = _sync(streams)
     period_ps = None if sync is not None else ns_to_ps(
         resolved_period_ns(streams, life_cfg))
     return sync_decay_histogram(photons, sync=sync, period=period_ps,
-                                bin_width=bin_width)
+                                bin_width=life_cfg.get("bin_width_ps", 500))
 
 
 def run_lifetime(histogram: DecayHistogram, config: dict,

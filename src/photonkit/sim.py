@@ -40,6 +40,7 @@ from .core import (
     _array,
     _map_workers,
     _n_bins,
+    _ps,
     _whole_ps,
 )
 
@@ -149,7 +150,7 @@ class EmitterModel:
 
 
 @dataclass(frozen=True)
-class ExcitationConfig:
+class ExcitationConfig(_ArrayRecord):
     """Excitation mode and its parameters.
 
     CW (the default mode) drives the emitter as a renewal process at
@@ -160,9 +161,9 @@ class ExcitationConfig:
 
     mode: str = "cw"
     cw_rate_per_s: float = 1e6
-    pulse_period_ps: int = 100_000
+    pulse_period_ps: int = _ps(default=100_000)
     excitation_probability: float = 1.0
-    pulse_width_ps: int = 50
+    pulse_width_ps: int = _ps(default=50)
 
     def validate(self) -> None:
         if self.mode not in ("cw", "pulsed"):
@@ -179,7 +180,7 @@ class ExcitationConfig:
 
 
 @dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(_ArrayRecord):
     """Beam splitter plus two timing detectors.
 
     Defaults are typical for silicon APDs behind a 50:50 splitter: 600 ps
@@ -189,7 +190,7 @@ class DetectorModel:
     efficiency: float = 1.0
     dark_rate_per_ms: float = 1.0
     jitter_sigma_ps: float = 600.0
-    dead_time_ps: int = 22_000
+    dead_time_ps: int = _ps(default=22_000)
     splitter_ratio: float = 0.5
 
     def validate(self) -> None:
@@ -217,14 +218,13 @@ class EmissionRecord(_ArrayRecord):
     times: np.ndarray = _array(np.int64)
     is_signal: np.ndarray = _array(bool)
     segments: tuple[Segment, ...]
-    duration: int
+    duration: int = _ps()
     excitation: ExcitationConfig | None
 
     def __post_init__(self):
         super().__post_init__()
         if self.times.size != self.is_signal.size:
             raise ValueError("times and is_signal must have equal length")
-        object.__setattr__(self, "duration", int(self.duration))
 
     def __len__(self) -> int:
         return self.times.size

@@ -233,3 +233,63 @@ def test_verdict_values():
 
 def test_measurement_str():
     assert str(pk.Measurement(0.304, 0.024)) == "0.304 +/- 0.024"
+
+
+class TestWholePicosecondFields:
+    """Every ps field of a record or model takes an integral float as its
+    int and rejects a fractional value by name, instead of truncating."""
+
+    FIELDS = {
+        "TimestampStream.duration":
+            (lambda v: pk.TimestampStream(0, [1, 2], v), 10),
+        "PeriodicStream.offset":
+            (lambda v: pk.PeriodicStream(255, v, 10, 3, 100), 5),
+        "PeriodicStream.period":
+            (lambda v: pk.PeriodicStream(255, 0, v, 3, 100), 10),
+        "PeriodicStream.duration":
+            (lambda v: pk.PeriodicStream(255, 0, 10, 3, v), 100),
+        "CoincidenceHistogram.bin_width":
+            (lambda v: pk.CoincidenceHistogram(v, 1000, np.zeros(4)), 500),
+        "CoincidenceHistogram.window":
+            (lambda v: pk.CoincidenceHistogram(500, v, np.zeros(4)), 1000),
+        "DecayHistogram.bin_width":
+            (lambda v: pk.DecayHistogram(v, 400, np.zeros(4)), 100),
+        "DecayHistogram.period":
+            (lambda v: pk.DecayHistogram(100, v, np.zeros(4)), 400),
+        "IntensityTrace.bin_width":
+            (lambda v: pk.IntensityTrace(np.zeros(3), v, 30), 10),
+        "IntensityTrace.duration":
+            (lambda v: pk.IntensityTrace(np.zeros(3), 10, v), 25),
+        "EmissionRecord.duration":
+            (lambda v: pk.EmissionRecord([1], [True], (), v, None), 10),
+        "ExcitationConfig.pulse_period_ps":
+            (lambda v: pk.ExcitationConfig(pulse_period_ps=v), 100_000),
+        "ExcitationConfig.pulse_width_ps":
+            (lambda v: pk.ExcitationConfig(pulse_width_ps=v), 50),
+        "DetectorModel.dead_time_ps":
+            (lambda v: pk.DetectorModel(dead_time_ps=v), 22_000),
+    }
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_integral_float_equals_int(self, field):
+        make, value = self.FIELDS[field]
+        name = field.split(".")[1]
+        got = make(float(value))
+        assert got == make(value)
+        assert type(getattr(got, name)) is int
+        assert getattr(got, name) == value
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_fractional_value_rejected_by_name(self, field):
+        make, value = self.FIELDS[field]
+        name = field.split(".")[1]
+        with pytest.raises(ValueError, match=f"^{name} must be a whole"):
+            make(value + 0.5)
+
+    def test_models_stay_hashable(self):
+        assert (hash(pk.ExcitationConfig(pulse_period_ps=1e5))
+                == hash(pk.ExcitationConfig()))
+        assert (hash(pk.DetectorModel(dead_time_ps=22e3))
+                == hash(pk.DetectorModel()))
+        assert (hash(pk.PeriodicStream(255, 0.0, 10, 3, 100))
+                == hash(pk.PeriodicStream(255, 0, 10, 3, 100)))

@@ -405,3 +405,23 @@ class TestSimulatorWholePicoseconds:
         with pytest.raises(ValueError, match="^duration must be a whole"):
             pk.generate_emission(pk.EmitterModel(), pk.ExcitationConfig(),
                                  1e9 + 0.5, 3)
+
+
+class TestDeepBurst:
+    """A burst of thousands of partners at one timestamp takes thousands
+    of partner-rank passes over a handful of events; the histogram must
+    still equal the oracle at any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_burst_matches_oracle(self, workers):
+        rng = np.random.default_rng(11)
+        span = 10**6
+        a = stream(np.sort(rng.integers(0, span, 2000)), span)
+        b_events = np.concatenate((rng.integers(0, span, 2000),
+                                   np.full(3000, 500_000)))
+        b = stream(np.sort(b_events), span, channel=1)
+        want = pk.brute_force_correlate(a, b, window=20_000, bin_width=500)
+        got = pk.cross_correlate(a, b, window=20_000, bin_width=500,
+                                 workers=workers)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.counts.sum() > 3000 * 50

@@ -588,3 +588,45 @@ class TestReadmePythonApi:
         out = capsys.readouterr().out
         assert "single_photon" in out
         assert "PeriodicStream(channel=255" in out
+
+
+class TestWholePicosecondJobs:
+    """A job's ps values follow the records' rule: an integral float runs
+    exactly like the int, a fractional one is an error entry naming it."""
+
+    JOB = {"mode": "simulate", "seed": 6, "duration_s": 0.02,
+           "excitation": {"mode": "pulsed", "excitation_probability": 0.5},
+           "output": "pulsed.ptst"}
+
+    def test_integral_float_period_writes_the_same_file(self, tmp_path):
+        files = []
+        for period in (100_000, 100_000.0):
+            excitation = {**self.JOB["excitation"], "pulse_period_ps": period}
+            base = tmp_path / type(period).__name__
+            base.mkdir()
+            doc = run_pipeline({**self.JOB, "excitation": excitation},
+                               base_dir=str(base))
+            assert doc.ok, doc.errors
+            files.append((base / "pulsed.ptst").read_bytes())
+        assert files[0] == files[1]
+
+    def test_fractional_period_is_a_simulate_error(self, tmp_path):
+        excitation = {**self.JOB["excitation"], "pulse_period_ps": 100_000.5}
+        doc = run_pipeline({**self.JOB, "excitation": excitation},
+                           base_dir=str(tmp_path))
+        [entry] = doc.errors
+        assert entry["stage"] == "simulate"
+        assert entry["type"] == "ValueError"
+        assert "pulse_period_ps" in entry["message"]
+        assert not (tmp_path / "pulsed.ptst").exists()
+
+    def test_fractional_bin_width_is_an_analysis_error(self, tmp_path):
+        doc = run_pipeline({
+            **self.JOB, "analyses": ["g2pw", "lifetime"],
+            "correlation": {"window_ns": 300, "bin_width_ps": 500.5},
+            "lifetime": {"bin_width_ps": 500.5}}, base_dir=str(tmp_path))
+        assert "simulate" in doc.results
+        assert [(e["stage"], e["type"]) for e in doc.errors] == [
+            ("g2pw", "ValueError"), ("lifetime", "ValueError")]
+        for entry in doc.errors:
+            assert entry["message"].startswith("bin_width must be a whole")
