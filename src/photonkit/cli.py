@@ -30,6 +30,7 @@ from .pipeline import (
     run_correlate,
     run_decay_histogram,
     run_g2_fit,
+    run_intensity_trace,
     run_lifetime,
     run_load,
     run_pipeline,
@@ -160,7 +161,7 @@ def cmd_blink(args) -> int:
                         min_dwell_ms=args.min_dwell_ms,
                         tau_min_ms=args.tau_min_ms))
     _, streams = run_load(config)
-    res = run_blinking(streams, config)
+    res = run_blinking(run_intensity_trace(streams, config), config)
     print(f"threshold = {res['threshold_per_ms']:g} counts/ms")
     print(f"on dwells = {res['n_on_dwells']}, "
           f"off dwells = {res['n_off_dwells']}")

@@ -129,7 +129,9 @@ class Verdict(enum.Enum):
 
 def _whole_ps(value, name: str) -> int:
     """``value`` as whole picoseconds: an integral float such as 600.0 is
-    its int, a fractional one is an error that names the argument."""
+    its int; a fractional one, a string or a bool is an error naming it."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{name} must be a number of ps, got {value!r}")
     if not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number of ps, got {value}")
     return int(value)

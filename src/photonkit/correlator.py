@@ -38,7 +38,7 @@ _PAIR_BUDGET = 4_000_000
 
 def _require_sorted(stream: TimestampStream, name: str) -> None:
     ev = stream.events
-    if ev.size > 1 and np.any(np.diff(ev) < 0):
+    if ev.size > 1 and np.any(ev[1:] < ev[:-1]):
         raise ValueError(f"{name} stream is not sorted by timestamp")
 
 
@@ -140,6 +140,13 @@ def brute_force_correlate(a: TimestampStream, b: TimestampStream, window: int,
     return CoincidenceHistogram(bin_width, window, counts)
 
 
+def _sync_period(sync: TimestampStream | PeriodicStream) -> float:
+    """Sync period in ps: a grid's period, else the median pulse spacing."""
+    if isinstance(sync, PeriodicStream):
+        return float(sync.period)
+    return float(np.median(np.diff(sync.events)))
+
+
 def _grid_delays(t: np.ndarray, offset: int, period: int,
                  count: int | None) -> np.ndarray:
     """Delay of each sorted time since the latest pulse at or before it,
@@ -198,7 +205,7 @@ def sync_decay_histogram(photons: TimestampStream,
         if s.size < 2:
             raise ValueError(
                 "need at least two sync pulses to infer the period")
-        period = int(np.median(np.diff(s)))
+        period = int(_sync_period(sync))
     else:
         raise ValueError("either a sync stream or a period is required")
     n_bins = _decay_bins(period, bin_width)
@@ -209,11 +216,13 @@ def sync_decay_histogram(photons: TimestampStream,
         pos = np.searchsorted(s, t, side="right") - 1
         good = pos >= 0
         delay = t[good] - s[pos[good]]
-    bins = delay // bin_width
-    overflow = bins >= n_bins
-    discarded = t.size - delay.size + int(np.count_nonzero(overflow))
-    counts = np.bincount(bins[~overflow], minlength=n_bins)
-    return DecayHistogram(bin_width, period, counts.astype(np.int64), discarded)
+    # In place, so a call holds one photon-sized temporary: each delay
+    # becomes its bin, and bin n_bins collects those past the last edge.
+    delay //= bin_width
+    np.minimum(delay, n_bins, out=delay)
+    counts = np.bincount(delay, minlength=n_bins + 1)
+    discarded = t.size - delay.size + int(counts[n_bins])
+    return DecayHistogram(bin_width, period, counts[:n_bins], discarded)
 
 
 def intensity_trace(photons: TimestampStream,
@@ -229,6 +238,7 @@ def intensity_trace(photons: TimestampStream,
     n_bins = _n_bins(photons.duration, bin_width)
     if photons.duration <= 0:
         raise ValueError("stream duration must be positive")
-    bins = np.minimum(photons.events // bin_width, n_bins - 1)
+    bins = photons.events // bin_width
+    np.minimum(bins, n_bins - 1, out=bins)
     counts = np.bincount(bins, minlength=n_bins)
     return IntensityTrace(counts.astype(np.int64), bin_width, photons.duration)

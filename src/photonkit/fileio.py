@@ -92,10 +92,10 @@ _TABLE_ENTRY = struct.Struct("<BQQQ")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Bytes before a file read into memory, so that its records land 8-aligned.
 _RECORD_SHIFT = -_HEADER.size % 8
-# Records per step of a column fill or a channel gather. Small steps keep
-# a worker's temporaries small, and the arrays that outlive a call are
-# allocated by the calling thread, so no worker thread's heap holds on to
-# a column's worth of memory afterwards.
+# Records per step of a column fill, a channel count or a channel gather.
+# Small steps keep a worker's temporaries small, and the arrays that
+# outlive a call are allocated by the calling thread, so no worker
+# thread's heap holds on to a column's worth of memory afterwards.
 _GATHER_BLOCK = 1 << 16
 
 
@@ -324,7 +324,9 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
         if t.size and int(t[-1]) * resolution > _INT64_MAX:
             raise TimestampOverflowError(
                 "timestamps overflow the signed 64-bit ps range")
-        return np.bincount(ch, minlength=256)
+        return sum((np.bincount(ch[lo:lo + _GATHER_BLOCK], minlength=256)
+                    for lo in range(0, ch.size, _GATHER_BLOCK)),
+                   np.zeros(256, np.int64))
 
     tasks = [check_records]
     if hasher is not None:

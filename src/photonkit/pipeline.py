@@ -12,7 +12,10 @@ runs inside its own error boundary; a failing stage adds an entry to the
 report's ``errors`` list instead of aborting the rest.
 
 Each step is a ``run_*`` stage function of the job config; the CLI
-subcommands call the same functions, so the two cannot drift apart.
+subcommands call the same functions, so the two cannot drift apart. An
+analysis is a build stage that makes a histogram, then a fit stage:
+``run_correlate``/``run_g2_fit``, ``run_decay_histogram``/``run_lifetime``
+and ``run_intensity_trace``/``run_blinking``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-
-import numpy as np
 
 from . import fit
 from .blinking import analyze_blinking
@@ -34,11 +35,13 @@ from .core import (
     SYNC_CHANNEL,
     CoincidenceHistogram,
     DecayHistogram,
+    IntensityTrace,
     PeriodicStream,
     TimestampStream,
     ns_to_ps,
 )
-from .correlator import cross_correlate, intensity_trace, sync_decay_histogram
+from .correlator import (_sync_period, cross_correlate, intensity_trace,
+                         sync_decay_histogram)
 from .fileio import (
     ReportDocument,
     export_histogram_csv,
@@ -119,25 +122,22 @@ def _sync(streams: dict) -> TimestampStream | PeriodicStream | None:
     return sync if sync is not None and len(sync) >= 2 else None
 
 
-def merged_photons(streams: dict) -> TimestampStream:
-    """Both detector channels as one time-ordered photon stream."""
+def _detector_channels(streams: dict) -> list[TimestampStream]:
+    """Detector channels holding events, on the longest of their durations."""
     parts = [s for s in (streams.get(CHANNEL_A), streams.get(CHANNEL_B))
              if s is not None and len(s)]
     if not parts:
         raise ValueError("no detector events to analyze")
-    events = np.sort(np.concatenate([s.events for s in parts]), kind="stable")
-    return TimestampStream(CHANNEL_A, events, max(s.duration for s in parts))
+    duration = max(s.duration for s in parts)
+    return [dataclasses.replace(s, duration=duration) for s in parts]
 
 
 def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
-    """Pulse period from the sync channel (its grid period, or the median
-    spacing of explicit pulses), else from ``period_ns`` in the stage
-    config."""
+    """Pulse period from the sync channel (``correlator._sync_period``),
+    else from ``period_ns`` in the stage config."""
     sync = _sync(streams)
-    if isinstance(sync, PeriodicStream):
-        return sync.period / PS_PER_NS
     if sync is not None:
-        return float(np.median(np.diff(sync.events))) / PS_PER_NS
+        return _sync_period(sync) / PS_PER_NS
     if stage_cfg.get("period_ns"):
         return float(stage_cfg["period_ns"])
     raise ValueError(
@@ -230,15 +230,18 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
 
 
 def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
-    """Sync-referenced decay histogram of both detector channels; without
-    a sync channel, photons are folded on the configured period."""
+    """Sync-referenced decay histogram of both detector channels, summed
+    over channels; without a sync, folded on the configured period."""
     life_cfg = _section(config, "lifetime")
-    photons = merged_photons(streams)
+    channels = _detector_channels(streams)
     sync = _sync(streams)
     period_ps = None if sync is not None else ns_to_ps(
         resolved_period_ns(streams, life_cfg))
-    return sync_decay_histogram(photons, sync=sync, period=period_ps,
-                                bin_width=life_cfg.get("bin_width_ps", 500))
+    parts = [sync_decay_histogram(s, sync=sync, period=period_ps,
+                                  bin_width=life_cfg.get("bin_width_ps", 500))
+             for s in channels]
+    return dataclasses.replace(parts[0], counts=sum(h.counts for h in parts),
+                               discarded=sum(h.discarded for h in parts))
 
 
 def run_lifetime(histogram: DecayHistogram, config: dict,
@@ -255,14 +258,20 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
     return out
 
 
-def run_blinking(streams: dict, config: dict) -> dict:
-    """Threshold the intensity trace of both detector channels and
-    characterize ON/OFF dwell statistics."""
+def run_intensity_trace(streams: dict, config: dict) -> IntensityTrace:
+    """Intensity trace of both detector channels, summed over channels."""
     blink_cfg = _section(config, "blinking")
     bin_width = int(round(float(blink_cfg.get("bin_width_ms", 1.0))
                           * PS_PER_MS))
+    parts = [intensity_trace(s, bin_width) for s in _detector_channels(streams)]
+    return dataclasses.replace(parts[0], counts=sum(t.counts for t in parts))
+
+
+def run_blinking(trace: IntensityTrace, config: dict) -> dict:
+    """Threshold an intensity trace; characterize ON/OFF dwell statistics."""
+    blink_cfg = _section(config, "blinking")
     res = analyze_blinking(
-        intensity_trace(merged_photons(streams), bin_width),
+        trace,
         threshold_per_ms=float(blink_cfg.get("threshold_per_ms", 50.0)),
         min_dwell_ms=float(blink_cfg.get("min_dwell_ms", 0.0)),
         tau_min_ms=blink_cfg.get("tau_min_ms"),
@@ -288,7 +297,7 @@ def _analyze(name: str, streams: dict, config: dict, base: str) -> dict:
         return run_lifetime(run_decay_histogram(streams, config), config,
                             base)
     if name == "blinking":
-        return run_blinking(streams, config)
+        return run_blinking(run_intensity_trace(streams, config), config)
     raise ValueError(f"unknown analysis {name!r}; expected one of "
                      f"{', '.join(KNOWN_ANALYSES)}")
 

@@ -286,6 +286,16 @@ class TestWholePicosecondFields:
         with pytest.raises(ValueError, match=f"^{name} must be a whole"):
             make(value + 0.5)
 
+    @pytest.mark.parametrize("bad", ["100000", "1e5", b"100000", True,
+                                     np.bool_(True)],
+                             ids=["str", "str_exp", "bytes", "bool", "np_bool"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_string_or_bool_rejected_by_name(self, field, bad):
+        make, _ = self.FIELDS[field]
+        name = field.split(".")[1]
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            make(bad)
+
     def test_models_stay_hashable(self):
         assert (hash(pk.ExcitationConfig(pulse_period_ps=1e5))
                 == hash(pk.ExcitationConfig()))

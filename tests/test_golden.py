@@ -20,12 +20,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from photonkit.core import PS_PER_MS
-from photonkit.correlator import intensity_trace
 from photonkit.pipeline import (
-    merged_photons,
     run_correlate,
     run_decay_histogram,
+    run_intensity_trace,
     run_load,
     run_simulate,
 )
@@ -126,8 +124,7 @@ def outputs(request, tmp_path_factory):
     out = {
         "ptst": result["sha256"],
         "g2": pin(run_correlate(streams, job).counts),
-        "intensity": pin(
-            intensity_trace(merged_photons(streams), PS_PER_MS).counts),
+        "intensity": pin(run_intensity_trace(streams, {}).counts),
     }
     if "decay" in GOLDEN[name]:
         out["decay"] = pin(run_decay_histogram(streams, job).counts)

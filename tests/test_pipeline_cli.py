@@ -15,9 +15,12 @@ from photonkit import fit as fitmod
 from photonkit import pipeline
 from photonkit.cli import build_parser
 from photonkit.cli import main as cli_main
-from photonkit.core import PS_PER_NS, SYNC_CHANNEL, PeriodicStream, Verdict
-from photonkit.correlator import cross_correlate
-from photonkit.fileio import file_digest, read_histogram_csv, read_timestamps
+from photonkit.core import (PS_PER_MS, PS_PER_NS, SYNC_CHANNEL,
+                            PeriodicStream, TimestampStream, Verdict)
+from photonkit.correlator import (cross_correlate, intensity_trace,
+                                  sync_decay_histogram)
+from photonkit.fileio import (file_digest, read_histogram_csv,
+                              read_timestamps, write_timestamps)
 from photonkit.pipeline import run_pipeline
 from photonkit.sim import detect_hbt
 
@@ -620,6 +623,15 @@ class TestWholePicosecondJobs:
         assert "pulse_period_ps" in entry["message"]
         assert not (tmp_path / "pulsed.ptst").exists()
 
+    def test_quoted_period_is_a_simulate_error(self, tmp_path):
+        excitation = {**self.JOB["excitation"], "pulse_period_ps": "100000"}
+        doc = run_pipeline({**self.JOB, "excitation": excitation},
+                           base_dir=str(tmp_path))
+        [entry] = doc.errors
+        assert (entry["stage"], entry["type"]) == ("simulate", "ValueError")
+        assert entry["message"].startswith("pulse_period_ps must be")
+        assert not (tmp_path / "pulsed.ptst").exists()
+
     def test_fractional_bin_width_is_an_analysis_error(self, tmp_path):
         doc = run_pipeline({
             **self.JOB, "analyses": ["g2pw", "lifetime"],
@@ -630,3 +642,88 @@ class TestWholePicosecondJobs:
             ("g2pw", "ValueError"), ("lifetime", "ValueError")]
         for entry in doc.errors:
             assert entry["message"].startswith("bin_width must be a whole")
+
+
+class TestChannelSumOracle:
+    """The decay histogram and intensity trace are built per detector
+    channel and summed. The reference builds them once on both channels
+    merged into one time-ordered stream, on the longest duration of the
+    channels that hold events."""
+
+    DURATION = 2 * 10**9
+    PERIOD = 100_000
+    CONFIG = {"lifetime": {"bin_width_ps": 1000},
+              "blinking": {"bin_width_ms": 0.01}}
+
+    @staticmethod
+    def merged(streams):
+        parts = [streams[c] for c in (0, 1) if c in streams and len(streams[c])]
+        events = np.sort(np.concatenate([s.events for s in parts]),
+                         kind="stable")
+        return TimestampStream(0, events, max(s.duration for s in parts))
+
+    def channel(self, c, n, seed, duration=None):
+        duration = duration or self.DURATION
+        events = np.random.default_rng(seed).integers(0, duration, n)
+        events.sort()
+        events[0] = 0  # before the first sync pulse: discarded
+        events[-1] = duration  # lands in the clamped last trace bin
+        return TimestampStream(c, events, duration)
+
+    def syncs(self):
+        # Both syncs start after some photons and end before others, so
+        # both kinds of discard occur; the explicit one jitters and skips
+        # a pulse, so its median period and its search both matter.
+        count = self.DURATION // self.PERIOD - 30
+        grid = PeriodicStream(SYNC_CHANNEL, 7_000, self.PERIOD, count,
+                              self.DURATION)
+        pulses = grid.events + np.random.default_rng(9).integers(
+            -40, 40, count)
+        explicit = TimestampStream(SYNC_CHANNEL, np.delete(pulses, 500),
+                                   self.DURATION)
+        return {"periodic": grid, "explicit": explicit, "period_ns": None}
+
+    def cases(self):
+        ch0 = self.channel(0, 6000, 1)
+        ch1 = self.channel(1, 4000, 2, duration=self.DURATION - 10**8)
+        empty = TimestampStream(1, [], 3 * self.DURATION)
+        return {"both": {0: ch0, 1: ch1}, "one_empty": {0: ch0, 1: empty},
+                "one_missing": {1: ch1}}
+
+    @pytest.mark.parametrize("case", ["both", "one_empty", "one_missing"])
+    @pytest.mark.parametrize("sync_kind", ["periodic", "explicit",
+                                           "period_ns"])
+    def test_equals_the_merged_stream(self, sync_kind, case):
+        streams = dict(self.cases()[case])
+        sync = self.syncs()[sync_kind]
+        config = {k: dict(v) for k, v in self.CONFIG.items()}
+        if sync is None:
+            config["lifetime"]["period_ns"] = self.PERIOD / PS_PER_NS
+        else:
+            streams[SYNC_CHANNEL] = sync
+        merged = self.merged(streams)
+
+        decay = pipeline.run_decay_histogram(streams, config)
+        ref = sync_decay_histogram(
+            merged, sync=sync, period=self.PERIOD if sync is None else None,
+            bin_width=1000)
+        np.testing.assert_array_equal(decay.counts, ref.counts)
+        assert decay.discarded == ref.discarded
+        assert (ref.discarded > 0) == (sync is not None)
+        assert (decay.bin_width, decay.period) == (ref.bin_width, ref.period)
+
+        trace = pipeline.run_intensity_trace(streams, config)
+        ref = intensity_trace(merged, PS_PER_MS // 100)
+        np.testing.assert_array_equal(trace.counts, ref.counts)
+        assert (trace.bin_width, trace.duration) == (ref.bin_width,
+                                                     ref.duration)
+
+    def test_file_without_detector_events_is_an_error_entry(self, tmp_path):
+        path = tmp_path / "sync_only.ptst"
+        write_timestamps([TimestampStream(0, [], self.DURATION),
+                          self.syncs()["periodic"]], path)
+        doc = run_pipeline({"mode": "analyze", "input": str(path),
+                            "analyses": ["lifetime", "blinking"]})
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            (stage, "ValueError", "no detector events to analyze")
+            for stage in ("lifetime", "blinking")]
