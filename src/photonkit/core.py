@@ -64,6 +64,10 @@ CHANNEL_A = 0
 CHANNEL_B = 1
 SYNC_CHANNEL = 255
 
+# Items per step of a blocked pass (random draws, column fills, channel
+# gathers); small steps keep a pass's temporaries small and in cache.
+_BLOCK = 1 << 16
+
 
 def ps_to_ns(t):
     """Convert picoseconds (int or int array) to float nanoseconds."""

@@ -9,6 +9,8 @@ the int, a fractional one raises ``ValueError`` naming the argument.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import (
@@ -147,6 +149,21 @@ def _sync_period(sync: TimestampStream | PeriodicStream) -> float:
     return float(np.median(np.diff(sync.events)))
 
 
+@dataclass(frozen=True, eq=False)
+class _CheckedSync(TimestampStream):
+    """An explicit sync checked for order, with its median spacing."""
+
+    period: int
+
+
+def _checked_sync(sync: TimestampStream) -> _CheckedSync:
+    _require_sorted(sync, "sync")
+    if sync.events.size < 2:
+        raise ValueError("need at least two sync pulses to infer the period")
+    return _CheckedSync(sync.channel, sync.events, sync.duration,
+                        int(_sync_period(sync)))
+
+
 def _grid_delays(t: np.ndarray, offset: int, period: int,
                  count: int | None) -> np.ndarray:
     """Delay of each sorted time since the latest pulse at or before it,
@@ -200,12 +217,9 @@ def sync_decay_histogram(photons: TimestampStream,
     elif isinstance(sync, PeriodicStream):
         offset, period, count = sync.offset, sync.period, sync.count
     elif sync is not None:
-        _require_sorted(sync, "sync")
-        s = sync.events
-        if s.size < 2:
-            raise ValueError(
-                "need at least two sync pulses to infer the period")
-        period = int(_sync_period(sync))
+        if not isinstance(sync, _CheckedSync):
+            sync = _checked_sync(sync)
+        s, period = sync.events, sync.period
     else:
         raise ValueError("either a sync stream or a period is required")
     n_bins = _decay_bins(period, bin_width)

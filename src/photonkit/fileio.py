@@ -47,6 +47,7 @@ from .core import (
     PeriodicStream,
     TimestampStream,
     Verdict,
+    _BLOCK,
     _map_workers,
     _whole_ps,
 )
@@ -92,11 +93,6 @@ _TABLE_ENTRY = struct.Struct("<BQQQ")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Bytes before a file read into memory, so that its records land 8-aligned.
 _RECORD_SHIFT = -_HEADER.size % 8
-# Records per step of a column fill, a channel count or a channel gather.
-# Small steps keep a worker's temporaries small, and the arrays that
-# outlive a call are allocated by the calling thread, so no worker
-# thread's heap holds on to a column's worth of memory afterwards.
-_GATHER_BLOCK = 1 << 16
 
 
 class TimestampFileError(Exception):
@@ -202,8 +198,8 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
     def fill(field):
         name, column = field
         out = records[name]
-        for lo in range(0, column.size, _GATHER_BLOCK):
-            block = slice(lo, lo + _GATHER_BLOCK)
+        for lo in range(0, column.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
             out[block] = column[order[block]]
 
     _map_workers(fill, (("t", t), ("ch", ch)), workers)
@@ -324,8 +320,8 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
         if t.size and int(t[-1]) * resolution > _INT64_MAX:
             raise TimestampOverflowError(
                 "timestamps overflow the signed 64-bit ps range")
-        return sum((np.bincount(ch[lo:lo + _GATHER_BLOCK], minlength=256)
-                    for lo in range(0, ch.size, _GATHER_BLOCK)),
+        return sum((np.bincount(ch[lo:lo + _BLOCK], minlength=256)
+                    for lo in range(0, ch.size, _BLOCK)),
                    np.zeros(256, np.int64))
 
     tasks = [check_records]
@@ -368,8 +364,8 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
     def gather(channel):
         c, events = channel
         at = 0
-        for lo in range(0, times.size, _GATHER_BLOCK):
-            block = slice(lo, lo + _GATHER_BLOCK)
+        for lo in range(0, times.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
             part = times[block][ch[block] == c]
             events[at:at + part.size] = part
             at += part.size

@@ -40,8 +40,8 @@ from .core import (
     TimestampStream,
     ns_to_ps,
 )
-from .correlator import (_sync_period, cross_correlate, intensity_trace,
-                         sync_decay_histogram)
+from .correlator import (_checked_sync, _sync_period, cross_correlate,
+                         intensity_trace, sync_decay_histogram)
 from .fileio import (
     ReportDocument,
     export_histogram_csv,
@@ -237,6 +237,8 @@ def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
     sync = _sync(streams)
     period_ps = None if sync is not None else ns_to_ps(
         resolved_period_ns(streams, life_cfg))
+    if isinstance(sync, TimestampStream):  # checked once, not per channel
+        sync = _checked_sync(sync)
     parts = [sync_decay_histogram(s, sync=sync, period=period_ps,
                                   bin_width=life_cfg.get("bin_width_ps", 500))
              for s in channels]

@@ -15,7 +15,9 @@ output is bit-identical for any ``workers`` value.
 
 Detection takes ``workers`` too: each of its draws starts at its known
 offset in one seeded stream on its own generator, and its two channels are
-mapped, so its output does not depend on ``workers`` either.
+mapped, so its output does not depend on ``workers`` either. Pulsed pieces
+do the same (see ``_pulsed_piece``), and all these draws run in blocks of
+``core._BLOCK`` values through one reused buffer; CW pieces draw whole arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     PS_PER_NS,
     PS_PER_S,
     SYNC_CHANNEL,
+    _BLOCK,
     IntensityTrace,
     PeriodicStream,
     Segment,
@@ -237,6 +240,23 @@ def _rng(seed: int, *key: int, skip: int = 0) -> np.random.Generator:
     return np.random.Generator(bits.advance(skip))
 
 
+def _drawn(draw, n: int):
+    """Yield (slice, values) for n values of ``draw(out=...)`` (a Generator
+    method), in blocks of ``_BLOCK`` that reuse one buffer."""
+    buf = np.empty(min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        part = draw(out=buf[:min(_BLOCK, n - lo)])
+        yield slice(lo, lo + part.size), part
+
+
+def _below(draw, n: int, p: float) -> np.ndarray:
+    """Mask of n uniforms from ``draw`` below p, drawn block by block."""
+    mask = np.empty(n, bool)
+    for b, u in _drawn(draw, n):
+        np.less(u, p, out=mask[b])
+    return mask
+
+
 def _truncated_pareto_ms(rng, alpha: float, lo: float, hi: float, size: int) -> np.ndarray:
     """Inverse-CDF draw from p(t) ~ t**-(1+alpha) on [lo, hi]."""
     u = rng.random(size)
@@ -296,9 +316,13 @@ def _signal_pieces(segments, duration: int):
     return pieces
 
 
-def _cw_piece(rng, lo: int, hi: int, rate_per_ps: float, tau_x_ps: float,
-              quantum_yield: float) -> np.ndarray:
-    """Renewal-process emission on [lo, hi): wait Exp(1/rate), decay Exp(tau)."""
+def _cw_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
+              emitter: EmitterModel) -> np.ndarray:
+    """Renewal-process emission on [lo, hi) as int64 ps: wait Exp(1/rate),
+    decay Exp(tau)."""
+    rng = _rng(seed, _TAG_SIGNAL, i)
+    rate_per_ps = exc.cw_rate_per_s / PS_PER_S
+    tau_x_ps = emitter.lifetime_ns * PS_PER_NS
     mean_cycle = 1.0 / rate_per_ps + tau_x_ps
     out = []
     t = float(lo)
@@ -311,44 +335,52 @@ def _cw_piece(rng, lo: int, hi: int, rate_per_ps: float, tau_x_ps: float,
         out.append(emits[:np.searchsorted(emits, hi)])
         t = emits[-1]
     times = np.concatenate(out) if out else np.empty(0)
-    if quantum_yield < 1.0 and times.size:
-        times = times[rng.random(times.size) < quantum_yield]
-    return times
+    if emitter.quantum_yield < 1.0 and times.size:
+        times = times[_below(rng.random, times.size, emitter.quantum_yield)]
+    return np.rint(times, out=times).astype(np.int64)
 
 
-def _pulsed_piece(rng, lo: int, hi: int, exc: ExcitationConfig,
+def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
                   emitter: EmitterModel) -> np.ndarray:
-    """Per-pulse emission on [lo, hi): at most one exciton photon per pulse,
-    optionally preceded by a biexciton photon from the same excitation."""
+    """Per-pulse emission on [lo, hi) as int64 ps: at most one exciton
+    photon per pulse, optionally preceded by a biexciton photon from the
+    same excitation. Its K excitation uniforms (if p < 1), n absorption
+    uniforms and decays (then quantum yield, biexciton) start at 0, K, K+n."""
     period = exc.pulse_period_ps
     k0 = -(-lo // period)  # first pulse at or after lo
     k1 = -(-hi // period)  # first pulse at or after hi (excluded)
-    if k1 <= k0:
-        return np.empty(0)
     p = exc.excitation_probability
-    if p < 1.0:  # index the excited pulses, never the whole pulse grid
-        pulse_t = (k0 + np.flatnonzero(rng.random(k1 - k0) < p)) * period
+    n_uniform = max(k1 - k0, 0) if p < 1.0 else 0
+    if n_uniform:  # index the excited pulses, never the whole pulse grid
+        out = np.flatnonzero(_below(_rng(seed, _TAG_SIGNAL, i).random, n_uniform, p))
+        out += k0
     else:
-        pulse_t = np.arange(k0, k1, dtype=np.int64) * period
-    n = pulse_t.size
-    if n == 0:
-        return np.empty(0)
-    absorb = pulse_t + rng.random(n) * exc.pulse_width_ps
-    tau_x_ps = emitter.lifetime_ns * PS_PER_NS
-    exciton = absorb + rng.exponential(tau_x_ps, n)
-    if emitter.quantum_yield < 1.0:
-        exciton = exciton[rng.random(n) < emitter.quantum_yield]
-    parts = [exciton]
-    if emitter.biexciton_probability > 0.0:
-        xx_mask = rng.random(n) < emitter.biexciton_probability
-        m = int(xx_mask.sum())
-        if m:
-            tau_xx_ps = emitter.biexciton_lifetime_ns * PS_PER_NS
-            xx = absorb[xx_mask] + rng.exponential(tau_xx_ps, m)
-            if emitter.quantum_yield < 1.0:
-                xx = xx[rng.random(m) < emitter.quantum_yield]
-            parts.append(xx)
-    return np.concatenate(parts)
+        out = np.arange(k0, k1, dtype=np.int64)
+    n = out.size
+    out *= period
+    decay_rng = _rng(seed, _TAG_SIGNAL, i, skip=n_uniform + n)
+    absorb = np.empty(n) if emitter.biexciton_probability > 0.0 else None
+    for (b, u), (_, e) in zip(
+            _drawn(_rng(seed, _TAG_SIGNAL, i, skip=n_uniform).random, n),
+            _drawn(decay_rng.standard_exponential, n)):
+        u *= exc.pulse_width_ps
+        u += out[b]
+        if absorb is not None:
+            absorb[b] = u
+        e *= emitter.lifetime_ns * PS_PER_NS
+        e += u
+        out[b] = np.rint(e, out=e)
+    qy = emitter.quantum_yield
+    if qy < 1.0:
+        out = out[np.flatnonzero(_below(decay_rng.random, n, qy))]
+    if absorb is not None:
+        xx = absorb[_below(decay_rng.random, n, emitter.biexciton_probability)]
+        xx += decay_rng.exponential(emitter.biexciton_lifetime_ns * PS_PER_NS,
+                                    xx.size)
+        if qy < 1.0:
+            xx = xx[_below(decay_rng.random, xx.size, qy)]
+        out = np.concatenate((out, np.rint(xx).astype(np.int64)))
+    return out
 
 
 def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
@@ -383,19 +415,9 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     segments = _blinking_segments(law, duration, seed)
     pieces = _signal_pieces(segments, duration)
 
-    tau_x_ps = emitter.lifetime_ns * PS_PER_NS
-    rate_per_ps = excitation.cw_rate_per_s / PS_PER_S
-
-    def to_ps(times: np.ndarray) -> np.ndarray:
-        return np.rint(times, out=times).astype(np.int64)
-
     def gen_signal(i: int) -> np.ndarray:
-        lo, hi = pieces[i]
-        rng = _rng(seed, _TAG_SIGNAL, i)
-        if excitation.mode == "cw":
-            return to_ps(_cw_piece(rng, lo, hi, rate_per_ps, tau_x_ps,
-                                   emitter.quantum_yield))
-        return to_ps(_pulsed_piece(rng, lo, hi, excitation, emitter))
+        piece = _cw_piece if excitation.mode == "cw" else _pulsed_piece
+        return piece(seed, i, *pieces[i], excitation, emitter)
 
     bg_rate = law.off_emission_rate_per_ms  # counts per ms, whole trace
     n_blocks = -(-duration // _BLOCK_PS)
@@ -405,24 +427,23 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
         hi = min(lo + _BLOCK_PS, duration)
         rng = _rng(seed, _TAG_BACKGROUND, j)
         n = rng.poisson(bg_rate * (hi - lo) / PS_PER_MS)
-        return to_ps(lo + rng.random(n) * (hi - lo))
+        times = lo + rng.random(n) * (hi - lo)
+        return np.rint(times, out=times).astype(np.int64)
 
-    signal_parts = _map_workers(gen_signal, range(len(pieces)), workers)
-    n_signal = sum(part.size for part in signal_parts)
-    parts = signal_parts + (_map_workers(gen_background, range(n_blocks),
-                                         workers) if bg_rate > 0 else [])
-    del signal_parts
-    times = np.concatenate(parts) if parts else np.empty(0, np.int64)
-    del parts
-    flags = np.zeros(times.size, bool)
-    flags[:n_signal] = True
+    sig = _map_workers(gen_signal, range(len(pieces)), workers)
+    sig = sig[0] if len(sig) == 1 else np.concatenate(sig)  # never empty
+    sig.sort(kind="stable")  # merges runs: pieces are in order, nearly sorted
+    bg = np.concatenate(_map_workers(gen_background, range(n_blocks), workers)
+                        if bg_rate > 0 else [np.empty(0, np.int64)])
+    bg.sort()
     # Every draw is added to a piece start >= 0, so only a decay past the
     # end of the trace can fall outside it.
-    if times.size and times.max() > duration:
-        inside = times <= duration
-        times, flags = times[inside], flags[inside]
-    order = np.argsort(times, kind="stable")
-    return EmissionRecord(times[order], flags[order], segments, duration, excitation)
+    sig = sig[:np.searchsorted(sig, duration, side="right")]
+    at = np.searchsorted(sig, bg, side="right")  # ties: signal goes first
+    flags = np.ones(sig.size + bg.size, bool)
+    flags[at + np.arange(bg.size)] = False
+    return EmissionRecord(np.insert(sig, at, bg), flags, segments, duration,
+                          excitation)
 
 
 def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
@@ -493,16 +514,18 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     jitter_rng = _rng(seed, _TAG_DETECT, skip=2 * n)
 
     def uniforms() -> tuple[np.ndarray, np.ndarray]:
-        return (split_rng.random(n) < detector.splitter_ratio,
-                kept_rng.random(n) < detector.efficiency)
+        return (_below(split_rng.random, n, detector.splitter_ratio),
+                _below(kept_rng.random, n, detector.efficiency))
 
     def jittered() -> np.ndarray:
         if detector.jitter_sigma_ps <= 0:
             return t
-        dt = jitter_rng.normal(0.0, detector.jitter_sigma_ps, n)
-        dt = np.rint(dt, out=dt).astype(np.int64)
-        dt += t
-        return dt
+        out = np.empty(n, np.int64)  # normal(0, s) is 0 + s * z, bit for bit
+        for b, z in _drawn(jitter_rng.standard_normal, n):
+            z *= detector.jitter_sigma_ps
+            out[b] = np.rint(z, out=z)
+            out[b] += t[b]
+        return out
 
     (to_a, kept), times = _map_workers(lambda task: task(),
                                        (uniforms, jittered), workers)
@@ -515,7 +538,8 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
 
     def channel(args) -> TimestampStream:
         ch, dark = args
-        ch_times = times[(to_a if ch == CHANNEL_A else ~to_a) & kept]
+        # Indices first: a gather by index beats a boolean-mask gather.
+        ch_times = times[np.flatnonzero((to_a if ch == CHANNEL_A else ~to_a) & kept)]
         if dark is not None:
             ch_times = np.concatenate((ch_times, dark))
         ch_times.sort(kind="stable")

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from photonkit import correlator
 from photonkit import fit as fitmod
 from photonkit import pipeline
 from photonkit.cli import build_parser
@@ -717,6 +718,29 @@ class TestChannelSumOracle:
         np.testing.assert_array_equal(trace.counts, ref.counts)
         assert (trace.bin_width, trace.duration) == (ref.bin_width,
                                                      ref.duration)
+
+    def test_explicit_sync_checked_once(self, monkeypatch):
+        """Both channels share one order check and one median of an
+        explicit sync, and the sum equals the per-channel histograms."""
+        streams = {**self.cases()["both"],
+                   SYNC_CHANNEL: self.syncs()["explicit"]}
+        want = [sync_decay_histogram(streams[c], sync=streams[SYNC_CHANNEL],
+                                     bin_width=1000) for c in (0, 1)]
+        calls = []
+        median = correlator._sync_period
+        require_sorted = correlator._require_sorted
+        monkeypatch.setattr(correlator, "_sync_period", lambda sync: (
+            calls.append("median"), median(sync))[1])
+        monkeypatch.setattr(correlator, "_require_sorted", lambda s, name: (
+            calls.append(name), require_sorted(s, name))[1])
+
+        decay = pipeline.run_decay_histogram(streams, self.CONFIG)
+        assert sorted(calls) == ["median", "photons", "photons", "sync"]
+        np.testing.assert_array_equal(decay.counts,
+                                      want[0].counts + want[1].counts)
+        assert decay.discarded == want[0].discarded + want[1].discarded > 0
+        assert (decay.bin_width, decay.period) == (want[0].bin_width,
+                                                   want[0].period)
 
     def test_file_without_detector_events_is_an_error_entry(self, tmp_path):
         path = tmp_path / "sync_only.ptst"

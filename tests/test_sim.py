@@ -408,6 +408,75 @@ class TestDetectWorkers:
                           workers=0)
 
 
+class TestBlockedDraws:
+    """Pulsed pieces and detection draw photon-sized arrays in blocks of
+    ``_BLOCK`` values; the block size must not change any output."""
+
+    MODELS = {
+        "pulsed_p04": (quiet_emitter(), 0.4),
+        "pulsed_p1": (quiet_emitter(), 1.0),
+        "quantum_yield": (quiet_emitter(quantum_yield=0.8), 0.7),
+        "biexciton": (quiet_emitter(biexciton_probability=0.3), 0.5),
+        "empty": (quiet_emitter(), 0.0),
+    }
+
+    def emission(self, name, workers):
+        if name == "cw_background":
+            em = quiet_emitter(
+                blinking=pk.BlinkingLaw(off_emission_rate_per_ms=3.0))
+            exc = pk.ExcitationConfig("cw", cw_rate_per_s=3e3)
+        else:
+            em, p = self.MODELS[name]
+            exc = pk.ExcitationConfig("pulsed", pulse_period_ps=200 * 10**6,
+                                      excitation_probability=p)
+        # Two generation blocks, a partial one last, a few thousand photons.
+        return pk.generate_emission(em, exc, PS_S + PS_S // 200, seed=41,
+                                    workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("name", sorted(MODELS) + ["cw_background"])
+    def test_emission_independent_of_block(self, monkeypatch, name, block,
+                                           workers):
+        want = self.emission(name, 1)
+        monkeypatch.setattr(pk.sim, "_BLOCK", block)
+        got = self.emission(name, workers)
+        assert got == want
+        assert got.times.dtype == np.int64
+        assert (len(got) == 0) == (name == "empty")
+        if name == "cw_background":
+            assert 0 < got.is_signal.sum() < len(got)
+
+    def test_pulsed_piece_draw_offsets(self):
+        """The three generators of a pulsed piece continue one stream."""
+        em, exc = quiet_emitter(), pk.ExcitationConfig(
+            "pulsed", excitation_probability=0.4)
+        lo, hi = 3 * 100_000 + 1, 4000 * 100_000
+        rng = _rng(5, pk.sim._TAG_SIGNAL, 2)
+        k = np.arange(4, 4000)
+        pulse_t = k[rng.random(k.size) < 0.4] * 100_000
+        absorb = pulse_t + rng.random(pulse_t.size) * exc.pulse_width_ps
+        want = np.rint(absorb + rng.exponential(em.lifetime_ns * PS_NS,
+                                                pulse_t.size))
+        got = pk.sim._pulsed_piece(5, 2, lo, hi, exc, em)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want.astype(np.int64))
+        no_pulse = pk.sim._pulsed_piece(5, 2, 1, 100_000, exc, em)
+        assert no_pulse.dtype == np.int64 and no_pulse.size == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("det_name", sorted(DETECTORS))
+    def test_detection_at_tiny_block(self, monkeypatch, det_name, workers):
+        emission = self.emission("pulsed_p04", 1)
+        assert 2000 < len(emission) < 10_000
+        det = DETECTORS[det_name]
+        monkeypatch.setattr(pk.sim, "_BLOCK", 7)
+        ch0, ch1, _ = pk.detect_hbt(emission, det, seed=33, workers=workers)
+        want0, want1 = sequential_detect(emission, det, seed=33)
+        np.testing.assert_array_equal(ch0.events, want0)
+        np.testing.assert_array_equal(ch1.events, want1)
+
+
 class TestPoissonian:
     def test_rate(self):
         s = pk.simulate_poissonian(1e6, PS_S, seed=0)
