@@ -7,6 +7,9 @@ blinking dwell statistics, and reads/writes a compact binary timestamp
 format. The ``photonkit`` CLI exposes the same stages as subcommands.
 """
 
+# The one version literal, set before the submodules: fileio's reports read it.
+__version__ = "0.1.0"
+
 from .core import (
     CHANNEL_A,
     CHANNEL_B,
@@ -88,5 +91,3 @@ from .fileio import (
     write_timestamps,
 )
 from .pipeline import run_pipeline
-
-__version__ = "0.1.0"

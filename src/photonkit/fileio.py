@@ -52,11 +52,8 @@ from .core import (
     _whole_ps,
 )
 
-try:
-    from importlib.metadata import PackageNotFoundError, version
-    TOOL_VERSION = version("photonkit")
-except PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0.1.0"
+from . import __version__
+
 _SCHEMA_VERSION = "1"  # of the report JSON
 
 __all__ = [
@@ -497,7 +494,7 @@ class ReportDocument:
         doc = {
             "schema_version": _SCHEMA_VERSION,
             "created": self.created,
-            "tool": {"name": "photonkit", "version": TOOL_VERSION},
+            "tool": {"name": "photonkit", "version": __version__},
             "config": self.config,
             "results": self.results,
             "errors": list(self.errors),

@@ -6,11 +6,17 @@ relative chi-square improvement drops below 1e-9 or the accepted step norm
 below 1e-12 (fixed), the iteration cap defaults to 500, and the parameter
 covariance is (J^T W J)^-1 scaled by the reduced chi-square, falling back
 to a pseudo-inverse (and flagging it) when the normal matrix is singular.
+Steps are clipped to the bounds; a parameter on a bound that the gradient
+pushes outward is held there, and the step is solved for the others.
 
 Model functions take a plain parameter vector so the engine, the analytic
 Jacobians, and the finite-difference cross-checks all share one calling
 convention. The packing order of each vector matches the ``names`` of the
 corresponding parameter record in :mod:`photonkit.core`.
+
+Every driver checks its histogram with ``_counts``, fits the bins its
+model covers from starting values read off the data, and builds its
+:class:`~photonkit.core.FitResult` with ``_result``.
 """
 
 from __future__ import annotations
@@ -109,7 +115,8 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
     weights : ndarray, optional
         Per-point weights w_i (inverse variances); ones when omitted.
     bounds : sequence of (lo, hi), optional
-        Per-parameter box constraints; steps are clipped to the box.
+        Per-parameter box constraints; steps are clipped to the box, and
+        a parameter on a bound that the gradient pushes out is held there.
 
     Returns
     -------
@@ -125,20 +132,14 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
         raise ValueError(f"x has {x.size} points but y has {m}")
     if m < p:
         raise ValueError(f"{p} parameters need at least {p} points, got {m}")
-    if weights is None:
-        w = np.ones(m)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.size != m or np.any(w < 0):
-            raise ValueError("weights must be non-negative, one per point")
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    if w.size != m or np.any(w < 0):
+        raise ValueError("weights must be non-negative, one per point")
     sw = np.sqrt(w)
 
-    if bounds is None:
-        lo = np.full(p, -np.inf)
-        hi = np.full(p, np.inf)
-    else:
-        lo = np.array([b[0] for b in bounds], dtype=np.float64)
-        hi = np.array([b[1] for b in bounds], dtype=np.float64)
+    box = np.array([(-np.inf, np.inf)] * p if bounds is None else bounds,
+                   dtype=np.float64)
+    lo, hi = box[:, 0], box[:, 1]
     theta = np.clip(theta, lo, hi)
 
     jac = jacobian if jacobian is not None else (
@@ -147,41 +148,43 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
     def residual(th):
         return sw * (y - model(x, th))
 
+    def normal(th):
+        Jw = sw[:, None] * np.asarray(jac(x, th), dtype=np.float64)
+        return Jw, Jw.T @ Jw
+
     r = residual(theta)
     chi2 = float(r @ r)
     lam = 1e-3
     tiny = np.finfo(np.float64).tiny
-    flags: set[str] = set()
+    flags: tuple[str, ...] = ()
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        J = np.asarray(jac(x, theta), dtype=np.float64)
-        Jw = sw[:, None] * J
-        A = Jw.T @ Jw
+        Jw, A = normal(theta)
         g = Jw.T @ r
         dscale = np.diag(A).copy()
         dscale[dscale <= 0] = 1.0
+        free = ~(((theta <= lo) & (g < 0)) | ((theta >= hi) & (g > 0)))
 
-        accepted = False
-        for _ in range(60):
+        while True:  # ends: lam grows tenfold per rejected step
+            damped = (A + lam * np.diag(dscale))[np.ix_(free, free)]
+            step = np.zeros(p)
             try:
-                step = np.linalg.solve(A + lam * np.diag(dscale), g)
+                step[free] = np.linalg.solve(damped, g[free])
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(A + lam * np.diag(dscale), g,
-                                       rcond=None)[0]
+                step[free] = np.linalg.lstsq(damped, g[free], rcond=None)[0]
             trial = np.clip(theta + step, lo, hi)
             rt = residual(trial)
             chi2_t = float(rt @ rt)
             if np.isfinite(chi2_t) and chi2_t <= chi2:
-                accepted = True
                 break
             lam *= 10.0
             if lam > 1e14:
+                # No damping produces an improvement: already at a minimum.
+                converged = True
                 break
-        if not accepted:
-            # No damping produces an improvement: already at a minimum.
-            converged = True
+        if converged:
             break
 
         moved = trial - theta
@@ -195,9 +198,7 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
             converged = True
             break
 
-    J = np.asarray(jac(x, theta), dtype=np.float64)
-    Jw = sw[:, None] * J
-    A = Jw.T @ Jw
+    _, A = normal(theta)
     dof = max(m - p, 1)
     chi2_reduced = chi2 / dof
     try:
@@ -206,11 +207,11 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(A)
-        flags.add("singular_covariance")
+        flags = ("singular_covariance",)
     cov = cov * chi2_reduced
     sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return _RawFit(theta, sigma, cov, chi2_reduced, converged, iterations,
-                   tuple(sorted(flags)))
+                   flags)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +323,23 @@ def multi_exp_jacobian(t_ns, theta, tau0_ns: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fit drivers
 
-def _dip_half_width_ns(tau, counts, i_center, level, fallback):
-    """Distance from the center bin to where counts recross ``level``,
-    averaged over both sides; ``fallback`` when neither side crosses."""
+def _counts(histogram) -> np.ndarray:
+    """The histogram's counts as floats; an all-zero histogram is refused."""
+    counts = histogram.counts.astype(np.float64)
+    if not np.any(counts > 0):
+        raise ValueError("cannot fit an all-zero histogram")
+    return counts
+
+
+def _result(params, raw: _RawFit) -> FitResult:
+    return FitResult(params, params.names, raw.sigma, raw.covariance,
+                     raw.chi2_reduced, raw.converged, raw.iterations, raw.flags)
+
+
+def _tau_x0(tau, counts, i_center, level, bin_ns):
+    """Starting tauX: the mean distance from the center bin to where counts
+    recross ``level`` on either side (one bin if neither does) over ln 2,
+    which inverts the exponential profile; at least half a bin."""
     widths = []
     right = np.nonzero(counts[i_center:] >= level)[0]
     if right.size:
@@ -333,7 +348,8 @@ def _dip_half_width_ns(tau, counts, i_center, level, fallback):
     if left.size:
         widths.append(tau[i_center] - tau[i_center - left[0]])
     widths = [w for w in widths if w > 0]
-    return float(np.mean(widths)) if widths else fallback
+    half = float(np.mean(widths)) if widths else bin_ns
+    return max(half / math.log(2.0), bin_ns / 2.0)
 
 
 def fit_g2_cw(histogram: CoincidenceHistogram) -> FitResult:
@@ -352,9 +368,7 @@ def fit_g2_cw(histogram: CoincidenceHistogram) -> FitResult:
     NoDipError
         When the minimum bin is not below the plateau level.
     """
-    counts = histogram.counts.astype(np.float64)
-    if not np.any(counts > 0):
-        raise ValueError("cannot fit an all-zero histogram")
+    counts = _counts(histogram)
     tau = histogram.tau_centers_ns
     n = counts.size
     edge = max(n // 10, 1)
@@ -368,8 +382,7 @@ def fit_g2_cw(histogram: CoincidenceHistogram) -> FitResult:
         raise NoDipError(
             "histogram minimum is not below the plateau; no dip to fit")
     bin_ns = histogram.bin_width / PS_PER_NS
-    half = _dip_half_width_ns(tau, counts, i_min, a0 * (1.0 - b0 / 2.0), bin_ns)
-    tau_x0 = max(half / math.log(2.0), bin_ns / 2.0)
+    tau_x0 = _tau_x0(tau, counts, i_min, a0 * (1.0 - b0 / 2.0), bin_ns)
     if float(np.max(np.abs(tau - tau0_0))) < 5.0 * tau_x0:
         raise ValueError(
             "window too narrow: no plateau beyond 5 lifetimes of the dip")
@@ -380,9 +393,7 @@ def fit_g2_cw(histogram: CoincidenceHistogram) -> FitResult:
     raw = levenberg_marquardt(
         cw_g2_model, tau, counts, [a0, min(b0, 1.0), tau0_0, tau_x0],
         jacobian=cw_g2_jacobian, bounds=bounds)
-    params = G2CwParams.from_vector(raw.theta)
-    return FitResult(params, G2CwParams.names, raw.sigma, raw.covariance,
-                     raw.chi2_reduced, raw.converged, raw.iterations, raw.flags)
+    return _result(G2CwParams.from_vector(raw.theta), raw)
 
 
 def _comb_search(tau, counts, period_ns, n_side):
@@ -407,7 +418,9 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
 
     Initialization finds tau0 by comb search over the side peaks (robust
     when the center peak is strongly suppressed), peak heights from local
-    maxima, and tauX from the strongest side peak's half-width.
+    maxima, and tauX from the strongest side peak's half-width. The fit
+    uses the bins within (n_side + 0.5) periods of that tau0, the ones
+    the modelled peaks cover.
 
     Raises
     ------
@@ -419,9 +432,7 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
         raise ValueError(f"period_ns must be positive, got {period_ns}")
     if n_side < 1:
         raise ValueError(f"n_side must be >= 1, got {n_side}")
-    counts = histogram.counts.astype(np.float64)
-    if not np.any(counts > 0):
-        raise ValueError("cannot fit an all-zero histogram")
+    counts = _counts(histogram)
     tau = histogram.tau_centers_ns
     window_ns = histogram.window / PS_PER_NS
     if window_ns < (n_side + 0.5) * period_ns:
@@ -434,49 +445,40 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
     tau0_0 = float(tau[i0])
     bin_ns = histogram.bin_width / PS_PER_NS
 
-    quarter = period_ns / 4.0
+    # Each peak's highest bin within a quarter period; the center peak,
+    # suppressed, is read at tau0 itself.
     heights0 = np.zeros(2 * n_side + 1)
-    best_peak = None
+    peak_bin = np.zeros(2 * n_side + 1, dtype=np.int64)
     for j, k in enumerate(range(-n_side, n_side + 1)):
         center = tau0_0 + k * period_ns
-        sel = np.abs(tau - center) <= quarter
-        if not sel.any():
-            continue
-        if k == 0:
-            i_near = int(np.argmin(np.abs(tau - center)))
-            heights0[j] = max(counts[i_near] - a0, 0.0)
-        else:
-            local = counts[sel]
-            heights0[j] = max(float(local.max()) - a0, 0.0)
-            if best_peak is None or heights0[j] > heights0[best_peak[0]]:
-                best_peak = (j, int(np.nonzero(sel)[0][int(np.argmax(local))]))
+        sel = np.flatnonzero(np.abs(tau - center) <= period_ns / 4.0)
+        if sel.size:
+            peak_bin[j] = i0 if k == 0 else sel[np.argmax(counts[sel])]
+            heights0[j] = max(counts[peak_bin[j]] - a0, 0.0)
 
-    floor = 3.0 * math.sqrt(a0 + 1.0)
-    resolvable = sum(
-        1 for j, k in enumerate(range(-n_side, n_side + 1))
-        if k != 0 and heights0[j] > floor)
+    side = np.arange(2 * n_side + 1) != n_side
+    resolvable = int(np.count_nonzero(
+        heights0[side] > 3.0 * math.sqrt(a0 + 1.0)))
     if resolvable < 3:
         raise ValueError(
             f"only {resolvable} side peaks rise above the baseline; "
             "at least 3 are needed to anchor the comb")
 
-    j_best, i_best = best_peak
-    half = _dip_half_width_ns(
-        tau, -counts, i_best, -(a0 + heights0[j_best] / 2.0), bin_ns)
-    tau_x0 = max(half / math.log(2.0), bin_ns / 2.0)
+    j_best = int(np.argmax(np.where(side, heights0, -np.inf)))
+    tau_x0 = _tau_x0(tau, -counts, int(peak_bin[j_best]),
+                     -(a0 + heights0[j_best] / 2.0), bin_ns)
 
     init = np.concatenate(([a0], heights0, [tau0_0, tau_x0]))
-    bounds = ([(0.0, np.inf)] + [(0.0, np.inf)] * (2 * n_side + 1)
-              + [(tau0_0 - period_ns / 2.0, tau0_0 + period_ns / 2.0),
-                 (bin_ns * 1e-3, np.inf)])
+    bounds = [(0.0, np.inf)] * (2 * n_side + 2) + [
+        (tau0_0 - period_ns / 2.0, tau0_0 + period_ns / 2.0),
+        (bin_ns * 1e-3, np.inf)]
+    fitted = np.abs(tau - tau0_0) <= (n_side + 0.5) * period_ns
     raw = levenberg_marquardt(
         lambda x, th: pulsed_g2_model(x, th, period_ns),
-        tau, counts, init,
+        tau[fitted], counts[fitted], init,
         jacobian=lambda x, th: pulsed_g2_jacobian(x, th, period_ns),
         bounds=bounds)
-    params = G2PwParams.from_vector(raw.theta, period_ns)
-    return FitResult(params, params.names, raw.sigma, raw.covariance,
-                     raw.chi2_reduced, raw.converged, raw.iterations, raw.flags)
+    return _result(G2PwParams.from_vector(raw.theta, period_ns), raw)
 
 
 def fit_multiexp(histogram: DecayHistogram, n_components: int = 3) -> FitResult:
@@ -491,9 +493,7 @@ def fit_multiexp(histogram: DecayHistogram, n_components: int = 3) -> FitResult:
     """
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
-    counts = histogram.counts.astype(np.float64)
-    if not np.any(counts > 0):
-        raise ValueError("cannot fit an all-zero histogram")
+    counts = _counts(histogram)
     tau = histogram.delay_centers_ns
     i_peak = int(np.argmax(counts))
     tau0 = float(tau[i_peak])
@@ -529,19 +529,13 @@ def fit_multiexp(histogram: DecayHistogram, n_components: int = 3) -> FitResult:
     # Sort components by lifetime and permute sigma/covariance to match.
     order = np.argsort(raw.theta[2::2], kind="stable")
     perm = np.concatenate(([0], np.stack((2 * order + 1, 2 * order + 2)).T.ravel()))
-    theta = raw.theta[perm]
-    sigma = raw.sigma[perm]
-    cov = raw.covariance[np.ix_(perm, perm)]
-
-    flags = list(raw.flags)
-    amps = theta[1::2]
-    amp_sig = sigma[1::2]
-    if np.any(amps <= amp_sig):
-        flags.append("degenerate_component")
-        flags.append(f"suggest_n_components={max(n_components - 1, 1)}")
-    params = MultiExpParams.from_vector(theta, tau0)
-    return FitResult(params, params.names, sigma, cov, raw.chi2_reduced,
-                     raw.converged, raw.iterations, tuple(flags))
+    raw = dataclasses.replace(raw, theta=raw.theta[perm], sigma=raw.sigma[perm],
+                              covariance=raw.covariance[np.ix_(perm, perm)])
+    if np.any(raw.theta[1::2] <= raw.sigma[1::2]):
+        raw = dataclasses.replace(raw, flags=raw.flags + (
+            "degenerate_component",
+            f"suggest_n_components={max(n_components - 1, 1)}"))
+    return _result(MultiExpParams.from_vector(raw.theta, tau0), raw)
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +572,11 @@ def normalize_g2(histogram: CoincidenceHistogram,
             raise ValueError(
                 f"normalizer (mean side peak) must be positive, got {norm}")
         n_side = params.n_side
-        m = 2 * n_side
         top = params.background + params.center_height
         value = top / norm
         grad = np.zeros(2 * n_side + 4)
-        grad[0] = 1.0 / norm
-        grad[1 + n_side] = 1.0 / norm
-        for j in range(1, 2 * n_side + 2):
-            if j != 1 + n_side:
-                grad[j] = -top / (norm * norm * m)
+        grad[1:-2] = -top / (norm * norm * (2 * n_side))
+        grad[[0, 1 + n_side]] = 1.0 / norm
     else:
         raise TypeError(
             f"cannot normalize from a {type(params).__name__} fit")

@@ -311,9 +311,10 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
     ----------
     config : dict
         Job description; see the module docstring for the shape. The dict
-        is echoed verbatim into the report. An unknown top-level key
-        raises ``ValueError``; an unknown key in an analysis section
-        becomes that analysis's error entry.
+        is echoed verbatim into the report. An unknown top-level key, or
+        an ``analyses`` value that is not a list of strings, raises
+        ``ValueError``; an unknown key in an analysis section becomes
+        that analysis's error entry.
     base_dir : str, optional
         Directory that relative output paths are resolved against.
         Defaults to the current directory.
@@ -330,6 +331,11 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
     mode = config.get("mode")
     if mode not in ("simulate", "analyze"):
         raise ValueError(f"mode must be 'simulate' or 'analyze', got {mode!r}")
+    analyses = config.get("analyses", [])
+    if not (isinstance(analyses, list)
+            and all(isinstance(a, str) for a in analyses)):
+        raise ValueError(
+            f"analyses must be a list of analysis names, got {analyses!r}")
     base = base_dir or "."
     results: dict = {}
     errors: list = []
@@ -360,7 +366,7 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
 
     stage("simulate" if mode == "simulate" else "input", source)
 
-    for name in config.get("analyses", []):
+    for name in analyses:
         stage(name, _analyze, name, streams, config, base)
 
     return ReportDocument(config=dict(config), results=results,

@@ -146,6 +146,26 @@ class TestCoincidenceHistogram:
             pk.CoincidenceHistogram(500, 1000, [1, 2, 3, 4], normalization=0.0)
 
 
+class TestRecordEquality:
+    """Records compare field by field, arrays by value."""
+
+    def hist(self, counts=(1, 2, 3, 4), bin_width=500):
+        return pk.CoincidenceHistogram(
+            bin_width, 1000, np.array(counts[:2000 // bin_width], np.int64))
+
+    def test_different_array_compares_unequal(self):
+        assert self.hist() != self.hist(counts=(1, 2, 3, 5))
+
+    def test_different_scalar_compares_unequal(self):
+        assert self.hist() != self.hist(bin_width=1000)
+
+    def test_other_type_is_not_implemented(self):
+        h = self.hist()
+        assert h.__eq__(pk.DecayHistogram(500, 2000, np.zeros(4, np.int64))) \
+            is NotImplemented
+        assert h != (500, 1000, h.counts)
+
+
 class TestDecayHistogram:
     def test_centers(self):
         h = pk.DecayHistogram(500, 2000, [1, 2, 3, 4])

@@ -2,15 +2,18 @@
 
 import hashlib
 import json
+import re
 import struct
 import time
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonkit
 from photonkit.core import (
     CoincidenceHistogram,
     DecayHistogram,
@@ -754,6 +757,23 @@ class TestReportDocument:
         path = tmp_path / "report.json"
         doc.write(path)
         assert path.read_text() == doc.to_json()
+
+
+class TestToolVersion:
+    """The package version is one literal, the one ``pyproject.toml``
+    declares; reports carry it."""
+
+    def test_matches_pyproject(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M)
+        assert declared is not None
+        assert photonkit.__version__ == declared.group(1)
+
+    def test_report_carries_the_package_version(self):
+        tool = ReportDocument(config={}, results={}).to_dict()["tool"]
+        assert tool == {"name": "photonkit",
+                        "version": photonkit.__version__}
 
 
 class TestThroughput:

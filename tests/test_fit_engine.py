@@ -104,6 +104,32 @@ class TestEngine:
         with pytest.raises(ValueError):
             levenberg_marquardt(line, x, y, [0.0, 0.0], weights=np.ones(3))
 
+    def test_no_improving_damping_ends_at_the_start(self):
+        # A wrong-sign Jacobian sends every damped step uphill, up to the
+        # largest damping; the engine stops there and keeps the start.
+        x = np.linspace(0, 10, 20)
+        y = line(x, [2.5, -1.25])
+        fit = levenberg_marquardt(line, x, y, [0.0, 0.0],
+                                  jacobian=lambda xx, th: -line_jac(xx, th))
+        assert fit.converged
+        assert fit.iterations == 1
+        np.testing.assert_array_equal(fit.theta, [0.0, 0.0])
+        assert fit.chi2_reduced == pytest.approx(float(y @ y) / 18)
+
+    def test_parameter_held_at_its_bound(self):
+        # The free intercept would be -2. Bounded below by 0, the fit is
+        # the least-squares line through the origin, slope sum(xy)/sum(x^2).
+        # A step that pushes the intercept out is solved for the slope
+        # alone, so the fit does not crawl along the bound.
+        x = np.linspace(0, 10, 20)
+        y = line(x, [-2.0, 1.5])
+        fit = levenberg_marquardt(line, x, y, [1.0, 0.0], jacobian=line_jac,
+                                  bounds=[(0.0, np.inf), (-np.inf, np.inf)])
+        assert fit.converged
+        assert fit.iterations < 10
+        assert fit.theta[0] == 0.0
+        assert fit.theta[1] == pytest.approx((x @ y) / (x @ x), rel=1e-12)
+
 
 class TestNumericJacobian:
     def test_matches_analytic_for_decay(self):

@@ -208,6 +208,34 @@ class TestPulsedDriver:
             pk.fit_g2_pw(hist, period_ns=100.0, n_side=0)
 
 
+class TestPulsedEdgePeaks:
+    """A 600 ns window holds half of the peaks at +-600 ns, which the
+    five-side-peak model leaves out. The fit keeps to the bins its peaks
+    cover, so on a jitter-free comb it matches them to Poisson noise."""
+
+    def test_pearson_chi2_near_one_at_600_ns(self):
+        rec = pk.generate_emission(
+            pk.EmitterModel(lifetime_ns=4.7),
+            pk.ExcitationConfig("pulsed", excitation_probability=0.1),
+            pk.PS_PER_S, seed=1)
+        ch0, ch1, _ = pk.detect_hbt(
+            rec, pk.DetectorModel(efficiency=0.6, jitter_sigma_ps=0.0),
+            seed=1)
+        hist = pk.cross_correlate(ch0, ch1, 600_000, 500)
+        fit = pk.fit_g2_pw(hist, period_ns=100.0, n_side=5)
+        assert fit.converged
+        theta = fit.params.to_vector()
+        tau = hist.tau_centers_ns
+        covered = np.abs(tau - fit.params.tau0_ns) <= 5.5 * 100.0
+        assert 0 < covered.sum() < tau.size
+        model = pulsed_g2_model(tau[covered], theta, 100.0)
+        y = hist.counts[covered]
+        pearson = float(((y - model) ** 2 / model).sum())
+        assert 0.9 < pearson / (y.size - theta.size) < 1.15
+        tau_x = fit.value_of("tau_x_ns")
+        assert abs(tau_x.value - 4.7) < 3 * tau_x.sigma
+
+
 def synth_decay_histogram(rng, floor, pairs, tau0=0.2, bin_ns=0.1,
                           period_ns=100.0):
     bw = int(bin_ns * 1000)

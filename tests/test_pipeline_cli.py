@@ -14,10 +14,11 @@ import pytest
 from photonkit import correlator
 from photonkit import fit as fitmod
 from photonkit import pipeline
-from photonkit.cli import build_parser
+from photonkit.cli import _print_fit, build_parser
 from photonkit.cli import main as cli_main
 from photonkit.core import (PS_PER_MS, PS_PER_NS, SYNC_CHANNEL,
-                            PeriodicStream, TimestampStream, Verdict)
+                            Measurement, PeriodicStream, TimestampStream,
+                            Verdict)
 from photonkit.correlator import (cross_correlate, intensity_trace,
                                   sync_decay_histogram)
 from photonkit.fileio import (file_digest, read_histogram_csv,
@@ -538,6 +539,86 @@ class TestUnknownJobKeys:
                          str(tmp_path)]) == 1
         assert "unknown job options: analysis" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+class TestAnalysesValue:
+    """``analyses`` must be a list of analysis names. Any other value is
+    refused before a stage runs, the way an unknown job key is."""
+
+    MESSAGE = "analyses must be a list of analysis names, got "
+
+    @pytest.mark.parametrize("value", [None, "g2cw", ("g2cw",),
+                                       ["g2cw", 3], {"g2cw": True}],
+                             ids=["null", "string", "tuple", "non_string",
+                                  "dict"])
+    def test_rejected_before_simulating(self, tmp_path, value):
+        cfg = cw_config(duration_s=0.01, analyses=value)
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}"):
+            run_pipeline(cfg, base_dir=str(tmp_path))
+        assert not (tmp_path / "cw.ptst").exists()
+
+    @pytest.mark.parametrize("value", [None, "g2cw"])
+    def test_pipeline_subcommand_exits_with_the_message(self, tmp_path,
+                                                         capsys, value):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(cw_config(duration_s=0.01,
+                                            analyses=value)))
+        assert cli_main(["pipeline", str(job), "--outdir",
+                         str(tmp_path)]) == 1
+        assert self.MESSAGE in capsys.readouterr().err
+        assert not (tmp_path / "cw.ptst").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_empty_list_runs_the_source_stage_only(self, tmp_path):
+        doc = run_pipeline(cw_config(duration_s=0.01, analyses=[]),
+                           base_dir=str(tmp_path))
+        assert doc.ok
+        assert list(doc.results) == ["simulate"]
+
+
+class TestPrintedResults:
+    """The CLI prints each branch of a stage result: warnings, flags and
+    discards on stderr, and the blinking exponents or their absence."""
+
+    def lifetime_result(self, **overrides):
+        return {"fit": {"tau1_ns": {"value": 4.7, "sigma": 0.1}},
+                "chi2_reduced": 1.0, "tau_avg_ns": Measurement(4.7, 0.1),
+                "converged": True, "flags": [], "discarded": 0,
+                **overrides}
+
+    def test_non_convergence_flags_and_discards_go_to_stderr(self, capsys):
+        _print_fit(self.lifetime_result(
+            converged=False, discarded=12,
+            flags=["singular_covariance", "degenerate_component"]))
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: fit did not converge",
+            "flag: singular_covariance",
+            "flag: degenerate_component",
+            "12 photons outside the sync window",
+        ]
+
+    def test_blink_without_dwells_says_so(self, pulsed_path, capsys):
+        assert cli_main(["blink", str(pulsed_path), "--threshold",
+                         "1e9"]) == 0
+        text = out_lines(capsys)
+        assert "on dwells = 0, off dwells = 0" in text
+        assert "on: too few dwells to characterize" in text
+        assert "off: too few dwells to characterize" in text
+
+    def test_blink_prints_each_state_exponent(self, tmp_path, capsys):
+        path = tmp_path / "blinking.ptst"
+        assert cli_main(["simulate", "--duration-s", "1", "--rate-per-s",
+                         "2e5", "--blinking", "power_law", "--seed", "3",
+                         "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["blink", str(path), "--threshold", "30"]) == 0
+        text = out_lines(capsys)
+        for state in ("on", "off"):
+            line = next(s for s in text.splitlines()
+                        if s.startswith(f"{state}: "))
+            assert re.fullmatch(
+                rf"{state}: alpha = \S+ \+/- \S+, "
+                r"model = (power_law|exponential)", line), line
 
 
 class TestReadmeFlagTable:

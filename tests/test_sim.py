@@ -477,6 +477,36 @@ class TestBlockedDraws:
         np.testing.assert_array_equal(ch1.events, want1)
 
 
+class TestCwQuantumYield:
+    """A CW piece thins its renewal photons by the quantum yield with one
+    uniform per photon, drawn after the renewal times from the same
+    generator: the kept photons are a subset of the full-yield run, and
+    neither the block size nor the worker count changes them."""
+
+    def emission(self, quantum_yield, workers=1):
+        em = quiet_emitter(quantum_yield=quantum_yield)
+        exc = pk.ExcitationConfig("cw", cw_rate_per_s=3e3)
+        # Two generation blocks, a partial one last.
+        return pk.generate_emission(em, exc, PS_S + PS_S // 200, seed=43,
+                                    workers=workers)
+
+    def test_thins_the_full_yield_photons(self):
+        full, half = self.emission(1.0), self.emission(0.5)
+        assert np.isin(half.times, full.times).all()
+        frac = len(half) / len(full)
+        assert abs(frac - 0.5) < 5 * np.sqrt(0.25 / len(full))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_independent_of_block_and_workers(self, monkeypatch, block,
+                                              workers):
+        want = self.emission(0.5)
+        monkeypatch.setattr(pk.sim, "_BLOCK", block)
+        got = self.emission(0.5, workers)
+        assert got == want
+        assert 0 < len(got) < len(self.emission(1.0))
+
+
 class TestPoissonian:
     def test_rate(self):
         s = pk.simulate_poissonian(1e6, PS_S, seed=0)
