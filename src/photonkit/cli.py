@@ -142,7 +142,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_lifetime(args) -> int:
     config = _given(
-        input=args.input, duration_ps=args.duration_ps,
+        input=args.input, duration_ps=args.duration_ps, workers=args.workers,
         lifetime=_given(bin_width_ps=args.bin_width, period_ns=args.period,
                         n_components=args.components, csv=args.output))
     _, streams = run_load(config)
@@ -155,7 +155,7 @@ def cmd_lifetime(args) -> int:
 
 def cmd_blink(args) -> int:
     config = _given(
-        input=args.input, duration_ps=args.duration_ps,
+        input=args.input, duration_ps=args.duration_ps, workers=args.workers,
         blinking=_given(threshold_per_ms=args.threshold,
                         bin_width_ms=args.bin_ms,
                         min_dwell_ms=args.min_dwell_ms,
@@ -232,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     reader = argparse.ArgumentParser(add_help=False)
     reader.add_argument("input", help="binary timestamp file")
     reader.add_argument("--duration-ps", type=int)
+    reader.add_argument("--workers", type=int)
 
     parser = argparse.ArgumentParser(
         prog="photonkit",
@@ -268,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-correlate the two detector channels")
     p.add_argument("--window", type=float, help="half-window in ns")
     p.add_argument("--bin-width", type=int, help="bin width in ps")
-    p.add_argument("--workers", type=int)
     p.add_argument("--fit", choices=["none", "cw", "pulsed"], default="none")
     p.add_argument("--period", type=float,
                    help="pulse period in ns when the file has no sync channel")

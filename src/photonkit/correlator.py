@@ -44,28 +44,40 @@ def _require_sorted(stream: TimestampStream, name: str) -> None:
         raise ValueError(f"{name} stream is not sorted by timestamp")
 
 
-def _pair_counts(ta: np.ndarray, tb: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 window: int, bin_width: int, n_bins: int) -> np.ndarray:
-    """Histogram all (a, b) pairs given per-a partner index ranges in b.
+def _pair_counts(ta: np.ndarray, tb: np.ndarray, window: int,
+                 bin_width: int, n_bins: int) -> np.ndarray:
+    """Histogram every pair of an event in ``ta`` with an event in ``tb``
+    whose delay lies in [-window, +window).
 
-    Pass k bins the k-th partner of every event that has one: the cost is
-    the pairs plus one pass per partner rank (at most 2*window/d + 1 for a
-    detector dead time d), and each pass's arrays are no longer than ``ta``.
+    One binary search finds each event's first candidate partner ``lo``,
+    the first ``tb`` at or after ``t - window``. Pass k then bins candidate
+    ``lo + k`` of every event whose delay is still under ``+window``; an
+    event drops out when its delay leaves the window or its index reaches
+    the end of ``tb``. The cost is the pairs plus one pass per partner
+    rank and one more, in which the last events drop out (at most
+    2*window/d + 2 passes for a detector dead time d); each pass's arrays
+    are no longer than ``ta``.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
-    lens = hi - lo
-    idx = np.flatnonzero(lens)
-    k = 0
-    while idx.size:
-        at = lo[idx]
-        at += k
+    # Delays are taken from each window's lower edge, t - window, so they
+    # are bin offsets already and stay in the window while under 2*window.
+    start = ta - window
+    at = np.searchsorted(tb, start, side="left")
+    # ``at`` is sorted, so the events past the end of ``tb`` are its tail.
+    live = int(np.searchsorted(at, tb.size))
+    start, at = start[:live], at[:live]
+    while at.size:
         delta = tb[at]
-        delta -= ta[idx]
-        delta += window
+        delta -= start
+        keep = np.flatnonzero(delta < 2 * window)
+        if keep.size < delta.size:
+            start, at, delta = start[keep], at[keep], delta[keep]
         delta //= bin_width
         counts += np.bincount(delta, minlength=n_bins)
-        k += 1
-        idx = idx[lens[idx] > k]
+        at += 1
+        if at.size and at[-1] == tb.size:
+            live = int(np.searchsorted(at, tb.size))
+            start, at = start[:live], at[:live]
     return counts
 
 
@@ -74,9 +86,11 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     """Full cross-correlation histogram of delays t_b - t_a.
 
     Every ordered pair with delay in [-window, +window) increments one bin.
-    Both streams must be sorted. Binary search finds each event's partner
-    range; the cost is the in-window pairs plus one pass per partner rank,
-    and each pass's memory is linear in the worker's slice of events.
+    Both streams must be sorted. One binary search per event of ``a``
+    finds its first partner in ``b``; a walk over the following partners
+    checks the upper edge itself. The cost is the in-window pairs plus one
+    pass per partner rank, and each pass's memory is linear in the
+    worker's slice of events.
 
     Parameters
     ----------
@@ -104,11 +118,7 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
 
     def part(i: int) -> np.ndarray:
         t = ta[ta.size * i // workers:ta.size * (i + 1) // workers]
-        # Partner index ranges: tb in [t - window, t + window). side="left"
-        # on the upper edge is what discards delays exactly at +window.
-        lo = np.searchsorted(tb, t - window, side="left")
-        hi = np.searchsorted(tb, t + window, side="left")
-        return _pair_counts(t, tb, lo, hi, window, bin_width, n_bins)
+        return _pair_counts(t, tb, window, bin_width, n_bins)
 
     counts = sum(_map_workers(part, range(workers), workers),
                  np.zeros(n_bins, np.int64))

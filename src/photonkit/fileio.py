@@ -24,8 +24,12 @@ The writer and the reader each move a file's bytes once. Given a
 caller has the file's digest without reading the file again. Given
 ``workers`` > 1 they hash on one thread of the package's pool
 (``core._map_workers``) while another writes the file or checks the
-records, and they fill the record columns or gather the channels as
-separate tasks. Neither the bytes nor the streams depend on ``workers``.
+records, and the writer fills its two record columns as separate tasks.
+The reader checks the record order and counts the channels once per
+block of ``core._BLOCK`` records, then gathers every channel from each
+block while that block is in cache; its tasks take contiguous runs of
+blocks and write at offsets taken from the per-block counts. Neither the
+bytes nor the streams depend on ``workers`` or the block size.
 """
 
 from __future__ import annotations
@@ -269,8 +273,9 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
 
     The file is read once, into one buffer sized from the file. ``hasher``
     (a :mod:`hashlib` object) is fed all of its bytes in file order.
-    ``workers`` > 1 hashes while the records are checked, and gathers the
-    channels, on that many threads; the streams do not depend on it.
+    ``workers`` > 1 hashes while the records are checked, and then splits
+    the blocks of records into that many contiguous runs, each gathering
+    every channel on its own thread; the streams do not depend on it.
 
     Raises
     ------
@@ -308,23 +313,31 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
 
     t = records["t"]
     ch = records["ch"]
+    blocks = range(0, t.size, _BLOCK)
 
     def check_records() -> np.ndarray:
-        if t.size and not bool(np.all(t[1:] >= t[:-1])):
-            bad = int(np.nonzero(t[1:] < t[:-1])[0][0]) + 1
-            raise UnsortedRecordsError(
-                f"record {bad} goes backwards in time")
+        """Each block's count of records per channel id, after the order
+        and range checks."""
+        per_block = np.empty((len(blocks), 256), np.int64)
+        for j, lo in enumerate(blocks):
+            # One record back, so the pair across the cut is compared too.
+            first = max(lo - 1, 0)
+            part = t[first:lo + _BLOCK]
+            if not bool(np.all(part[1:] >= part[:-1])):
+                bad = first + int(np.nonzero(part[1:] < part[:-1])[0][0]) + 1
+                raise UnsortedRecordsError(
+                    f"record {bad} goes backwards in time")
+            per_block[j] = np.bincount(ch[lo:lo + _BLOCK], minlength=256)
         if t.size and int(t[-1]) * resolution > _INT64_MAX:
             raise TimestampOverflowError(
                 "timestamps overflow the signed 64-bit ps range")
-        return sum((np.bincount(ch[lo:lo + _BLOCK], minlength=256)
-                    for lo in range(0, ch.size, _BLOCK)),
-                   np.zeros(256, np.int64))
+        return per_block
 
     tasks = [check_records]
     if hasher is not None:
         tasks.append(lambda: hasher.update(data))
-    counts = _map_workers(lambda task: task(), tasks, workers)[0]
+    per_block = _map_workers(lambda task: task(), tasks, workers)[0]
+    counts = per_block.sum(axis=0)
     record_channels = np.flatnonzero(counts).tolist()
     seen = set(record_channels)
     last_event = int(t[-1]) * resolution if t.size else 0
@@ -354,22 +367,28 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
                 f"duration {duration} is before the last event {last_event}")
 
     # The records are globally sorted, non-negative and at most
-    # ``last_event``, so every per-channel slice is a valid stream.
+    # ``last_event``, so every per-channel slice is a valid stream. Block
+    # j's records of a channel land after that channel's records in the
+    # blocks before it.
     times = t.view(np.int64)
+    per_block = per_block[:, record_channels]
+    starts = np.cumsum(per_block, axis=0) - per_block
     channels = [(c, np.empty(counts[c], np.int64)) for c in record_channels]
 
-    def gather(channel):
-        c, events = channel
-        at = 0
-        for lo in range(0, times.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            part = times[block][ch[block] == c]
-            events[at:at + part.size] = part
-            at += part.size
-        if resolution != 1:
-            events *= resolution
+    def gather(run: range) -> None:
+        for j in run:
+            lo = blocks[j]
+            block = np.ascontiguousarray(times[lo:lo + _BLOCK])
+            block_ch = ch[lo:lo + _BLOCK]
+            for (c, events), at, n in zip(channels, starts[j], per_block[j]):
+                part = events[at:at + n]
+                np.compress(block_ch == c, block, out=part)
+                if resolution != 1:
+                    part *= resolution
 
-    _map_workers(gather, channels, workers)
+    n = len(blocks)
+    _map_workers(gather, [range(n * i // workers, n * (i + 1) // workers)
+                          for i in range(workers)], workers)
     out = {c: TimestampStream(c, events, duration) for c, events in channels}
     for c, offset, period, count in table:
         out[c] = PeriodicStream(c, offset * resolution, period * resolution,

@@ -425,3 +425,50 @@ class TestDeepBurst:
                                  workers=workers)
         np.testing.assert_array_equal(got.counts, want.counts)
         assert got.counts.sum() > 3000 * 50
+
+
+class TestPartnerWalk:
+    """Each event's partners are found by one search for the lower window
+    edge and a walk that stops at the upper edge or at the end of ``b``;
+    the histogram must equal the oracle at any worker count, on the
+    boundaries that walk has to get right."""
+
+    CASES = {
+        # delays of exactly -window (counted) and +window (not counted)
+        "window_edges": ([5000, 9000], [4000, 6000, 8000, 10_000]),
+        # equal timestamps across the two channels, with repeats
+        "equal_times": ([100, 100, 2000, 2000, 2000, 7000],
+                        [100, 2000, 2000, 7000, 7000]),
+        # every event's walk runs into the last event of b
+        "walk_to_last_b": ([9000, 9500, 9999], [8500, 9000, 9800, 9990]),
+        # events of a after the end of b, some still within the window
+        "a_after_b": ([100, 3000, 3500, 4200, 9000], [50, 2500, 3000]),
+        "b_empty": ([1000, 2000], []),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_oracle(self, case, workers):
+        raw_a, raw_b = self.CASES[case]
+        a = stream(raw_a, 10_000)
+        b = stream(raw_b, 10_000, channel=1)
+        for window, bin_width in ((1000, 500), (1000, 1), (500, 250)):
+            want = pk.brute_force_correlate(a, b, window, bin_width)
+            got = pk.cross_correlate(a, b, window, bin_width,
+                                     workers=workers)
+            np.testing.assert_array_equal(got.counts, want.counts)
+
+    @given(st.lists(st.integers(0, 60), max_size=40),
+           st.lists(st.integers(0, 60), max_size=40),
+           st.integers(1, 8), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_a_coarse_grid(self, raw_a, raw_b, steps,
+                                             workers):
+        # Times on a 50 ps grid and a window of whole grid steps, so that
+        # ties and delays of exactly +-window turn up in most examples.
+        a = stream(np.sort(raw_a) * 50, 3000)
+        b = stream(np.sort(raw_b) * 50, 3000, channel=1)
+        window = 50 * steps
+        want = pk.brute_force_correlate(a, b, window, bin_width=50)
+        got = pk.cross_correlate(a, b, window, bin_width=50, workers=workers)
+        np.testing.assert_array_equal(got.counts, want.counts)

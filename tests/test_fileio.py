@@ -7,6 +7,7 @@ import struct
 import time
 from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from photonkit.core import (
     TimestampStream,
     Verdict,
 )
+from photonkit import fileio
 from photonkit.correlator import sync_decay_histogram
 from photonkit.fileio import (
     FORMAT_VERSION,
@@ -598,6 +600,73 @@ class TestWriteReadWorkers:
                 read_timestamps(path, **kwargs)
             assert type(err.value) is cls
             assert err.value.code == cls.code
+
+
+class TestReadBlocks:
+    """The reader checks and gathers the records block by block; at any
+    block size and worker count the streams, the digest and the first
+    backwards record it names must be those of the whole-file reading."""
+
+    BLOCKS = (1, 7, 64)
+
+    def read_all_ways(self, path):
+        """``read_timestamps``'s streams and digest at every block size
+        and worker count, after those at the default block size."""
+        out = []
+        for block in (fileio._BLOCK, *self.BLOCKS):
+            with mock.patch.object(fileio, "_BLOCK", block):
+                for workers in (1, 2, 3):
+                    hasher = hashlib.sha256()
+                    streams = read_timestamps(path, workers=workers,
+                                              hasher=hasher)
+                    out.append((block, workers, streams,
+                                hasher.hexdigest()))
+        return out
+
+    @given(stream_sets(), st.sampled_from([1, 1000]))
+    @settings(max_examples=100, deadline=None)
+    def test_streams_and_digest_at_any_block_size(self, tmp_path_factory,
+                                                  streams, resolution):
+        path = tmp_path_factory.mktemp("blocks") / "x.ptst"
+        raw = reference_write(streams, resolution)
+        path.write_bytes(raw)
+        expected = reference_read(raw)
+        digest = hashlib.sha256(raw).hexdigest()
+        for block, workers, got, got_digest in self.read_all_ways(path):
+            assert got == expected, (block, workers)
+            assert got_digest == digest, (block, workers)
+
+    def test_many_blocks_of_tied_channels(self, tmp_path):
+        rng = np.random.default_rng(29)
+        streams = [stream(np.sort(rng.integers(0, 5000, 700)), channel=c)
+                   for c in (3, 0, 1)]
+        streams.append(PeriodicStream(255, 0, 100, 40, 5000))
+        path = tmp_path / "blocks.ptst"
+        for resolution in (1, 10):
+            raw = reference_write(streams, resolution)
+            path.write_bytes(raw)
+            expected = reference_read(raw)
+            for block, workers, got, _ in self.read_all_ways(path):
+                assert got == expected, (block, workers, resolution)
+
+    # 63 and 64 are first records of a block at block sizes 7 and 64 (and
+    # mid-block at the other); 100 is mid-block at 7 and 64.
+    @pytest.mark.parametrize("backwards", [[1], [63], [64], [100],
+                                           [100, 150], [199]])
+    def test_first_backwards_record_is_named(self, tmp_path, backwards):
+        t = np.arange(1, 201) * 10
+        for i in backwards:
+            t[i] = t[i - 1] - 1
+        path = tmp_path / "unsorted.ptst"
+        write_raw(path, records=[(int(x), i % 2) for i, x in enumerate(t)])
+        message = f"record {backwards[0]} goes backwards in time"
+        for block in (fileio._BLOCK, *self.BLOCKS):
+            with mock.patch.object(fileio, "_BLOCK", block):
+                for workers in (1, 2, 3):
+                    with pytest.raises(UnsortedRecordsError) as err:
+                        read_timestamps(path, workers=workers,
+                                        hasher=hashlib.sha256())
+                    assert str(err.value) == message, (block, workers)
 
 
 class TestHistogramCsv:

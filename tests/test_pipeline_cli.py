@@ -499,6 +499,28 @@ class TestWorkersKey:
         assert ((tmp_path / "lossy_w1.ptst").read_bytes()
                 == (tmp_path / "lossy_w2.ptst").read_bytes())
 
+    @pytest.mark.parametrize("command, flags", [
+        ("lifetime", ["--components", "1"]),
+        ("blink", []),
+    ])
+    def test_reader_workers_flag_maps_to_job_workers(
+            self, pulsed_path, tmp_path, monkeypatch, capsys, command, flags):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return read_timestamps(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_timestamps", spy)
+        printed = []
+        for workers in ("1", "2"):
+            assert cli_main([command, str(pulsed_path), *flags,
+                             "--workers", workers,
+                             "--outdir", str(tmp_path)]) == 0
+            printed.append(out_lines(capsys))
+        assert seen == [1, 2]
+        assert printed[0] == printed[1]
+
 
 class TestUnknownJobKeys:
     """Every job-config key is read by some stage or rejected."""
