@@ -247,13 +247,13 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
                      tau_min_ms: float | None = None) -> BlinkingResult:
     """Full blinking characterization of an intensity trace.
 
-    The trace is thresholded into segments; the first and last segment of
-    each state are dropped from the dwell statistics because the trace
-    boundaries truncate them. Dwells shorter than ``min_dwell_ms`` are
-    also dropped, which suppresses the bias from single-bin quantization
-    near the threshold. Each state with at least ``_MIN_FIT_SEGMENTS`` (8)
-    surviving dwells gets a power-law exponent and a model verdict;
-    sparser states report None.
+    The trace is thresholded into segments; the trace's first and last
+    segments are dropped from the dwell statistics, since they are the
+    only two that the trace's ends cut short. Dwells shorter than
+    ``min_dwell_ms`` are also dropped, which suppresses the bias from
+    single-bin quantization near the threshold. Each state with at least
+    ``_MIN_FIT_SEGMENTS`` (8) surviving dwells gets a power-law exponent
+    and a model verdict; sparser states report None.
 
     Mean ON/OFF rates are computed over all bins of that state, not just
     the surviving segments.

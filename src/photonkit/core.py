@@ -17,7 +17,9 @@ Histogram bin geometry is decided here too: the records and every builder
 of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
 ``_decay_bins`` (period), the only checks of a bin width. Each field
 declared with ``_ps``, and each ps argument of the correlator's builders
-and the ``sim`` generators, goes through ``_whole_ps``.
+and the ``sim`` generators, goes through ``_whole_ps``; a job's counts
+(``seed``, ``workers``, ``n_side``, ``n_components``) go through
+``_whole``, the same rule without the unit.
 """
 
 from __future__ import annotations
@@ -131,14 +133,21 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _whole_ps(value, name: str) -> int:
-    """``value`` as whole picoseconds: an integral float such as 600.0 is
-    its int; a fractional one, a string or a bool is an error naming it."""
+def _whole(value, name: str, unit: str = "") -> int:
+    """``value`` as a whole number (of ``unit``, if given): an integral
+    float such as 600.0 is its int; a fractional one, a string or a bool is
+    an error naming it."""
+    of = f" of {unit}" if unit else ""
     if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"{name} must be a number of ps, got {value!r}")
+        raise ValueError(f"{name} must be a number{of}, got {value!r}")
     if not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number of ps, got {value}")
+        raise ValueError(f"{name} must be a whole number{of}, got {value}")
     return int(value)
+
+
+def _whole_ps(value, name: str) -> int:
+    """``value`` as whole picoseconds, by :func:`_whole`'s rule."""
+    return _whole(value, name, "ps")
 
 
 def _array(dtype):

@@ -465,28 +465,21 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _jsonify(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
+def _encode_leaf(obj):
+    """``json.dumps`` hook: the report leaves ``json`` cannot encode itself."""
+    if isinstance(obj, np.floating):  # float() also narrows a longdouble
         return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, Measurement):
         return {"value": obj.value, "sigma": obj.sigma}
     if isinstance(obj, Verdict):
         return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
     as_dict = getattr(obj, "as_dict", None)
     if callable(as_dict):
-        return _jsonify(as_dict())
+        return as_dict()
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
@@ -510,20 +503,21 @@ class ReportDocument:
     created: str = field(default_factory=_now_iso)
 
     def to_dict(self) -> dict:
+        return json.loads(self.to_json())
+
+    def to_json(self) -> str:
         doc = {
             "schema_version": _SCHEMA_VERSION,
             "created": self.created,
             "tool": {"name": "photonkit", "version": __version__},
             "config": self.config,
             "results": self.results,
-            "errors": list(self.errors),
+            "errors": self.errors,
         }
         if self.input is not None:
             doc["input"] = self.input
-        return _jsonify(doc)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True,
+                          default=_encode_leaf) + "\n"
 
     def write(self, path) -> None:
         with open(path, "w") as f:

@@ -38,6 +38,7 @@ from .core import (
     IntensityTrace,
     PeriodicStream,
     TimestampStream,
+    _whole,
     ns_to_ps,
 )
 from .correlator import (_checked_sync, _sync_period, cross_correlate,
@@ -80,10 +81,19 @@ def _check_keys(cfg: dict, known, label: str) -> None:
 
 
 def _section(config: dict, name: str) -> dict:
-    """An analysis section of a job config, rejecting unknown keys."""
+    """An analysis section of a job config, rejecting unknown keys and a
+    ``period_ns`` that is not positive."""
     cfg = config.get(name) or {}
     _check_keys(cfg, _SECTION_KEYS[name], name)
+    period = cfg.get("period_ns")
+    if period is not None and not float(period) > 0:
+        raise ValueError(f"{name}.period_ns must be positive, got {period}")
     return cfg
+
+
+def _workers(config: dict) -> int:
+    """The job's one ``workers`` key, for every stage that takes it."""
+    return _whole(config.get("workers", 1), "workers")
 
 
 def _build(cls, cfg, label: str):
@@ -151,13 +161,13 @@ def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
 def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
     """Simulate emission and detection, then write the timestamp file;
     returns the stage result and the detector streams by channel."""
-    seed = int(config.get("seed", 0))
+    seed = _whole(config.get("seed", 0), "seed")
     duration = int(round(float(config.get("duration_s", 1.0)) * PS_PER_S))
     emitter = _build(EmitterModel, config.get("emitter"), "emitter")
     excitation = _build(ExcitationConfig, config.get("excitation"),
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
-    workers = int(config.get("workers", 1))
+    workers = _workers(config)
     # The emission record is not kept: it is freed before the file is
     # written, where this stage reaches its peak memory.
     ch0, ch1, sync = detect_hbt(
@@ -187,7 +197,7 @@ def run_load(config: dict, hasher=None) -> tuple[dict, dict]:
     if not path:
         raise ValueError("analyze mode needs an 'input' file")
     streams = read_timestamps(path, config.get("duration_ps"),
-                              workers=int(config.get("workers", 1)),
+                              workers=_workers(config),
                               hasher=hasher)
     return {
         "channels": sorted(streams),
@@ -205,7 +215,7 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
     corr_cfg = _section(config, "correlation")
     window = ns_to_ps(float(corr_cfg.get("window_ns", 1000.0)))
     return cross_correlate(ch0, ch1, window, corr_cfg.get("bin_width_ps", 500),
-                           int(config.get("workers", 1)))
+                           _workers(config))
 
 
 def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
@@ -216,8 +226,8 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
         res = fit.fit_g2_cw(histogram)
     else:
         period_ns = resolved_period_ns(streams, corr_cfg)
-        res = fit.fit_g2_pw(histogram, period_ns,
-                            int(corr_cfg.get("n_side", 5)))
+        res = fit.fit_g2_pw(histogram, period_ns, _whole(
+            corr_cfg.get("n_side", 5), "correlation.n_side"))
     normalized, g2 = fit.normalize_g2(histogram, res)
     out = {
         **_fit_entry(res),
@@ -250,7 +260,8 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
                  base: str = ".") -> dict:
     """Multi-exponential fit of a decay histogram."""
     life_cfg = _section(config, "lifetime")
-    res = fit.fit_multiexp(histogram, int(life_cfg.get("n_components", 3)))
+    res = fit.fit_multiexp(histogram, _whole(
+        life_cfg.get("n_components", 3), "lifetime.n_components"))
     out = {
         **_fit_entry(res),
         "tau_avg_ns": fit.average_lifetime(res),

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import re
 import subprocess
@@ -17,8 +18,8 @@ from photonkit import pipeline
 from photonkit.cli import _print_fit, build_parser
 from photonkit.cli import main as cli_main
 from photonkit.core import (PS_PER_MS, PS_PER_NS, SYNC_CHANNEL,
-                            Measurement, PeriodicStream, TimestampStream,
-                            Verdict)
+                            CoincidenceHistogram, Measurement, PeriodicStream,
+                            TimestampStream, Verdict, ns_to_ps)
 from photonkit.correlator import (cross_correlate, intensity_trace,
                                   sync_decay_histogram)
 from photonkit.fileio import (file_digest, read_histogram_csv,
@@ -684,6 +685,97 @@ class TestReadmeFlagTable:
                     assert rows[command].intersection(names), (command, names)
 
 
+
+def readme_flag_pairs():
+    """(subcommand, flag cell, key cell) for each flag of the README's flag
+    -> job-config table; a row's flags and keys pair up in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### One implementation behind both")[1]
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[1].startswith("`"):
+            continue
+        flags, keys = cells[1].split(", "), cells[2].split(", ")
+        assert len(flags) == len(keys), line
+        for command in cells[0].split(", "):
+            yield from ((command, f, k) for f, k in zip(flags, keys))
+
+
+class _StageReached(Exception):
+    pass
+
+
+class TestReadmeFlagKeys:
+    """Each flag in the README's table lands on the job-config key its row
+    names, in the config that reaches the stage the subcommand calls."""
+
+    # The stage whose config is captured. ``correlate`` runs with ``--fit``
+    # so that ``-o`` becomes ``correlation.csv``; its load and histogram
+    # stages are stubbed.
+    STAGE = {"simulate": "run_simulate", "correlate": "run_g2_fit",
+             "lifetime": "run_load", "blink": "run_load"}
+
+    @staticmethod
+    def flag_value(command, flag):
+        """A value for ``flag`` as typed, and as the parser stores it."""
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices[command]._actions
+                      if flag in (a.option_strings or [a.dest]))
+        if action.choices:
+            typed = action.choices[-1]
+        else:
+            typed = {int: "3", float: "2.5"}.get(action.type, "out.x")
+        return typed, action.type(typed) if action.type else typed
+
+    @pytest.mark.parametrize(
+        "command, flag_cell, key_cell", list(readme_flag_pairs()),
+        ids=lambda cell: cell.split("`")[1] if "`" in cell else cell)
+    def test_flag_sets_its_key(self, tmp_path, monkeypatch, command,
+                               flag_cell, key_cell):
+        flag = re.findall(r"`([^`]+)`", flag_cell)[0]
+        paths = re.findall(r"`([^`]+)`", key_cell)
+        parent = paths[0].rpartition(".")[0]
+        paths = [p if "." in p or not parent else f"{parent}.{p}"
+                 for p in paths]
+        typed, value = self.flag_value(command, flag)
+        if "(ns)" in flag_cell:
+            assert "(ps)" in key_cell
+            value = ns_to_ps(value)
+
+        stage = self.STAGE[command]
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(getattr(pipeline, stage)).bind(
+                *args, **kwargs)
+            seen.append(bound.arguments["config"])
+            raise _StageReached
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(f"photonkit.cli.{stage}", spy)
+        argv = [command]
+        if command != "simulate":
+            argv.append(typed if flag == "input" else "in.ptst")
+        if flag != "input":
+            argv += [flag, typed]
+        if command == "correlate":
+            monkeypatch.setattr("photonkit.cli.run_load",
+                                lambda config: ({}, {}))
+            monkeypatch.setattr(
+                "photonkit.cli.run_correlate",
+                lambda streams, config: CoincidenceHistogram(500, 1000,
+                                                             [0] * 4))
+            argv += ["--fit", "pulsed"]
+        with pytest.raises(_StageReached):
+            cli_main(argv)
+        [config] = seen
+        for path in paths:
+            node = config
+            for part in path.split("."):
+                node = node[part]
+            assert node == value, (path, node, value)
+
 class TestReadmePythonApi:
     """The README's Python API block runs as written."""
 
@@ -747,6 +839,97 @@ class TestWholePicosecondJobs:
         for entry in doc.errors:
             assert entry["message"].startswith("bin_width must be a whole")
 
+
+
+class TestWholeNumberJobs:
+    """A job's counts follow the ps values' rule without the unit: an
+    integral float runs exactly like the int; a fractional value, a string
+    or a bool is that stage's error entry naming the key. A ``period_ns``
+    that is not positive is refused the same way."""
+
+    JOB = {"mode": "simulate", "seed": 6, "duration_s": 0.02,
+           "excitation": {"mode": "pulsed", "excitation_probability": 0.5},
+           "output": "pulsed.ptst"}
+
+    @staticmethod
+    def only_error(doc, stage, key):
+        [entry] = doc.errors
+        assert (entry["stage"], entry["type"]) == (stage, "ValueError")
+        assert entry["message"].startswith(f"{key} must be a"), entry
+        assert "ps" not in entry["message"].split(", got")[0]
+        return entry
+
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 2.5), ("workers", True), ("workers", "2"),
+        ("seed", 1.5), ("seed", "7")])
+    def test_simulate_count_is_a_simulate_error(self, tmp_path, key, value):
+        doc = run_pipeline({**self.JOB, key: value}, base_dir=str(tmp_path))
+        self.only_error(doc, "simulate", key)
+        assert not (tmp_path / "pulsed.ptst").exists()
+
+    def test_integral_float_counts_write_the_same_file(self, tmp_path):
+        files = []
+        for seed, workers in ((6, 2), (6.0, 2.0)):
+            base = tmp_path / type(seed).__name__
+            base.mkdir()
+            doc = run_pipeline({**self.JOB, "seed": seed, "workers": workers},
+                               base_dir=str(base))
+            assert doc.ok, doc.errors
+            files.append((base / "pulsed.ptst").read_bytes())
+        assert files[0] == files[1]
+
+    def test_quoted_workers_is_an_input_error(self, cw_run, tmp_path):
+        _, path = cw_run
+        doc = run_pipeline({"mode": "analyze", "input": str(path),
+                            "workers": "2"}, base_dir=str(tmp_path))
+        self.only_error(doc, "input", "workers")
+
+    @pytest.mark.parametrize("analysis, section, key, value", [
+        ("g2pw", "correlation", "n_side", 4.7),
+        ("lifetime", "lifetime", "n_components", True)])
+    def test_fit_count_is_that_analysis_error(self, tmp_path, analysis,
+                                              section, key, value):
+        doc = run_pipeline({**self.JOB, "analyses": [analysis],
+                            "correlation": {"window_ns": 300},
+                            section: {key: value}}, base_dir=str(tmp_path))
+        assert "simulate" in doc.results
+        self.only_error(doc, analysis, f"{section}.{key}")
+
+    def test_integral_float_n_components_fits_the_same(self, tmp_path):
+        results = [
+            run_pipeline({**self.JOB, "analyses": ["lifetime"],
+                          "lifetime": {"n_components": n}},
+                         base_dir=str(tmp_path)).results["lifetime"]
+            for n in (1, 1.0)]
+        assert results[0] == results[1]
+
+    def test_period_not_positive_is_refused_in_either_section(
+            self, cw_run, tmp_path):
+        _, path = cw_run
+        doc = run_pipeline({
+            "mode": "analyze", "input": str(path),
+            "analyses": ["g2pw", "lifetime"],
+            "correlation": {"window_ns": 300, "period_ns": 0},
+            "lifetime": {"period_ns": -100}}, base_dir=str(tmp_path))
+        assert [(e["stage"], e["message"]) for e in doc.errors] == [
+            ("g2pw", "correlation.period_ns must be positive, got 0"),
+            ("lifetime", "lifetime.period_ns must be positive, got -100")]
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("simulate", {"seed": 1.5}, "seed"),
+        ("simulate", {"workers": "2"}, "workers"),
+        ("correlate", {"fit": "pulsed", "n_side": 4.7}, "correlation.n_side"),
+        ("lifetime", {"components": True}, "lifetime.n_components"),
+        ("lifetime", {"period": 0}, "lifetime.period_ns")])
+    def test_cli_config_exits_1_naming_the_key(self, pulsed_path, tmp_path,
+                                               capsys, command, config, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        source = (["--duration-s", "0.01"] if command == "simulate"
+                  else [str(pulsed_path)])
+        assert cli_main([command, *source, "--config", str(cfg),
+                         "--outdir", str(tmp_path)]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
 
 class TestChannelSumOracle:
     """The decay histogram and intensity trace are built per detector
