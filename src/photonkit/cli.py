@@ -194,8 +194,12 @@ def cmd_fit(args) -> int:
         kind = "g2cw" if args.model == "cw" else "g2pw"
         _print_fit(run_g2_fit(kind, hist, {}, config))
     else:
-        period_ps = (ns_to_ps(args.period) if args.period
-                     else int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0)))
+        if args.period is None:
+            period_ps = int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
+        elif args.period > 0:
+            period_ps = ns_to_ps(args.period)
+        else:
+            raise ValueError(f"--period must be positive, got {args.period}")
         hist = DecayHistogram(bin_ps, period_ps, counts)
         config = {"lifetime": _given(n_components=args.components)}
         _print_fit(run_lifetime(hist, config))

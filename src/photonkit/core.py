@@ -133,14 +133,20 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _number(value, name: str, unit: str = "") -> float:
+    """``value`` as a float; a string or a bool is an error naming it."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        of = f" of {unit}" if unit else ""
+        raise ValueError(f"{name} must be a number{of}, got {value!r}")
+    return float(value)
+
+
 def _whole(value, name: str, unit: str = "") -> int:
     """``value`` as a whole number (of ``unit``, if given): an integral
     float such as 600.0 is its int; a fractional one, a string or a bool is
     an error naming it."""
-    of = f" of {unit}" if unit else ""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"{name} must be a number{of}, got {value!r}")
-    if not float(value).is_integer():
+    if not _number(value, name, unit).is_integer():
+        of = f" of {unit}" if unit else ""
         raise ValueError(f"{name} must be a whole number{of}, got {value}")
     return int(value)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     PS_PER_MS,
+    _BLOCK,
     CoincidenceHistogram,
     DecayHistogram,
     IntensityTrace,
@@ -40,8 +41,11 @@ _PAIR_BUDGET = 4_000_000
 
 def _require_sorted(stream: TimestampStream, name: str) -> None:
     ev = stream.events
-    if ev.size > 1 and np.any(ev[1:] < ev[:-1]):
-        raise ValueError(f"{name} stream is not sorted by timestamp")
+    for lo in range(0, ev.size, _BLOCK):
+        # One event back, so the pair across the cut is compared too.
+        part = ev[max(lo - 1, 0):lo + _BLOCK]
+        if np.any(part[1:] < part[:-1]):
+            raise ValueError(f"{name} stream is not sorted by timestamp")
 
 
 def _pair_counts(ta: np.ndarray, tb: np.ndarray, window: int,
@@ -89,8 +93,9 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     Both streams must be sorted. One binary search per event of ``a``
     finds its first partner in ``b``; a walk over the following partners
     checks the upper edge itself. The cost is the in-window pairs plus one
-    pass per partner rank, and each pass's memory is linear in the
-    worker's slice of events.
+    pass per partner rank. Each worker folds its slice of ``a`` over
+    blocks of ``core._BLOCK`` events, so a pass's arrays stay block-sized
+    and in cache; the blocks' integer counts add up to the whole slice's.
 
     Parameters
     ----------
@@ -118,7 +123,11 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
 
     def part(i: int) -> np.ndarray:
         t = ta[ta.size * i // workers:ta.size * (i + 1) // workers]
-        return _pair_counts(t, tb, window, bin_width, n_bins)
+        counts = np.zeros(n_bins, np.int64)
+        for lo in range(0, t.size, _BLOCK):
+            counts += _pair_counts(t[lo:lo + _BLOCK], tb, window, bin_width,
+                                   n_bins)
+        return counts
 
     counts = sum(_map_workers(part, range(workers), workers),
                  np.zeros(n_bins, np.int64))
@@ -176,10 +185,9 @@ def _checked_sync(sync: TimestampStream) -> _CheckedSync:
 
 def _grid_delays(t: np.ndarray, offset: int, period: int,
                  count: int | None) -> np.ndarray:
-    """Delay of each sorted time since the latest pulse at or before it,
-    on the grid ``offset + k*period`` for k < count (unbounded when count
-    is None). Times before the first pulse are dropped."""
-    t = t[np.searchsorted(t, offset, side="left"):]
+    """Delay of each sorted time, none before ``offset``, since the latest
+    pulse at or before it on the grid ``offset + k*period`` for k < count
+    (unbounded when count is None)."""
     delay = t - offset
     delay %= period
     if count is not None:
@@ -205,6 +213,9 @@ def sync_decay_histogram(photons: TimestampStream,
     path, ``k = (t - offset) // period`` clamped to the last pulse, which
     gives the same delays as searching the materialized pulse array. An
     explicit sync :class:`TimestampStream` is searched pulse by pulse.
+    The photons from the first pulse on are folded over blocks of
+    ``core._BLOCK`` events, so a call's temporaries stay block-sized; the
+    blocks' integer counts add up to the whole stream's.
 
     Parameters
     ----------
@@ -230,22 +241,24 @@ def sync_decay_histogram(photons: TimestampStream,
         if not isinstance(sync, _CheckedSync):
             sync = _checked_sync(sync)
         s, period = sync.events, sync.period
+        offset = int(s[0])
     else:
         raise ValueError("either a sync stream or a period is required")
     n_bins = _decay_bins(period, bin_width)
 
-    if s is None:
-        delay = _grid_delays(t, offset, period, count)
-    else:
-        pos = np.searchsorted(s, t, side="right") - 1
-        good = pos >= 0
-        delay = t[good] - s[pos[good]]
-    # In place, so a call holds one photon-sized temporary: each delay
-    # becomes its bin, and bin n_bins collects those past the last edge.
-    delay //= bin_width
-    np.minimum(delay, n_bins, out=delay)
-    counts = np.bincount(delay, minlength=n_bins + 1)
-    discarded = t.size - delay.size + int(counts[n_bins])
+    t = t[np.searchsorted(t, offset, side="left"):]
+    # Bin n_bins collects the delays past the last edge.
+    counts = np.zeros(n_bins + 1, np.int64)
+    for lo in range(0, t.size, _BLOCK):
+        block = t[lo:lo + _BLOCK]
+        if s is None:
+            delay = _grid_delays(block, offset, period, count)
+        else:
+            delay = block - s[np.searchsorted(s, block, side="right") - 1]
+        delay //= bin_width
+        np.minimum(delay, n_bins, out=delay)
+        counts += np.bincount(delay, minlength=n_bins + 1)
+    discarded = photons.events.size - int(counts[:n_bins].sum())
     return DecayHistogram(bin_width, period, counts[:n_bins], discarded)
 
 
@@ -255,14 +268,20 @@ def intensity_trace(photons: TimestampStream,
 
     Every event lands in a bin: an event exactly at the stream duration is
     assigned to the last bin, so the bin sum always equals the stream
-    length.
+    length. The counts come from one binary search per inner bin edge in
+    the sorted events, not from binning each event.
     """
     _require_sorted(photons, "photons")
     bin_width = _whole_ps(bin_width, "bin_width")
     n_bins = _n_bins(photons.duration, bin_width)
     if photons.duration <= 0:
         raise ValueError("stream duration must be positive")
-    bins = photons.events // bin_width
-    np.minimum(bins, n_bins - 1, out=bins)
-    counts = np.bincount(bins, minlength=n_bins)
-    return IntensityTrace(counts.astype(np.int64), bin_width, photons.duration)
+    ev = photons.events
+    if ev.size and ev[0] < 0:
+        raise ValueError(f"event times must be non-negative, got {ev[0]}")
+    # Events before the edge k*bin_width fill bins 0..k-1; the last bin
+    # also takes those at or past the duration.
+    edges = np.searchsorted(ev, np.arange(1, n_bins) * bin_width,
+                            side="left")
+    counts = np.diff(edges, prepend=0, append=ev.size)
+    return IntensityTrace(counts, bin_width, photons.duration)

@@ -38,6 +38,7 @@ from .core import (
     IntensityTrace,
     PeriodicStream,
     TimestampStream,
+    _number,
     _whole,
     ns_to_ps,
 )
@@ -86,7 +87,7 @@ def _section(config: dict, name: str) -> dict:
     cfg = config.get(name) or {}
     _check_keys(cfg, _SECTION_KEYS[name], name)
     period = cfg.get("period_ns")
-    if period is not None and not float(period) > 0:
+    if period is not None and not _number(period, f"{name}.period_ns") > 0:
         raise ValueError(f"{name}.period_ns must be positive, got {period}")
     return cfg
 
@@ -162,7 +163,8 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
     """Simulate emission and detection, then write the timestamp file;
     returns the stage result and the detector streams by channel."""
     seed = _whole(config.get("seed", 0), "seed")
-    duration = int(round(float(config.get("duration_s", 1.0)) * PS_PER_S))
+    duration = int(round(_number(config.get("duration_s", 1.0), "duration_s")
+                         * PS_PER_S))
     emitter = _build(EmitterModel, config.get("emitter"), "emitter")
     excitation = _build(ExcitationConfig, config.get("excitation"),
                         "excitation")
@@ -213,7 +215,8 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
         raise ValueError(
             "analysis needs events on both detector channels 0 and 1")
     corr_cfg = _section(config, "correlation")
-    window = ns_to_ps(float(corr_cfg.get("window_ns", 1000.0)))
+    window = ns_to_ps(_number(corr_cfg.get("window_ns", 1000.0),
+                              "correlation.window_ns"))
     return cross_correlate(ch0, ch1, window, corr_cfg.get("bin_width_ps", 500),
                            _workers(config))
 
@@ -274,8 +277,8 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
 def run_intensity_trace(streams: dict, config: dict) -> IntensityTrace:
     """Intensity trace of both detector channels, summed over channels."""
     blink_cfg = _section(config, "blinking")
-    bin_width = int(round(float(blink_cfg.get("bin_width_ms", 1.0))
-                          * PS_PER_MS))
+    bin_width = int(round(_number(blink_cfg.get("bin_width_ms", 1.0),
+                                  "blinking.bin_width_ms") * PS_PER_MS))
     parts = [intensity_trace(s, bin_width) for s in _detector_channels(streams)]
     return dataclasses.replace(parts[0], counts=sum(t.counts for t in parts))
 
@@ -283,11 +286,15 @@ def run_intensity_trace(streams: dict, config: dict) -> IntensityTrace:
 def run_blinking(trace: IntensityTrace, config: dict) -> dict:
     """Threshold an intensity trace; characterize ON/OFF dwell statistics."""
     blink_cfg = _section(config, "blinking")
+    tau_min_ms = blink_cfg.get("tau_min_ms")
     res = analyze_blinking(
         trace,
-        threshold_per_ms=float(blink_cfg.get("threshold_per_ms", 50.0)),
-        min_dwell_ms=float(blink_cfg.get("min_dwell_ms", 0.0)),
-        tau_min_ms=blink_cfg.get("tau_min_ms"),
+        threshold_per_ms=_number(blink_cfg.get("threshold_per_ms", 50.0),
+                                 "blinking.threshold_per_ms"),
+        min_dwell_ms=_number(blink_cfg.get("min_dwell_ms", 0.0),
+                             "blinking.min_dwell_ms"),
+        tau_min_ms=None if tau_min_ms is None else _number(
+            tau_min_ms, "blinking.tau_min_ms"),
     )
     return {
         "threshold_per_ms": res.threshold,

@@ -472,3 +472,122 @@ class TestPartnerWalk:
         want = pk.brute_force_correlate(a, b, window, bin_width=50)
         got = pk.cross_correlate(a, b, window, bin_width=50, workers=workers)
         np.testing.assert_array_equal(got.counts, want.counts)
+
+
+class TestBlockedCorrelate:
+    """Each worker folds its slice of ``a`` over ``correlator._BLOCK``-event
+    blocks; at any block size and worker count the histogram must equal
+    the oracle, also for partners exactly one window away whose events sit
+    on either side of a block cut."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        # a every 1000 ps; b at a - 1000 (counted), a and a + 1000 (not
+        # counted), so the b events at +-window are shared by neighbours
+        # of a that fall into different blocks.
+        a = np.arange(1, 12) * 1000
+        b = np.sort(np.concatenate((a - 1000, a, a + 1000)))
+        yield "window_apart", stream(a, 13_000), stream(b, 13_000, 1), 1000
+        a, b = random_pair(rng, 40, 50, 20_000)
+        yield "random", a, b, 3000
+        ties = np.repeat([2000, 4000, 6000], 4)
+        yield ("ties", stream(ties, 8000),
+               stream(np.sort(np.concatenate((ties, ties + 2000))), 8000, 1),
+               2000)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_matches_oracle_at_any_block_size(self, monkeypatch, block,
+                                              workers):
+        monkeypatch.setattr(pk.correlator, "_BLOCK", block)
+        for name, a, b, window in self.cases():
+            for bin_width in (500, 1000, 1):
+                want = pk.brute_force_correlate(a, b, window, bin_width)
+                got = pk.cross_correlate(a, b, window, bin_width,
+                                         workers=workers)
+                np.testing.assert_array_equal(got.counts, want.counts,
+                                              err_msg=name)
+                assert got.counts.sum() > 0, name
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_backwards_pair_across_a_block_cut_is_refused(self, monkeypatch,
+                                                          block):
+        monkeypatch.setattr(pk.correlator, "_BLOCK", block)
+        events = np.arange(20) * 10
+        events[block] = events[block - 1] - 1   # first event of block 2
+        with pytest.raises(ValueError, match="a stream is not sorted"):
+            pk.cross_correlate(stream(events, 200), stream([5], 200, 1),
+                               window=100, bin_width=10)
+
+
+class TestBlockedDecay:
+    """``sync_decay_histogram`` folds the photons over
+    ``correlator._BLOCK``-event blocks; the counts and ``discarded`` must
+    equal a one-block run's for each kind of sync."""
+
+    @staticmethod
+    def syncs():
+        yield "periodic", {"sync": pk.PeriodicStream(255, 300, 700, 12, 10_000)}
+        yield "explicit", {"sync": stream([300, 1000, 1650, 2400, 3100, 3800,
+                                           5000, 5700, 6400], 10_000, 255)}
+        yield "period", {"period": 700}
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_matches_one_block_run(self, monkeypatch, block):
+        rng = np.random.default_rng(37)
+        # Photons before the first pulse, on pulses, in a skipped-pulse gap
+        # and after the last pulse, so every kind sees discarded photons.
+        events = np.sort(np.concatenate((
+            rng.integers(0, 10_000, 200), [0, 299, 300, 1000, 3800, 9000,
+                                           10_000])))
+        photons = stream(events, 10_000)
+        for name, kw in self.syncs():
+            one = pk.sync_decay_histogram(photons, bin_width=50, **kw)
+            assert photons.events.size <= pk.core._BLOCK
+            with monkeypatch.context() as m:
+                m.setattr(pk.correlator, "_BLOCK", block)
+                got = pk.sync_decay_histogram(photons, bin_width=50, **kw)
+            assert got == one, name
+            assert got.discarded == one.discarded, name
+            assert int(got.counts.sum()) + got.discarded == events.size
+            if name != "period":
+                assert got.discarded > 0, name
+
+
+class TestEdgeSearchTrace:
+    """``intensity_trace`` counts by a search for each bin edge in the
+    sorted events; it must equal a ``bincount`` of ``t // bin_width``
+    with the events at the duration clamped into the last bin."""
+
+    @staticmethod
+    def oracle(events, duration, bin_width):
+        n_bins = -(-duration // bin_width)
+        bins = np.minimum(np.asarray(events, np.int64) // bin_width,
+                          n_bins - 1)
+        return np.bincount(bins, minlength=n_bins)
+
+    @pytest.mark.parametrize("duration", [1000, 1050])
+    def test_events_on_edges_at_zero_and_at_duration(self, duration):
+        events = [0, 0, 99, 100, 100, 101, 500, 899, 900, 999, 1000,
+                  duration, duration]
+        s = stream(sorted(events), duration)
+        got = pk.intensity_trace(s, bin_width=100)
+        np.testing.assert_array_equal(
+            got.counts, self.oracle(sorted(events), duration, 100))
+        assert int(got.counts.sum()) == len(events)
+
+    @given(st.lists(st.integers(0, 5000), max_size=80),
+           st.integers(1, 5000), st.integers(1, 1200))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bincount_oracle(self, raw, duration, bin_width):
+        events = sorted(t for t in raw if t <= duration)
+        events += [duration] * (len(raw) % 3)
+        got = pk.intensity_trace(stream(events, duration), bin_width)
+        np.testing.assert_array_equal(
+            got.counts, self.oracle(events, duration, bin_width))
+
+    def test_negative_time_raises(self):
+        s = pk.TimestampStream(0, np.array([-5, 10, 20], np.int64), 100)
+        with pytest.raises(ValueError, match="non-negative"):
+            pk.intensity_trace(s, bin_width=10)

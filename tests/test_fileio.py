@@ -669,6 +669,45 @@ class TestReadBlocks:
                     assert str(err.value) == message, (block, workers)
 
 
+class TestMappedRead:
+    """The reader maps the file instead of copying it; the streams it
+    returns must own their events, so rewriting the file leaves them as
+    they were read."""
+
+    def test_empty_file_is_truncated(self, tmp_path):
+        path = tmp_path / "empty.ptst"
+        path.write_bytes(b"")
+        with pytest.raises(TruncatedFileError, match="header") as err:
+            read_timestamps(path)
+        assert err.value.code == "truncated"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_streams_survive_a_shorter_rewrite(self, tmp_path, workers):
+        rng = np.random.default_rng(41)
+        path = tmp_path / "x.ptst"
+        streams = [stream(np.sort(rng.integers(0, 10**6, 3000)), channel=c)
+                   for c in (0, 1)]
+        streams.append(PeriodicStream(255, 0, 1000, 1000, 10**6))
+        write_timestamps(streams, path)
+        first = read_timestamps(path, workers=workers)
+        kept = {c: s.events.copy() for c, s in first.items()}
+        # Same path, so the same file is truncated and written shorter.
+        shorter = [stream([5, 7], channel=0)]
+        write_timestamps(shorter, path)
+        for c, s in first.items():
+            np.testing.assert_array_equal(s.events, kept[c])
+        assert read_timestamps(path, workers=workers) == {0: shorter[0]}
+
+    def test_failed_read_then_good_read(self, tmp_path):
+        path = tmp_path / "x.ptst"
+        write_raw(path, records=[(20, 0), (10, 0)])
+        with pytest.raises(UnsortedRecordsError):
+            read_timestamps(path, workers=2, hasher=hashlib.sha256())
+        write_raw(path, records=[(10, 0), (20, 1)])
+        assert read_timestamps(path) == {
+            0: stream([10], 0, 20), 1: stream([20], 1, 20)}
+
+
 class TestHistogramCsv:
     def test_raw_coincidence_export(self, tmp_path):
         hist = CoincidenceHistogram(

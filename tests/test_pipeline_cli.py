@@ -931,6 +931,58 @@ class TestWholeNumberJobs:
                          "--outdir", str(tmp_path)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
 
+class TestFloatJobKeys:
+    """A job's real-valued keys refuse a bool or a numeric string with an
+    error entry naming the key, as the whole-number keys do; ``true`` must
+    not silently read as 1."""
+
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_duration_is_a_simulate_error(self, tmp_path, value):
+        doc = run_pipeline(cw_config(duration_s=value), base_dir=str(tmp_path))
+        TestWholeNumberJobs.only_error(doc, "simulate", "duration_s")
+        assert not (tmp_path / "cw.ptst").exists()
+
+    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize("analysis, section, key", [
+        ("g2cw", "correlation", "window_ns"),
+        ("g2pw", "correlation", "period_ns"),
+        ("blinking", "blinking", "threshold_per_ms"),
+        ("blinking", "blinking", "bin_width_ms"),
+        ("blinking", "blinking", "min_dwell_ms"),
+        ("blinking", "blinking", "tau_min_ms")])
+    def test_analysis_key_is_that_analysis_error(self, cw_run, tmp_path,
+                                                  analysis, section, key,
+                                                  value):
+        _, path = cw_run
+        doc = run_pipeline({"mode": "analyze", "input": str(path),
+                            "analyses": [analysis], section: {key: value}},
+                           base_dir=str(tmp_path))
+        entry = TestWholeNumberJobs.only_error(doc, analysis,
+                                               f"{section}.{key}")
+        assert entry["message"] == (
+            f"{section}.{key} must be a number, got {value!r}")
+
+
+class TestFitPeriodFlag:
+    """``photonkit fit --model decay`` refuses a ``--period`` that is not
+    positive, naming the flag, instead of replacing it by the CSV's extent
+    or failing on the bin width."""
+
+    @pytest.mark.parametrize("period", ["0", "-50"])
+    def test_not_positive_exits_1_naming_the_flag(self, pulsed_path,
+                                                   tmp_path, capsys, period):
+        assert cli_main(["lifetime", str(pulsed_path), "--components", "1",
+                         "--outdir", str(tmp_path), "-o", "decay.csv"]) == 0
+        capsys.readouterr()
+        assert cli_main(["fit", str(tmp_path / "decay.csv"), "--model",
+                         "decay", "--components", "1",
+                         f"--period={period}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --period must be positive, got {float(period)}\n")
+        assert captured.out == ""
+
+
 class TestChannelSumOracle:
     """The decay histogram and intensity trace are built per detector
     channel and summed. The reference builds them once on both channels
