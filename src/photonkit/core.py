@@ -18,8 +18,9 @@ of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
 ``_decay_bins`` (period), the only checks of a bin width. Each field
 declared with ``_ps``, and each ps argument of the correlator's builders
 and the ``sim`` generators, goes through ``_whole_ps``; a job's counts
-(``seed``, ``workers``, ``n_side``, ``n_components``) go through
-``_whole``, the same rule without the unit.
+(``seed``, ``workers``, ``n_side``, ``n_components``) and a
+``PeriodicStream``'s ``channel`` and ``count`` go through ``_whole``, the
+same rule without the unit.
 """
 
 from __future__ import annotations
@@ -240,27 +241,25 @@ class PeriodicStream(_ArrayRecord):
     Parameters
     ----------
     channel : int
-        Channel id, usually 255 (sync).
+        Channel id, usually 255 (sync); a whole number.
     offset : int
         First pulse in ps, >= 0.
     period : int
         Pulse spacing in ps, > 0.
     count : int
-        Number of pulses, >= 1.
+        Number of pulses, >= 1; a whole number.
     duration : int
         Observation span in ps, not before the last pulse.
     """
 
-    channel: int
+    channel: int = field(metadata={"convert": _whole})
     offset: int = _ps()
     period: int = _ps()
-    count: int
+    count: int = field(metadata={"convert": _whole})
     duration: int = _ps()
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("channel", "count"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.offset < 0:
             raise ValueError(f"offset must be >= 0, got {self.offset}")
         if self.period <= 0:

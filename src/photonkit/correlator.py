@@ -9,7 +9,7 @@ the int, a fractional one raises ``ValueError`` naming the argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -46,6 +46,17 @@ def _require_sorted(stream: TimestampStream, name: str) -> None:
         part = ev[max(lo - 1, 0):lo + _BLOCK]
         if np.any(part[1:] < part[:-1]):
             raise ValueError(f"{name} stream is not sorted by timestamp")
+
+
+def _photon_streams(photons) -> list[TimestampStream]:
+    """One stream or a non-empty sequence of them, as a checked list."""
+    single = isinstance(photons, (TimestampStream, PeriodicStream))
+    streams = [photons] if single else list(photons)
+    if not streams:
+        raise ValueError("photons must be a stream or a non-empty sequence")
+    for s in streams:
+        _require_sorted(s, "photons")
+    return streams
 
 
 def _pair_counts(ta: np.ndarray, tb: np.ndarray, window: int,
@@ -149,8 +160,6 @@ def brute_force_correlate(a: TimestampStream, b: TimestampStream, window: int,
     ta = a.events
     tb = b.events
     counts = np.zeros(n_bins, dtype=np.int64)
-    if ta.size == 0 or tb.size == 0:
-        return CoincidenceHistogram(bin_width, window, counts)
     block = max(1, _PAIR_BUDGET // max(tb.size, 1))
     for i0 in range(0, ta.size, block):
         delta = tb[None, :] - ta[i0:i0 + block, None]
@@ -168,21 +177,6 @@ def _sync_period(sync: TimestampStream | PeriodicStream) -> float:
     return float(np.median(np.diff(sync.events)))
 
 
-@dataclass(frozen=True, eq=False)
-class _CheckedSync(TimestampStream):
-    """An explicit sync checked for order, with its median spacing."""
-
-    period: int
-
-
-def _checked_sync(sync: TimestampStream) -> _CheckedSync:
-    _require_sorted(sync, "sync")
-    if sync.events.size < 2:
-        raise ValueError("need at least two sync pulses to infer the period")
-    return _CheckedSync(sync.channel, sync.events, sync.duration,
-                        int(_sync_period(sync)))
-
-
 def _grid_delays(t: np.ndarray, offset: int, period: int,
                  count: int | None) -> np.ndarray:
     """Delay of each sorted time, none before ``offset``, since the latest
@@ -197,7 +191,7 @@ def _grid_delays(t: np.ndarray, offset: int, period: int,
     return delay
 
 
-def sync_decay_histogram(photons: TimestampStream,
+def sync_decay_histogram(photons: TimestampStream | Sequence[TimestampStream],
                          sync: TimestampStream | PeriodicStream | None = None,
                          period: int | None = None,
                          bin_width: int = 500) -> DecayHistogram:
@@ -212,14 +206,15 @@ def sync_decay_histogram(photons: TimestampStream,
     A :class:`PeriodicStream` sync and ``period`` share one arithmetic
     path, ``k = (t - offset) // period`` clamped to the last pulse, which
     gives the same delays as searching the materialized pulse array. An
-    explicit sync :class:`TimestampStream` is searched pulse by pulse.
-    The photons from the first pulse on are folded over blocks of
-    ``core._BLOCK`` events, so a call's temporaries stay block-sized; the
-    blocks' integer counts add up to the whole stream's.
+    explicit sync :class:`TimestampStream` is checked once per call and
+    searched pulse by pulse. Every photon stream from the first pulse on
+    is folded over blocks of ``core._BLOCK`` events into one set of
+    integer counts, so a call's temporaries stay block-sized.
 
     Parameters
     ----------
-    photons : TimestampStream
+    photons : TimestampStream, or a sequence of them
+        All counted against the one sync, and in ``discarded``.
     sync : TimestampStream or PeriodicStream, optional
         Sync pulses. For an explicit stream the period is inferred from
         the median spacing.
@@ -228,8 +223,7 @@ def sync_decay_histogram(photons: TimestampStream,
     bin_width : int
         Bin width in ps; must not exceed the period.
     """
-    _require_sorted(photons, "photons")
-    t = photons.events
+    streams = _photon_streams(photons)
     s = None   # explicit sync pulses, searched instead of the grid
     bin_width = _whole_ps(bin_width, "bin_width")
     if period is not None:
@@ -238,50 +232,56 @@ def sync_decay_histogram(photons: TimestampStream,
     elif isinstance(sync, PeriodicStream):
         offset, period, count = sync.offset, sync.period, sync.count
     elif sync is not None:
-        if not isinstance(sync, _CheckedSync):
-            sync = _checked_sync(sync)
-        s, period = sync.events, sync.period
+        _require_sorted(sync, "sync")
+        if sync.events.size < 2:
+            raise ValueError(
+                "need at least two sync pulses to infer the period")
+        s, period = sync.events, int(_sync_period(sync))
         offset = int(s[0])
     else:
         raise ValueError("either a sync stream or a period is required")
     n_bins = _decay_bins(period, bin_width)
 
-    t = t[np.searchsorted(t, offset, side="left"):]
     # Bin n_bins collects the delays past the last edge.
     counts = np.zeros(n_bins + 1, np.int64)
-    for lo in range(0, t.size, _BLOCK):
-        block = t[lo:lo + _BLOCK]
-        if s is None:
-            delay = _grid_delays(block, offset, period, count)
-        else:
-            delay = block - s[np.searchsorted(s, block, side="right") - 1]
-        delay //= bin_width
-        np.minimum(delay, n_bins, out=delay)
-        counts += np.bincount(delay, minlength=n_bins + 1)
-    discarded = photons.events.size - int(counts[:n_bins].sum())
+    for t in (p.events for p in streams):
+        t = t[np.searchsorted(t, offset, side="left"):]
+        for lo in range(0, t.size, _BLOCK):
+            block = t[lo:lo + _BLOCK]
+            if s is None:
+                delay = _grid_delays(block, offset, period, count)
+            else:
+                delay = block - s[np.searchsorted(s, block, side="right") - 1]
+            delay //= bin_width
+            np.minimum(delay, n_bins, out=delay)
+            counts += np.bincount(delay, minlength=n_bins + 1)
+    discarded = sum(map(len, streams)) - int(counts[:n_bins].sum())
     return DecayHistogram(bin_width, period, counts[:n_bins], discarded)
 
 
-def intensity_trace(photons: TimestampStream,
+def intensity_trace(photons: TimestampStream | Sequence[TimestampStream],
                     bin_width: int = PS_PER_MS) -> IntensityTrace:
-    """Bin a photon stream into an intensity trace (default 1 ms bins).
+    """Bin photon streams into one intensity trace (default 1 ms bins).
 
-    Every event lands in a bin: an event exactly at the stream duration is
-    assigned to the last bin, so the bin sum always equals the stream
-    length. The counts come from one binary search per inner bin edge in
-    the sorted events, not from binning each event.
+    ``photons`` is one stream or a sequence of them; the trace spans the
+    longest duration. Every event lands in a bin: an event at or past the
+    duration is assigned to the last bin, so the bin sum always equals the
+    number of events. The counts come from one binary search per inner bin
+    edge in each stream's sorted events, not from binning each event.
     """
-    _require_sorted(photons, "photons")
+    streams = _photon_streams(photons)
     bin_width = _whole_ps(bin_width, "bin_width")
-    n_bins = _n_bins(photons.duration, bin_width)
-    if photons.duration <= 0:
+    duration = max(s.duration for s in streams)
+    n_bins = _n_bins(duration, bin_width)
+    if duration <= 0:
         raise ValueError("stream duration must be positive")
-    ev = photons.events
-    if ev.size and ev[0] < 0:
-        raise ValueError(f"event times must be non-negative, got {ev[0]}")
     # Events before the edge k*bin_width fill bins 0..k-1; the last bin
     # also takes those at or past the duration.
-    edges = np.searchsorted(ev, np.arange(1, n_bins) * bin_width,
-                            side="left")
-    counts = np.diff(edges, prepend=0, append=ev.size)
-    return IntensityTrace(counts, bin_width, photons.duration)
+    edges = np.arange(1, n_bins) * bin_width
+    counts = np.zeros(n_bins, np.int64)
+    for ev in (p.events for p in streams):
+        if ev.size and ev[0] < 0:
+            raise ValueError(f"event times must be non-negative, got {ev[0]}")
+        counts += np.diff(np.searchsorted(ev, edges, side="left"),
+                          prepend=0, append=ev.size)
+    return IntensityTrace(counts, bin_width, duration)

@@ -42,8 +42,8 @@ from .core import (
     _whole,
     ns_to_ps,
 )
-from .correlator import (_checked_sync, _sync_period, cross_correlate,
-                         intensity_trace, sync_decay_histogram)
+from .correlator import (_sync_period, cross_correlate, intensity_trace,
+                         sync_decay_histogram)
 from .fileio import (
     ReportDocument,
     export_histogram_csv,
@@ -134,13 +134,12 @@ def _sync(streams: dict) -> TimestampStream | PeriodicStream | None:
 
 
 def _detector_channels(streams: dict) -> list[TimestampStream]:
-    """Detector channels holding events, on the longest of their durations."""
+    """The detector channels that hold events."""
     parts = [s for s in (streams.get(CHANNEL_A), streams.get(CHANNEL_B))
              if s is not None and len(s)]
     if not parts:
         raise ValueError("no detector events to analyze")
-    duration = max(s.duration for s in parts)
-    return [dataclasses.replace(s, duration=duration) for s in parts]
+    return parts
 
 
 def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
@@ -243,20 +242,15 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
 
 
 def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
-    """Sync-referenced decay histogram of both detector channels, summed
-    over channels; without a sync, folded on the configured period."""
+    """Sync-referenced decay histogram of both detector channels; without
+    a sync, folded on the configured period."""
     life_cfg = _section(config, "lifetime")
     channels = _detector_channels(streams)
     sync = _sync(streams)
     period_ps = None if sync is not None else ns_to_ps(
         resolved_period_ns(streams, life_cfg))
-    if isinstance(sync, TimestampStream):  # checked once, not per channel
-        sync = _checked_sync(sync)
-    parts = [sync_decay_histogram(s, sync=sync, period=period_ps,
-                                  bin_width=life_cfg.get("bin_width_ps", 500))
-             for s in channels]
-    return dataclasses.replace(parts[0], counts=sum(h.counts for h in parts),
-                               discarded=sum(h.discarded for h in parts))
+    return sync_decay_histogram(channels, sync=sync, period=period_ps,
+                                bin_width=life_cfg.get("bin_width_ps", 500))
 
 
 def run_lifetime(histogram: DecayHistogram, config: dict,
@@ -275,12 +269,11 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
 
 
 def run_intensity_trace(streams: dict, config: dict) -> IntensityTrace:
-    """Intensity trace of both detector channels, summed over channels."""
+    """Intensity trace of both detector channels, on the longer duration."""
     blink_cfg = _section(config, "blinking")
     bin_width = int(round(_number(blink_cfg.get("bin_width_ms", 1.0),
                                   "blinking.bin_width_ms") * PS_PER_MS))
-    parts = [intensity_trace(s, bin_width) for s in _detector_channels(streams)]
-    return dataclasses.replace(parts[0], counts=sum(t.counts for t in parts))
+    return intensity_trace(_detector_channels(streams), bin_width)
 
 
 def run_blinking(trace: IntensityTrace, config: dict) -> dict:
@@ -329,10 +322,10 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
     ----------
     config : dict
         Job description; see the module docstring for the shape. The dict
-        is echoed verbatim into the report. An unknown top-level key, or
-        an ``analyses`` value that is not a list of strings, raises
-        ``ValueError``; an unknown key in an analysis section becomes
-        that analysis's error entry.
+        is echoed verbatim into the report. An unknown top-level key, an
+        ``analyses`` value that is not a list of strings, or a name listed
+        twice in it raises ``ValueError``; an unknown key in an analysis
+        section becomes that analysis's error entry.
     base_dir : str, optional
         Directory that relative output paths are resolved against.
         Defaults to the current directory.
@@ -354,6 +347,9 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
             and all(isinstance(a, str) for a in analyses)):
         raise ValueError(
             f"analyses must be a list of analysis names, got {analyses!r}")
+    for name in analyses:
+        if analyses.count(name) > 1:
+            raise ValueError(f"analysis {name!r} is listed more than once")
     base = base_dir or "."
     results: dict = {}
     errors: list = []

@@ -131,7 +131,8 @@ class EmitterModel:
     biexciton photon can precede the exciton one when
     ``biexciton_probability`` > 0; its decay constant is shorter in
     practice, so the default pairing puts it earlier without enforced
-    ordering.
+    ordering. CW excitation draws no biexciton photon, so
+    :func:`generate_emission` refuses a nonzero probability under it.
     """
 
     lifetime_ns: float = 4.7
@@ -407,6 +408,9 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     """
     emitter.validate()
     excitation.validate()
+    if excitation.mode == "cw" and emitter.biexciton_probability:
+        raise ValueError("biexciton_probability must be 0 under cw "
+                         f"excitation, got {emitter.biexciton_probability}")
     duration = _whole_ps(duration, "duration")
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")

@@ -88,6 +88,20 @@ class TestPeriodicStream:
         with pytest.raises(ValueError):
             pk.PeriodicStream(*args)
 
+    @pytest.mark.parametrize("name, index", [("channel", 0), ("count", 3)])
+    @pytest.mark.parametrize("value", [10.7, "10", True])
+    def test_channel_and_count_must_be_whole(self, name, index, value):
+        args = [255, 0, 100, 10, 10**6]
+        args[index] = value
+        with pytest.raises(ValueError, match=name):
+            pk.PeriodicStream(*args)
+
+    def test_integral_float_channel_and_count(self):
+        s = pk.PeriodicStream(255.0, 0, 100, 10.0, 10**6)
+        assert s.count == 10 and type(s.count) is int
+        assert s.channel == 255 and type(s.channel) is int
+        assert s == pk.PeriodicStream(255, 0, 100, 10, 10**6)
+
 
 class TestValidateStream:
     def test_clean(self):

@@ -591,3 +591,90 @@ class TestEdgeSearchTrace:
         s = pk.TimestampStream(0, np.array([-5, 10, 20], np.int64), 100)
         with pytest.raises(ValueError, match="non-negative"):
             pk.intensity_trace(s, bin_width=10)
+
+
+class TestStreamSequence:
+    """``sync_decay_histogram`` and ``intensity_trace`` take a sequence of
+    streams and fold every stream's blocks into one record, which must
+    equal the record of the streams merged into one time-ordered stream
+    on the longest of their durations."""
+
+    @staticmethod
+    def channels():
+        rng = np.random.default_rng(41)
+        # Photons before the first pulse, on pulses, in the skipped-pulse
+        # gap and after the last pulse, on two channels whose durations
+        # differ, so each channel has discards of its own.
+        a = stream(np.sort(np.concatenate((
+            rng.integers(0, 10_000, 150), [0, 299, 300, 3800, 10_000]))),
+            10_000)
+        b = stream(np.sort(np.concatenate((
+            rng.integers(0, 7_000, 90), [100, 1000, 4000, 7_000]))),
+            7_000, channel=1)
+        return a, b
+
+    @staticmethod
+    def merged(*parts):
+        events = np.sort(np.concatenate([p.events for p in parts]),
+                         kind="stable")
+        return stream(events, max(p.duration for p in parts))
+
+    @staticmethod
+    def syncs():
+        yield "periodic", {"sync": pk.PeriodicStream(255, 300, 700, 12,
+                                                     10_000)}
+        # Jittered, with the pulse near 3800 skipped.
+        yield "explicit", {"sync": stream([300, 1010, 1690, 2400, 3080,
+                                           4520, 5210, 5890, 6600, 7310],
+                                          10_000, 255)}
+        yield "period", {"period": 700}
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_decay_equals_the_merged_stream(self, monkeypatch, block):
+        a, b = self.channels()
+        refs = {name: pk.sync_decay_histogram(self.merged(a, b),
+                                              bin_width=50, **kw)
+                for name, kw in self.syncs()}
+        monkeypatch.setattr(pk.correlator, "_BLOCK", block)
+        for name, kw in self.syncs():
+            for order in ([a, b], [b, a]):
+                got = pk.sync_decay_histogram(order, bin_width=50, **kw)
+                assert got == refs[name], name
+                assert got.discarded == refs[name].discarded, name
+            assert int(got.counts.sum()) + got.discarded == len(a) + len(b)
+            if name != "period":
+                one = pk.sync_decay_histogram(a, bin_width=50, **kw)
+                assert one.discarded < got.discarded, name
+
+    @pytest.mark.parametrize("first", ["short", "long"])
+    def test_trace_spans_the_longest_duration(self, first):
+        a, b = self.channels()
+        order = [b, a] if first == "short" else [a, b]
+        got = pk.intensity_trace(order, bin_width=300)
+        ref = pk.intensity_trace(self.merged(a, b), bin_width=300)
+        assert got == ref
+        assert got.duration == a.duration > b.duration
+        assert int(got.counts.sum()) == len(a) + len(b)
+
+    def test_empty_sequence_raises(self):
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            pk.sync_decay_histogram([], period=100)
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            pk.intensity_trace([], bin_width=100)
+
+    def test_every_stream_is_checked_for_order(self):
+        a, _ = self.channels()
+        backwards = stream([30, 10], 100, channel=1)
+        with pytest.raises(ValueError, match="not sorted"):
+            pk.sync_decay_histogram([a, backwards], period=700)
+        with pytest.raises(ValueError, match="not sorted"):
+            pk.intensity_trace([a, backwards], bin_width=300)
+
+    def test_periodic_stream_as_a_single_stream(self):
+        grid = pk.PeriodicStream(0, 50, 100, 10, 1000)
+        same = stream(grid.events, 1000)
+        assert (pk.sync_decay_histogram(grid, period=100, bin_width=10)
+                == pk.sync_decay_histogram(same, period=100, bin_width=10))
+        trace = pk.intensity_trace(grid, bin_width=100)
+        assert trace == pk.intensity_trace(same, bin_width=100)
+        np.testing.assert_array_equal(trace.counts, np.ones(10))

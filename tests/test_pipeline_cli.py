@@ -599,6 +599,45 @@ class TestAnalysesValue:
         assert list(doc.results) == ["simulate"]
 
 
+class TestRepeatedAnalyses:
+    """A name listed twice in ``analyses`` is refused before a stage runs,
+    with a message of its own."""
+
+    ANALYSES = ["lifetime", "g2cw", "lifetime"]
+    MESSAGE = "analysis 'lifetime' is listed more than once"
+
+    def test_rejected_before_simulating(self, tmp_path):
+        cfg = cw_config(duration_s=0.01, analyses=self.ANALYSES)
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}$"):
+            run_pipeline(cfg, base_dir=str(tmp_path))
+        assert not (tmp_path / "cw.ptst").exists()
+
+    def test_pipeline_subcommand_exits_with_the_message(self, tmp_path,
+                                                         capsys):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(cw_config(duration_s=0.01,
+                                            analyses=self.ANALYSES)))
+        assert cli_main(["pipeline", str(job), "--outdir",
+                         str(tmp_path)]) == 1
+        assert self.MESSAGE in capsys.readouterr().err
+        assert not (tmp_path / "cw.ptst").exists()
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestCwBiexciton:
+    """CW excitation draws no biexciton photon, so a job asking for one
+    is a simulate error entry, not a silently ignored key."""
+
+    def test_simulate_error_entry(self, tmp_path):
+        cfg = cw_config(duration_s=0.01, emitter={
+            "lifetime_ns": 4.7, "biexciton_probability": 0.5})
+        doc = run_pipeline(cfg, base_dir=str(tmp_path))
+        [entry] = doc.errors
+        assert (entry["stage"], entry["type"]) == ("simulate", "ValueError")
+        assert "biexciton_probability" in entry["message"]
+        assert not (tmp_path / "cw.ptst").exists()
+
+
 class TestPrintedResults:
     """The CLI prints each branch of a stage result: warnings, flags and
     discards on stderr, and the blinking exponents or their absence."""

@@ -140,6 +140,14 @@ class TestCwEmission:
         assert (np.diff(rec.times) >= 0).all()
         assert rec.times[0] >= 0 and rec.times[-1] <= rec.duration
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_biexciton_probability_refused(self, p):
+        # A CW piece draws no biexciton photon, so the setting is refused
+        # rather than ignored.
+        em = quiet_emitter(biexciton_probability=p)
+        with pytest.raises(ValueError, match="biexciton_probability"):
+            pk.generate_emission(em, pk.ExcitationConfig("cw"), PS_S, seed=1)
+
 
 def greedy_dead_time(times, dead):
     kept = []
