@@ -325,7 +325,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, TimestampFileError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        code = getattr(e, "code", None)
+        where = f"[{code}]" if code is not None else ""
+        print(f"error{where}: {e}", file=sys.stderr)
         return 1
 
 

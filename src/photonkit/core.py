@@ -20,7 +20,10 @@ declared with ``_ps``, and each ps argument of the correlator's builders
 and the ``sim`` generators, goes through ``_whole_ps``; a job's counts
 (``seed``, ``workers``, ``n_side``, ``n_components``) and a
 ``PeriodicStream``'s ``channel`` and ``count`` go through ``_whole``, the
-same rule without the unit.
+same rule without the unit. A job's real-valued keys and each field
+declared with ``_real`` (the simulator models' floats) go through
+``_number``: null, a bool, a string, a list, an object or NaN is an error
+naming the key or field, and so is an infinity in a job key.
 """
 
 from __future__ import annotations
@@ -134,19 +137,36 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _number(value, name: str, unit: str = "") -> float:
-    """``value`` as a float; a string or a bool is an error naming it."""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        of = f" of {unit}" if unit else ""
-        raise ValueError(f"{name} must be a number{of}, got {value!r}")
-    return float(value)
+def _not_a_number(value, name: str, unit: str) -> ValueError:
+    of = f" of {unit}" if unit else ""
+    return ValueError(f"{name} must be a number{of}, got {value!r}")
+
+
+def _float(value, name: str, unit: str = "") -> float:
+    """``value`` as a float; a value that is not a real number (a string,
+    a bool, null, a list, an object) is an error naming it."""
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise _not_a_number(value, name, unit)
+
+
+def _number(value, name: str, unit: str = "", finite: bool = True) -> float:
+    """``value`` as a float by :func:`_float`'s rule; NaN, and an infinity
+    unless ``finite`` is False, is an error naming it too."""
+    number = _float(value, name, unit)
+    if math.isnan(number) or (finite and math.isinf(number)):
+        raise _not_a_number(value, name, unit)
+    return number
 
 
 def _whole(value, name: str, unit: str = "") -> int:
     """``value`` as a whole number (of ``unit``, if given): an integral
-    float such as 600.0 is its int; a fractional one, a string or a bool is
-    an error naming it."""
-    if not _number(value, name, unit).is_integer():
+    float such as 600.0 is its int; a fractional or non-finite one, or a
+    value :func:`_float` refuses, is an error naming it."""
+    if not _float(value, name, unit).is_integer():
         of = f" of {unit}" if unit else ""
         raise ValueError(f"{name} must be a whole number{of}, got {value}")
     return int(value)
@@ -168,12 +188,19 @@ def _ps(**kw):
     return field(metadata={"convert": _whole_ps}, **kw)
 
 
+def _real(**kw):
+    """Declare an :class:`_ArrayRecord` field as a number by
+    :func:`_number`'s rule, an infinity allowed."""
+    convert = functools.partial(_number, finite=False)
+    return field(metadata={"convert": convert}, **kw)
+
+
 class _ArrayRecord:
     """Mixin for record dataclasses: on construction, fields declared with
-    :func:`_array` are converted and made read-only and fields declared
-    with :func:`_ps` are taken as whole picoseconds (a validating record
-    calls this ``__post_init__`` first), and equality compares arrays by
-    value."""
+    :func:`_array` are converted and made read-only, fields declared with
+    :func:`_ps` are taken as whole picoseconds and fields declared with
+    :func:`_real` as numbers (a validating record calls this
+    ``__post_init__`` first), and equality compares arrays by value."""
 
     def __post_init__(self):
         for f in fields(self):

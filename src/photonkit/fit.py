@@ -12,7 +12,10 @@ pushes outward is held there, and the step is solved for the others.
 Model functions take a plain parameter vector so the engine, the analytic
 Jacobians, and the finite-difference cross-checks all share one calling
 convention. The packing order of each vector matches the ``names`` of the
-corresponding parameter record in :mod:`photonkit.core`.
+corresponding parameter record in :mod:`photonkit.core`. One kernel,
+``exp(-u / tau)`` with its derivatives in u and tau, holds the shape of
+every model: the CW dip and the pulsed peaks pass u = |delay|, the decay
+u = t - tau0.
 
 Every driver checks its histogram with ``_counts``, fits the bins its
 model covers from starting values read off the data, and builds its
@@ -217,34 +220,45 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
 # ---------------------------------------------------------------------------
 # model functions
 
+def _kernel(u, tau, derivatives: bool = False):
+    """``exp(-u / tau)``, the shape under every model; with ``derivatives``,
+    ``(e, de/du, de/dtau)``, which is ``(e, -e / tau, e * u / tau**2)``."""
+    e = np.exp(-u / tau)
+    if not derivatives:
+        return e
+    return e, -e / tau, e * u / tau ** 2
+
+
 def cw_g2_model(tau_ns, theta) -> np.ndarray:
     """CW antibunching dip: a * (1 - b * exp(-|tau - tau0| / tauX)).
 
     ``theta`` is (plateau a, dip depth b, tau0, tauX), times in ns.
     """
     a, b, tau0, tau_x = theta
-    return a * (1.0 - b * np.exp(-np.abs(np.asarray(tau_ns) - tau0) / tau_x))
+    return a * (1.0 - b * _kernel(np.abs(np.asarray(tau_ns) - tau0), tau_x))
 
 
 def cw_g2_jacobian(tau_ns, theta) -> np.ndarray:
     a, b, tau0, tau_x = theta
     d = np.asarray(tau_ns) - tau0
-    e = np.exp(-np.abs(d) / tau_x)
-    return np.column_stack((
-        1.0 - b * e,
-        -a * e,
-        -a * b * e * np.sign(d) / tau_x,
-        -a * b * e * np.abs(d) / tau_x ** 2,
-    ))
+    e, e_u, e_tau = _kernel(np.abs(d), tau_x, derivatives=True)
+    return np.column_stack(
+        (1.0 - b * e, -a * e, a * b * e_u * np.sign(d), -a * b * e_tau))
 
 
-def _split_pw_theta(theta):
+def _comb(tau_ns, theta, period_ns: float, derivatives: bool = False):
+    """(a, heights, N, delays, kernel) of a pulsed vector: the kernel at each
+    delay ``tau - tau0 - k*T``, one column per peak k = -N .. +N."""
     theta = np.asarray(theta, dtype=np.float64)
     n_side = (theta.size - 4) // 2
     if theta.size != 2 * n_side + 4 or n_side < 1:
         raise ValueError(
             f"pulsed parameter vector has invalid length {theta.size}")
-    return theta[0], theta[1:-2], theta[-2], theta[-1], n_side
+    ks = np.arange(-n_side, n_side + 1)
+    d = (np.asarray(tau_ns, dtype=np.float64)[:, None] - theta[-2]
+         - ks * period_ns)
+    return (theta[0], theta[1:-2], n_side, d,
+            _kernel(np.abs(d), theta[-1], derivatives))
 
 
 def pulsed_g2_model(tau_ns, theta, period_ns: float) -> np.ndarray:
@@ -256,67 +270,48 @@ def pulsed_g2_model(tau_ns, theta, period_ns: float) -> np.ndarray:
     The (1 - E0) factor removes side-peak leakage under the center dip so the
     same-pulse coefficient b0 is what the dip height measures.
     """
-    a, heights, tau0, tau_x, n_side = _split_pw_theta(theta)
-    tau = np.asarray(tau_ns, dtype=np.float64)
-    ks = np.arange(-n_side, n_side + 1)
-    d = tau[:, None] - tau0 - ks[None, :] * period_ns
-    e = np.exp(-np.abs(d) / tau_x)
+    a, heights, n_side, _, e = _comb(tau_ns, theta, period_ns)
     e0 = e[:, n_side]
     side = e @ heights - heights[n_side] * e0
     return a + heights[n_side] * e0 + (1.0 - e0) * side
 
 
 def pulsed_g2_jacobian(tau_ns, theta, period_ns: float) -> np.ndarray:
-    a, heights, tau0, tau_x, n_side = _split_pw_theta(theta)
-    tau = np.asarray(tau_ns, dtype=np.float64)
-    m = tau.size
-    ks = np.arange(-n_side, n_side + 1)
-    d = tau[:, None] - tau0 - ks[None, :] * period_ns
-    u = np.abs(d)
-    s = np.sign(d)
-    e = np.exp(-u / tau_x)
+    _, heights, n_side, d, (e, e_u, e_tau) = _comb(
+        tau_ns, theta, period_ns, derivatives=True)
     e0 = e[:, n_side]
-    s0 = s[:, n_side]
-    u0 = u[:, n_side]
     b0 = heights[n_side]
-
     side = e @ heights - b0 * e0                      # sum_{k != 0} b_k E_k
-    dside_num = (e * s) @ heights - b0 * e0 * s0       # d(side)/dtau0 * tauX
-    dside_u = (e * u) @ heights - b0 * e0 * u0         # d(side)/dtauX * tauX^2
-
-    cols = np.empty((m, theta.size))
+    cols = np.empty((e.shape[0], heights.size + 3))
     cols[:, 0] = 1.0
-    cols[:, 1:2 * n_side + 2] = e * (1.0 - e0)[:, None]
+    cols[:, 1:-2] = e * (1.0 - e0)[:, None]
     cols[:, 1 + n_side] = e0
-    cols[:, -2] = (e0 * s0 * (b0 - side) + (1.0 - e0) * dside_num) / tau_x
-    cols[:, -1] = (e0 * u0 * (b0 - side) + (1.0 - e0) * dside_u) / tau_x ** 2
+    # d(model) = dE_0 * (b0 - side) + (1 - E0) * sum_{k != 0} b_k dE_k
+    for j, de in ((-2, -e_u * np.sign(d)), (-1, e_tau)):
+        de0 = de[:, n_side]
+        cols[:, j] = de0 * (b0 - side) + (1.0 - e0) * (de @ heights - b0 * de0)
     return cols
 
 
 def multi_exp_model(t_ns, theta, tau0_ns: float) -> np.ndarray:
-    """Decay model A + sum_i B_i * exp(-(t - tau0) / tau_i) for t >= tau0.
+    """Decay model A + sum_i B_i * exp(-(t - tau0) / tau_i) for t >= tau0
+    (the kernel takes t - tau0 signed, so earlier bins rise above it).
 
     ``theta`` is (A, B1, tau1, B2, tau2, ...); tau0 is fixed.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    t = np.asarray(t_ns, dtype=np.float64)
-    amps = theta[1::2]
-    taus = theta[2::2]
-    dt = t[:, None] - tau0_ns
-    return theta[0] + np.exp(-dt / taus[None, :]) @ amps
+    dt = np.asarray(t_ns, dtype=np.float64)[:, None] - tau0_ns
+    return theta[0] + _kernel(dt, theta[2::2]) @ theta[1::2]
 
 
 def multi_exp_jacobian(t_ns, theta, tau0_ns: float) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
-    t = np.asarray(t_ns, dtype=np.float64)
-    amps = theta[1::2]
-    taus = theta[2::2]
-    dt = t[:, None] - tau0_ns
-    e = np.exp(-dt / taus[None, :])
-    cols = np.empty((t.size, theta.size))
+    dt = np.asarray(t_ns, dtype=np.float64)[:, None] - tau0_ns
+    e, _, e_tau = _kernel(dt, theta[2::2], derivatives=True)
+    cols = np.empty((dt.shape[0], theta.size))
     cols[:, 0] = 1.0
     cols[:, 1::2] = e
-    cols[:, 2::2] = amps[None, :] * e * dt / taus[None, :] ** 2
+    cols[:, 2::2] = theta[1::2] * e_tau
     return cols
 
 

@@ -81,10 +81,19 @@ def _check_keys(cfg: dict, known, label: str) -> None:
         raise ValueError(f"unknown {label} options: {', '.join(unknown)}")
 
 
+def _block(cfg, label: str) -> dict:
+    """A block of a job config: a JSON object, or null for an empty one."""
+    if cfg is None:
+        return {}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{label} must be a JSON object, got {cfg!r}")
+    return cfg
+
+
 def _section(config: dict, name: str) -> dict:
     """An analysis section of a job config, rejecting unknown keys and a
     ``period_ns`` that is not positive."""
-    cfg = config.get(name) or {}
+    cfg = _block(config.get(name), name)
     _check_keys(cfg, _SECTION_KEYS[name], name)
     period = cfg.get("period_ns")
     if period is not None and not _number(period, f"{name}.period_ns") > 0:
@@ -98,10 +107,10 @@ def _workers(config: dict) -> int:
 
 
 def _build(cls, cfg, label: str):
-    """Construct a config dataclass from a dict, rejecting unknown keys.
-    A field whose default is a config dataclass is built from its own
-    sub-dict the same way."""
-    cfg = dict(cfg or {})
+    """Construct a config dataclass from a :func:`_block`, rejecting
+    unknown keys. A field whose default is a config dataclass is built
+    from its own sub-block the same way."""
+    cfg = dict(_block(cfg, label))
     fields = dataclasses.fields(cls)
     _check_keys(cfg, [f.name for f in fields], label)
     for f in fields:

@@ -44,6 +44,7 @@ from .core import (
     _map_workers,
     _n_bins,
     _ps,
+    _real,
     _whole_ps,
 )
 
@@ -73,7 +74,7 @@ _BLOCK_PS = PS_PER_S  # 1 s generation blocks
 
 
 @dataclass(frozen=True)
-class BlinkingLaw:
+class BlinkingLaw(_ArrayRecord):
     """Dwell-time statistics of the emitting (ON) and dark (OFF) states.
 
     Parameters
@@ -95,13 +96,13 @@ class BlinkingLaw:
     """
 
     kind: str = "none"
-    alpha_on: float = 0.5
-    alpha_off: float = 0.5
-    min_dwell_ms: float = 1.0
-    max_dwell_ms: float = 100_000.0
-    mean_on_ms: float = 100.0
-    mean_off_ms: float = 50.0
-    off_emission_rate_per_ms: float = 20.0
+    alpha_on: float = _real(default=0.5)
+    alpha_off: float = _real(default=0.5)
+    min_dwell_ms: float = _real(default=1.0)
+    max_dwell_ms: float = _real(default=100_000.0)
+    mean_on_ms: float = _real(default=100.0)
+    mean_off_ms: float = _real(default=50.0)
+    off_emission_rate_per_ms: float = _real(default=20.0)
 
     def validate(self) -> None:
         if self.kind not in ("none", "two_state_exponential", "power_law"):
@@ -124,7 +125,7 @@ class BlinkingLaw:
 
 
 @dataclass(frozen=True)
-class EmitterModel:
+class EmitterModel(_ArrayRecord):
     """Photophysics of the simulated emitter.
 
     ``lifetime_ns`` is the exciton decay constant tau_X (default 4.7 ns). A
@@ -135,10 +136,10 @@ class EmitterModel:
     :func:`generate_emission` refuses a nonzero probability under it.
     """
 
-    lifetime_ns: float = 4.7
-    biexciton_lifetime_ns: float = 0.8
-    biexciton_probability: float = 0.0
-    quantum_yield: float = 1.0
+    lifetime_ns: float = _real(default=4.7)
+    biexciton_lifetime_ns: float = _real(default=0.8)
+    biexciton_probability: float = _real(default=0.0)
+    quantum_yield: float = _real(default=1.0)
     blinking: BlinkingLaw = field(default_factory=BlinkingLaw)
 
     def validate(self) -> None:
@@ -164,9 +165,9 @@ class ExcitationConfig(_ArrayRecord):
     """
 
     mode: str = "cw"
-    cw_rate_per_s: float = 1e6
+    cw_rate_per_s: float = _real(default=1e6)
     pulse_period_ps: int = _ps(default=100_000)
-    excitation_probability: float = 1.0
+    excitation_probability: float = _real(default=1.0)
     pulse_width_ps: int = _ps(default=50)
 
     def validate(self) -> None:
@@ -191,11 +192,11 @@ class DetectorModel(_ArrayRecord):
     timing jitter, 22 ns dead time, one dark count per millisecond.
     """
 
-    efficiency: float = 1.0
-    dark_rate_per_ms: float = 1.0
-    jitter_sigma_ps: float = 600.0
+    efficiency: float = _real(default=1.0)
+    dark_rate_per_ms: float = _real(default=1.0)
+    jitter_sigma_ps: float = _real(default=600.0)
     dead_time_ps: int = _ps(default=22_000)
-    splitter_ratio: float = 0.5
+    splitter_ratio: float = _real(default=0.5)
 
     def validate(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
@@ -572,6 +573,7 @@ def simulate_poissonian(rate_per_s: float, duration: int, seed: int) -> Timestam
     """
     if rate_per_s <= 0:
         raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
+    duration = _whole_ps(duration, "duration")
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
     rng = _rng(seed, _TAG_POISSON)

@@ -41,34 +41,84 @@ class TestAnalyticJacobians:
                                        atol=1e-6 * np.abs(ana).max())
 
     def test_pulsed(self):
-        rng = np.random.default_rng(2)
         period = 50.0
-        grid = np.linspace(-180, 180, 1201)
-        for _ in range(20):
-            heights = rng.uniform(50, 500, 7)
-            th = np.concatenate((
-                [rng.uniform(1, 30)], heights,
-                [rng.uniform(-2, 2), rng.uniform(1, 8)]))
-            kinks = th[-2] + np.arange(-3, 4) * period
-            tau = away_from_kinks(grid, kinks)
-            num = numeric_jacobian(
-                lambda x, t: pulsed_g2_model(x, t, period), tau, th)
-            ana = pulsed_g2_jacobian(tau, th, period)
-            np.testing.assert_allclose(num, ana, rtol=1e-6,
-                                       atol=1e-6 * np.abs(ana).max())
+        for n_side in (3, 1, 5):
+            rng = np.random.default_rng(2)
+            grid = np.linspace(-60 * n_side, 60 * n_side, 400 * n_side + 1)
+            for _ in range(20):
+                heights = rng.uniform(50, 500, 2 * n_side + 1)
+                th = np.concatenate((
+                    [rng.uniform(1, 30)], heights,
+                    [rng.uniform(-2, 2), rng.uniform(1, 8)]))
+                kinks = th[-2] + np.arange(-n_side, n_side + 1) * period
+                tau = away_from_kinks(grid, kinks)
+                num = numeric_jacobian(
+                    lambda x, t: pulsed_g2_model(x, t, period), tau, th)
+                ana = pulsed_g2_jacobian(tau, th, period)
+                np.testing.assert_allclose(num, ana, rtol=1e-6,
+                                           atol=1e-6 * np.abs(ana).max())
 
     def test_multi_exp(self):
         rng = np.random.default_rng(3)
-        t = np.linspace(0.5, 80, 300)
+        # The second grid starts before tau0 = 0.2, where the kernel's
+        # argument t - tau0 is negative.
+        grids = (np.linspace(0.5, 80, 300), np.linspace(-2, 80, 300))
         for _ in range(30):
             th = np.array([rng.uniform(1, 50),
                            rng.uniform(100, 3000), rng.uniform(0.3, 3),
                            rng.uniform(100, 3000), rng.uniform(4, 30)])
-            num = numeric_jacobian(
-                lambda x, p: multi_exp_model(x, p, 0.2), t, th)
-            ana = multi_exp_jacobian(t, th, 0.2)
-            np.testing.assert_allclose(num, ana, rtol=1e-6,
-                                       atol=1e-6 * np.abs(ana).max())
+            for t in grids:
+                num = numeric_jacobian(
+                    lambda x, p: multi_exp_model(x, p, 0.2), t, th)
+                ana = multi_exp_jacobian(t, th, 0.2)
+                np.testing.assert_allclose(num, ana, rtol=1e-6,
+                                           atol=1e-6 * np.abs(ana).max())
+
+
+class TestModelClosedForms:
+    """Each public model equals its closed form, written out here, bit for
+    bit at random parameters; the decay grid starts before tau0."""
+
+    def test_cw(self):
+        rng = np.random.default_rng(21)
+        tau = np.linspace(-60, 60, 481)
+        for _ in range(50):
+            th = np.array([rng.uniform(50, 5000), rng.uniform(0, 1),
+                           rng.uniform(-2, 2), rng.uniform(0.1, 15)])
+            a, b, tau0, tau_x = th
+            want = a * (1.0 - b * np.exp(-np.abs(tau - tau0) / tau_x))
+            assert np.array_equal(cw_g2_model(tau, th), want)
+
+    def test_pulsed(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            period = rng.uniform(20, 60)
+            tau = np.linspace(-(n + 0.5) * period, (n + 0.5) * period, 801)
+            th = np.concatenate((
+                [rng.uniform(0, 30)], rng.uniform(0, 500, 2 * n + 1),
+                [rng.uniform(-2, 2), rng.uniform(0.5, 8)]))
+            a, b, tau0, tau_x = th[0], th[1:-2], th[-2], th[-1]
+            # E_k = exp(-|tau - tau0 - k*T| / tauX), k = -n .. n
+            e = np.exp(-np.abs(tau[:, None] - tau0
+                               - np.arange(-n, n + 1) * period) / tau_x)
+            e0 = e[:, n]
+            side = e @ b - b[n] * e0            # sum_{k != 0} b_k E_k
+            want = a + b[n] * e0 + (1.0 - e0) * side
+            assert np.array_equal(pulsed_g2_model(tau, th, period), want)
+
+    def test_multi_exp(self):
+        rng = np.random.default_rng(23)
+        t = np.linspace(-3, 80, 500)
+        for _ in range(50):
+            k = int(rng.integers(1, 4))
+            tau0 = rng.uniform(-1, 3)
+            th = np.concatenate(([rng.uniform(0, 50)], np.ravel(
+                [(rng.uniform(0, 3000), rng.uniform(0.3, 30))
+                 for _ in range(k)])))
+            floor, amps, taus = th[0], th[1::2], th[2::2]
+            want = floor + np.exp(-(t[:, None] - tau0) / taus) @ amps
+            assert np.array_equal(multi_exp_model(t, th, tau0), want)
 
 
 class TestNoiselessInversion:

@@ -900,7 +900,7 @@ class TestWholeNumberJobs:
 
     @pytest.mark.parametrize("key, value", [
         ("workers", 2.5), ("workers", True), ("workers", "2"),
-        ("seed", 1.5), ("seed", "7")])
+        ("seed", 1.5), ("seed", "7"), ("seed", None)])
     def test_simulate_count_is_a_simulate_error(self, tmp_path, key, value):
         doc = run_pipeline({**self.JOB, key: value}, base_dir=str(tmp_path))
         self.only_error(doc, "simulate", key)
@@ -925,6 +925,7 @@ class TestWholeNumberJobs:
 
     @pytest.mark.parametrize("analysis, section, key, value", [
         ("g2pw", "correlation", "n_side", 4.7),
+        ("g2pw", "correlation", "n_side", None),
         ("lifetime", "lifetime", "n_components", True)])
     def test_fit_count_is_that_analysis_error(self, tmp_path, analysis,
                                               section, key, value):
@@ -959,7 +960,8 @@ class TestWholeNumberJobs:
         ("simulate", {"workers": "2"}, "workers"),
         ("correlate", {"fit": "pulsed", "n_side": 4.7}, "correlation.n_side"),
         ("lifetime", {"components": True}, "lifetime.n_components"),
-        ("lifetime", {"period": 0}, "lifetime.period_ns")])
+        ("lifetime", {"period": 0}, "lifetime.period_ns"),
+        ("correlate", {"window": [1]}, "correlation.window_ns")])
     def test_cli_config_exits_1_naming_the_key(self, pulsed_path, tmp_path,
                                                capsys, command, config, key):
         cfg = tmp_path / "config.json"
@@ -971,17 +973,20 @@ class TestWholeNumberJobs:
         assert f"error: {key} must be" in capsys.readouterr().err
 
 class TestFloatJobKeys:
-    """A job's real-valued keys refuse a bool or a numeric string with an
-    error entry naming the key, as the whole-number keys do; ``true`` must
-    not silently read as 1."""
+    """A job's real-valued keys refuse a bool, a numeric string, null, NaN
+    or an infinity with an error entry naming the key, as the whole-number
+    keys do; ``true`` must not silently read as 1. Null still means unset
+    for ``tau_min_ms``, ``period_ns`` and ``csv``."""
 
-    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize("value", [True, "1", None, float("nan"),
+                                       float("inf")])
     def test_duration_is_a_simulate_error(self, tmp_path, value):
         doc = run_pipeline(cw_config(duration_s=value), base_dir=str(tmp_path))
         TestWholeNumberJobs.only_error(doc, "simulate", "duration_s")
         assert not (tmp_path / "cw.ptst").exists()
 
-    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize("value", [True, "1", float("nan"),
+                                       float("inf")])
     @pytest.mark.parametrize("analysis, section, key", [
         ("g2cw", "correlation", "window_ns"),
         ("g2pw", "correlation", "period_ns"),
@@ -1000,6 +1005,117 @@ class TestFloatJobKeys:
                                                f"{section}.{key}")
         assert entry["message"] == (
             f"{section}.{key} must be a number, got {value!r}")
+
+    @pytest.mark.parametrize("analysis, section, key", [
+        ("g2cw", "correlation", "window_ns"),
+        ("blinking", "blinking", "threshold_per_ms"),
+        ("blinking", "blinking", "bin_width_ms"),
+        ("blinking", "blinking", "min_dwell_ms")])
+    def test_null_analysis_key_is_that_analysis_error(
+            self, cw_run, tmp_path, analysis, section, key):
+        self.test_analysis_key_is_that_analysis_error(
+            cw_run, tmp_path, analysis, section, key, None)
+
+    def test_null_reads_as_unset(self, pulsed_path, tmp_path):
+        job = {"mode": "analyze", "input": str(pulsed_path),
+               "analyses": ["lifetime", "blinking"]}
+        unset = run_pipeline(job, base_dir=str(tmp_path))
+        null = run_pipeline({**job, "lifetime": {"period_ns": None,
+                                                 "csv": None},
+                             "blinking": {"tau_min_ms": None}},
+                            base_dir=str(tmp_path))
+        assert unset.ok and null.ok, (unset.errors, null.errors)
+        assert null.results == unset.results
+
+
+class TestModelFieldJobs:
+    """A model block's real-valued fields take the same number rule: a
+    bool, a string, null or NaN is the simulate stage's error entry naming
+    the field, and no file is written."""
+
+    @pytest.mark.parametrize("value", [True, "4.7", None, float("nan")])
+    @pytest.mark.parametrize("block, key", [
+        ("emitter", "lifetime_ns"),
+        ("excitation", "excitation_probability"),
+        ("detector", "efficiency"),
+        ("detector", "jitter_sigma_ps")])
+    def test_simulate_error_entry_names_the_field(self, tmp_path, block,
+                                                  key, value):
+        cfg = cw_config(duration_s=0.01)
+        cfg[block] = {**cfg[block], key: value}
+        doc = run_pipeline(cfg, base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            ("simulate", "ValueError", f"{key} must be a number, got {value!r}")]
+        assert not (tmp_path / "cw.ptst").exists()
+
+    def test_blinking_field_and_infinite_dwell(self, tmp_path):
+        emitter = {"lifetime_ns": 4.7, "blinking": {
+            "kind": "power_law", "max_dwell_ms": float("nan")}}
+        doc = run_pipeline(cw_config(duration_s=0.01, emitter=emitter),
+                           base_dir=str(tmp_path))
+        TestWholeNumberJobs.only_error(doc, "simulate", "max_dwell_ms")
+        emitter["blinking"]["max_dwell_ms"] = float("inf")
+        doc = run_pipeline(cw_config(duration_s=0.01, emitter=emitter),
+                           base_dir=str(tmp_path))
+        assert doc.ok, doc.errors
+
+
+class TestJobBlocks:
+    """An analysis section or a model block that is not a JSON object is
+    refused by name, as that analysis's or the simulate stage's error
+    entry; a null one reads as empty."""
+
+    @pytest.mark.parametrize("analysis, section, value", [
+        ("g2cw", "correlation", "abc"),
+        ("g2cw", "correlation", [1]),
+        ("lifetime", "lifetime", 5),
+        ("blinking", "blinking", [])])
+    def test_section_is_that_analysis_error(self, cw_run, tmp_path,
+                                            analysis, section, value):
+        _, path = cw_run
+        doc = run_pipeline({"mode": "analyze", "input": str(path),
+                            "analyses": [analysis], section: value},
+                           base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            (analysis, "ValueError",
+             f"{section} must be a JSON object, got {value!r}")]
+
+    @pytest.mark.parametrize("emitter, label, value", [
+        (5, "emitter", 5),
+        ("abc", "emitter", "abc"),
+        ({"blinking": 3}, "blinking", 3)])
+    def test_model_block_is_a_simulate_error(self, tmp_path, emitter, label,
+                                             value):
+        doc = run_pipeline(cw_config(duration_s=0.01, emitter=emitter),
+                           base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            ("simulate", "ValueError",
+             f"{label} must be a JSON object, got {value!r}")]
+        assert not (tmp_path / "cw.ptst").exists()
+
+    def test_null_block_reads_as_empty(self, cw_run, tmp_path):
+        _, path = cw_run
+        doc = run_pipeline(cw_config(duration_s=0.01, emitter=None,
+                                     detector={"dark_rate_per_ms": 0.0}),
+                           base_dir=str(tmp_path))
+        assert doc.ok, doc.errors
+        doc = run_pipeline({"mode": "analyze", "input": str(path),
+                            "analyses": ["blinking"], "blinking": None},
+                           base_dir=str(tmp_path))
+        assert doc.ok, doc.errors
+
+
+class TestSubcommandErrorCodes:
+    """A file error keeps its stable code on every subcommand, as it does
+    in the pipeline's ``error[stage:code]`` lines."""
+
+    @pytest.mark.parametrize("command", ["correlate", "lifetime", "blink"])
+    def test_bad_magic_prints_its_code(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.ptst"
+        bad.write_bytes(b"NOTP" + bytes(15))
+        assert cli_main([command, str(bad), "--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad_magic]: "), err
 
 
 class TestFitPeriodFlag:

@@ -671,3 +671,36 @@ class TestConfigValidation:
     def test_emission_record_shape_mismatch(self):
         with pytest.raises(ValueError):
             pk.EmissionRecord(np.array([1, 2]), np.array([True]), (), 10, None)
+
+
+class TestModelFieldNumbers:
+    """The simulator models' real-valued fields are numbers by the job
+    keys' rule, checked on construction: a bool, a string, null, a list
+    or NaN is refused by name. An infinity is allowed, so an untruncated
+    power law (``max_dwell_ms = inf``) stays valid."""
+
+    @pytest.mark.parametrize("value", [True, "4.7", None, [4.7],
+                                       float("nan")])
+    @pytest.mark.parametrize("model, name", [
+        (pk.BlinkingLaw, "max_dwell_ms"), (pk.EmitterModel, "lifetime_ns"),
+        (pk.ExcitationConfig, "excitation_probability"),
+        (pk.DetectorModel, "jitter_sigma_ps")])
+    def test_refused_by_name(self, model, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a number, got "):
+            model(**{name: value})
+
+    def test_integral_and_infinite_values(self):
+        assert pk.EmitterModel(lifetime_ns=5) == pk.EmitterModel(
+            lifetime_ns=5.0)
+        assert type(pk.DetectorModel(efficiency=1).efficiency) is float
+        law = pk.BlinkingLaw(kind="power_law", max_dwell_ms=float("inf"))
+        law.validate()
+        assert np.all(pk.sample_dwells_ms(law, True, 100, seed=1) >= 1.0)
+
+    def test_poissonian_duration_is_whole_ps(self):
+        assert (pk.simulate_poissonian(1e6, 1e9, seed=0)
+                == pk.simulate_poissonian(1e6, 10**9, seed=0))
+        for bad in ("1000", 1e9 + 0.5):
+            with pytest.raises(ValueError, match="^duration must be a"):
+                pk.simulate_poissonian(1e6, bad, seed=0)
