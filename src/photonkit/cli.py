@@ -23,7 +23,7 @@ import os
 import sys
 
 from .core import (PS_PER_NS, CoincidenceHistogram, DecayHistogram,
-                   Measurement, ns_to_ps)
+                   Measurement, _positive, ns_to_ps)
 from .fileio import TimestampFileError, export_histogram_csv, read_histogram_csv
 from .pipeline import (
     run_blinking,
@@ -196,10 +196,8 @@ def cmd_fit(args) -> int:
     else:
         if args.period is None:
             period_ps = int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
-        elif args.period > 0:
-            period_ps = ns_to_ps(args.period)
         else:
-            raise ValueError(f"--period must be positive, got {args.period}")
+            period_ps = ns_to_ps(_positive(args.period, "--period"))
         hist = DecayHistogram(bin_ps, period_ps, counts)
         config = {"lifetime": _given(n_components=args.components)}
         _print_fit(run_lifetime(hist, config))

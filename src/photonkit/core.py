@@ -22,8 +22,11 @@ and the ``sim`` generators, goes through ``_whole_ps``; a job's counts
 ``PeriodicStream``'s ``channel`` and ``count`` go through ``_whole``, the
 same rule without the unit. A job's real-valued keys and each field
 declared with ``_real`` (the simulator models' floats) go through
-``_number``: null, a bool, a string, a list, an object or NaN is an error
-naming the key or field, and so is an infinity in a job key.
+``_number``: null, a bool, a string, a list, an object, NaN or an
+infinity is an error naming the key or field. Only a field declared
+``_real(finite=False)`` (``BlinkingLaw.max_dwell_ms``) takes an infinity.
+``_positive`` is ``_number`` with a value > 0, and ``_path`` takes a job's
+file names, which must be strings.
 """
 
 from __future__ import annotations
@@ -162,6 +165,21 @@ def _number(value, name: str, unit: str = "", finite: bool = True) -> float:
     return number
 
 
+def _positive(value, name: str) -> float:
+    """``value`` as a number by :func:`_number`'s rule that is > 0."""
+    number = _number(value, name)
+    if not number > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return number
+
+
+def _path(value, name: str) -> str:
+    """``value`` as a file path: a string, else an error naming it."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _whole(value, name: str, unit: str = "") -> int:
     """``value`` as a whole number (of ``unit``, if given): an integral
     float such as 600.0 is its int; a fractional or non-finite one, or a
@@ -188,10 +206,10 @@ def _ps(**kw):
     return field(metadata={"convert": _whole_ps}, **kw)
 
 
-def _real(**kw):
+def _real(finite: bool = True, **kw):
     """Declare an :class:`_ArrayRecord` field as a number by
-    :func:`_number`'s rule, an infinity allowed."""
-    convert = functools.partial(_number, finite=False)
+    :func:`_number`'s rule, an infinity allowed if ``finite`` is False."""
+    convert = functools.partial(_number, finite=finite)
     return field(metadata={"convert": convert}, **kw)
 
 

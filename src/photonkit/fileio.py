@@ -445,7 +445,8 @@ def export_histogram_csv(histogram, path) -> None:
 def read_histogram_csv(path) -> dict[str, np.ndarray]:
     """Read a histogram CSV back as {column name: array}.
 
-    Count columns come back as int64, everything else as float64.
+    Count columns come back as int64, everything else as float64. A count
+    that is not a whole number is an error naming its column and row.
     """
     with open(path, "r", newline="") as f:
         names = f.readline().strip().split(",")
@@ -463,7 +464,14 @@ def read_histogram_csv(path) -> dict[str, np.ndarray]:
     out = {}
     for j, name in enumerate(names):
         col = data[:, j]
-        out[name] = col.astype(np.int64) if name == "count" else col
+        if name == "count":
+            bad = np.flatnonzero(~np.isfinite(col) | (col != np.trunc(col)))
+            if bad.size:
+                raise ValueError(
+                    f"column {name!r} must hold whole numbers, got "
+                    f"{col[bad[0]]} in row {bad[0] + 1}")
+            col = col.astype(np.int64)
+        out[name] = col
     return out
 
 

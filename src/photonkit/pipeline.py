@@ -39,7 +39,10 @@ from .core import (
     PeriodicStream,
     TimestampStream,
     _number,
+    _path,
+    _positive,
     _whole,
+    _whole_ps,
     ns_to_ps,
 )
 from .correlator import (_sync_period, cross_correlate, intensity_trace,
@@ -63,16 +66,28 @@ __all__ = ["run_pipeline", "KNOWN_ANALYSES"]
 
 KNOWN_ANALYSES = ("g2cw", "g2pw", "lifetime", "blinking")
 
-# The keys a job config may hold: each analysis section and the top level.
-_SECTION_KEYS = {
-    "correlation": ("window_ns", "bin_width_ps", "period_ns", "n_side", "csv"),
-    "lifetime": ("bin_width_ps", "period_ns", "n_components", "csv"),
-    "blinking": ("bin_width_ms", "threshold_per_ms", "min_dwell_ms",
-                 "tau_min_ms"),
+# Every scalar job key, by section ("" is the top level): the rule that
+# reads it and its default. Null means unset only where the default is None.
+_KEYS = {
+    "": {"seed": (_whole, 0), "duration_s": (_positive, 1.0),
+         "workers": (_whole, 1), "output": (_path, "timestamps.ptst"),
+         "input": (_path, None), "duration_ps": (_whole_ps, None)},
+    "correlation": {"window_ns": (_positive, 1000.0),
+                    "bin_width_ps": (_whole_ps, 500),
+                    "period_ns": (_positive, None), "n_side": (_whole, 5),
+                    "csv": (_path, None)},
+    "lifetime": {"bin_width_ps": (_whole_ps, 500),
+                 "period_ns": (_positive, None),
+                 "n_components": (_whole, 3), "csv": (_path, None)},
+    "blinking": {"bin_width_ms": (_positive, 1.0),
+                 "threshold_per_ms": (_number, 50.0),
+                 "min_dwell_ms": (_number, 0.0),
+                 "tau_min_ms": (_number, None)},
 }
-_JOB_KEYS = ("mode", "seed", "duration_s", "workers", "output", "input",
-             "duration_ps", "emitter", "excitation", "detector", "analyses",
-             *_SECTION_KEYS)
+# The keys a job config may hold: the model blocks, the analysis sections
+# and the top level's own.
+_JOB_KEYS = {"mode", "emitter", "excitation", "detector", "analyses",
+             *_KEYS, *_KEYS[""]} - {""}
 
 
 def _check_keys(cfg: dict, known, label: str) -> None:
@@ -90,20 +105,19 @@ def _block(cfg, label: str) -> dict:
     return cfg
 
 
-def _section(config: dict, name: str) -> dict:
-    """An analysis section of a job config, rejecting unknown keys and a
-    ``period_ns`` that is not positive."""
-    cfg = _block(config.get(name), name)
-    _check_keys(cfg, _SECTION_KEYS[name], name)
-    period = cfg.get("period_ns")
-    if period is not None and not _number(period, f"{name}.period_ns") > 0:
-        raise ValueError(f"{name}.period_ns must be positive, got {period}")
-    return cfg
-
-
-def _workers(config: dict) -> int:
-    """The job's one ``workers`` key, for every stage that takes it."""
-    return _whole(config.get("workers", 1), "workers")
+def _section(config: dict, name: str = "") -> dict:
+    """Every key of a job section (``""``, the top level, by default) in
+    ``_KEYS``, read by its rule under its job name (``correlation.csv``),
+    or its default; an unknown key in the section is refused."""
+    cfg = _block(config.get(name), name) if name else config
+    _check_keys(cfg, _KEYS[name] if name else _JOB_KEYS, name or "job")
+    prefix = f"{name}." if name else ""
+    out = {}
+    for key, (rule, default) in _KEYS[name].items():
+        value = cfg.get(key, default)
+        out[key] = (None if value is None and default is None
+                    else rule(value, prefix + key))
+    return out
 
 
 def _build(cls, cfg, label: str):
@@ -121,9 +135,8 @@ def _build(cls, cfg, label: str):
 
 def _export_csv(out: dict, histogram, stage_cfg: dict, base: str) -> None:
     """Write ``histogram`` to the stage's ``csv`` path, if it names one."""
-    csv_name = stage_cfg.get("csv")
-    if csv_name:
-        path = os.path.join(base, csv_name)
+    if stage_cfg["csv"]:
+        path = os.path.join(base, stage_cfg["csv"])
         export_histogram_csv(histogram, path)
         out["csv"] = path
 
@@ -153,12 +166,12 @@ def _detector_channels(streams: dict) -> list[TimestampStream]:
 
 def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
     """Pulse period from the sync channel (``correlator._sync_period``),
-    else from ``period_ns`` in the stage config."""
+    else from ``period_ns`` in the stage's :func:`_section`."""
     sync = _sync(streams)
     if sync is not None:
         return _sync_period(sync) / PS_PER_NS
-    if stage_cfg.get("period_ns"):
-        return float(stage_cfg["period_ns"])
+    if stage_cfg.get("period_ns") is not None:
+        return stage_cfg["period_ns"]
     raise ValueError(
         "pulse period unknown: no sync channel in the data and no "
         "period_ns in the config (--period on the command line)")
@@ -170,20 +183,19 @@ def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
 def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
     """Simulate emission and detection, then write the timestamp file;
     returns the stage result and the detector streams by channel."""
-    seed = _whole(config.get("seed", 0), "seed")
-    duration = int(round(_number(config.get("duration_s", 1.0), "duration_s")
-                         * PS_PER_S))
+    job = _section(config)
+    duration = int(round(job["duration_s"] * PS_PER_S))
     emitter = _build(EmitterModel, config.get("emitter"), "emitter")
     excitation = _build(ExcitationConfig, config.get("excitation"),
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
-    workers = _workers(config)
+    seed, workers = job["seed"], job["workers"]
     # The emission record is not kept: it is freed before the file is
     # written, where this stage reaches its peak memory.
     ch0, ch1, sync = detect_hbt(
         generate_emission(emitter, excitation, duration, seed, workers),
         detector, seed, workers)
-    path = os.path.join(base, config.get("output", "timestamps.ptst"))
+    path = os.path.join(base, job["output"])
     streams = [ch0, ch1] + ([sync] if len(sync) else [])
     hasher = hashlib.sha256()
     n = write_timestamps(streams, path, workers=workers, hasher=hasher)
@@ -203,12 +215,11 @@ def run_load(config: dict, hasher=None) -> tuple[dict, dict]:
     """Read the ``input`` timestamp file; returns the stage result and the
     streams by channel. ``hasher`` (a :mod:`hashlib` object) is fed the
     file's bytes as they are read."""
-    path = config.get("input")
-    if not path:
+    job = _section(config)
+    if not job["input"]:
         raise ValueError("analyze mode needs an 'input' file")
-    streams = read_timestamps(path, config.get("duration_ps"),
-                              workers=_workers(config),
-                              hasher=hasher)
+    streams = read_timestamps(job["input"], job["duration_ps"],
+                              workers=job["workers"], hasher=hasher)
     return {
         "channels": sorted(streams),
         "counts": {str(c): len(s) for c, s in sorted(streams.items())},
@@ -222,23 +233,20 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
     if ch0 is None or ch1 is None:
         raise ValueError(
             "analysis needs events on both detector channels 0 and 1")
-    corr_cfg = _section(config, "correlation")
-    window = ns_to_ps(_number(corr_cfg.get("window_ns", 1000.0),
-                              "correlation.window_ns"))
-    return cross_correlate(ch0, ch1, window, corr_cfg.get("bin_width_ps", 500),
-                           _workers(config))
+    corr = _section(config, "correlation")
+    return cross_correlate(ch0, ch1, ns_to_ps(corr["window_ns"]),
+                           corr["bin_width_ps"], _section(config)["workers"])
 
 
 def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
                config: dict, base: str = ".") -> dict:
     """Fit the CW ("g2cw") or pulsed ("g2pw") g2 model and normalize."""
-    corr_cfg = _section(config, "correlation")
+    corr = _section(config, "correlation")
     if kind == "g2cw":
         res = fit.fit_g2_cw(histogram)
     else:
-        period_ns = resolved_period_ns(streams, corr_cfg)
-        res = fit.fit_g2_pw(histogram, period_ns, _whole(
-            corr_cfg.get("n_side", 5), "correlation.n_side"))
+        res = fit.fit_g2_pw(histogram, resolved_period_ns(streams, corr),
+                            corr["n_side"])
     normalized, g2 = fit.normalize_g2(histogram, res)
     out = {
         **_fit_entry(res),
@@ -246,58 +254,48 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
         "g2_at_dip": g2,
         "verdict": fit.single_photon_verdict(g2),
     }
-    _export_csv(out, normalized, corr_cfg, base)
+    _export_csv(out, normalized, corr, base)
     return out
 
 
 def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
     """Sync-referenced decay histogram of both detector channels; without
     a sync, folded on the configured period."""
-    life_cfg = _section(config, "lifetime")
+    life = _section(config, "lifetime")
     channels = _detector_channels(streams)
     sync = _sync(streams)
     period_ps = None if sync is not None else ns_to_ps(
-        resolved_period_ns(streams, life_cfg))
+        resolved_period_ns(streams, life))
     return sync_decay_histogram(channels, sync=sync, period=period_ps,
-                                bin_width=life_cfg.get("bin_width_ps", 500))
+                                bin_width=life["bin_width_ps"])
 
 
 def run_lifetime(histogram: DecayHistogram, config: dict,
                  base: str = ".") -> dict:
     """Multi-exponential fit of a decay histogram."""
-    life_cfg = _section(config, "lifetime")
-    res = fit.fit_multiexp(histogram, _whole(
-        life_cfg.get("n_components", 3), "lifetime.n_components"))
+    life = _section(config, "lifetime")
+    res = fit.fit_multiexp(histogram, life["n_components"])
     out = {
         **_fit_entry(res),
         "tau_avg_ns": fit.average_lifetime(res),
         "discarded": histogram.discarded,
     }
-    _export_csv(out, histogram, life_cfg, base)
+    _export_csv(out, histogram, life, base)
     return out
 
 
 def run_intensity_trace(streams: dict, config: dict) -> IntensityTrace:
     """Intensity trace of both detector channels, on the longer duration."""
-    blink_cfg = _section(config, "blinking")
-    bin_width = int(round(_number(blink_cfg.get("bin_width_ms", 1.0),
-                                  "blinking.bin_width_ms") * PS_PER_MS))
-    return intensity_trace(_detector_channels(streams), bin_width)
+    bin_width_ms = _section(config, "blinking")["bin_width_ms"]
+    return intensity_trace(_detector_channels(streams),
+                           int(round(bin_width_ms * PS_PER_MS)))
 
 
 def run_blinking(trace: IntensityTrace, config: dict) -> dict:
     """Threshold an intensity trace; characterize ON/OFF dwell statistics."""
-    blink_cfg = _section(config, "blinking")
-    tau_min_ms = blink_cfg.get("tau_min_ms")
-    res = analyze_blinking(
-        trace,
-        threshold_per_ms=_number(blink_cfg.get("threshold_per_ms", 50.0),
-                                 "blinking.threshold_per_ms"),
-        min_dwell_ms=_number(blink_cfg.get("min_dwell_ms", 0.0),
-                             "blinking.min_dwell_ms"),
-        tau_min_ms=None if tau_min_ms is None else _number(
-            tau_min_ms, "blinking.tau_min_ms"),
-    )
+    blink = _section(config, "blinking")
+    del blink["bin_width_ms"]  # the trace's; the rest are keyword arguments
+    res = analyze_blinking(trace, **blink)
     return {
         "threshold_per_ms": res.threshold,
         "n_on_dwells": int(res.on_durations_ms.size),
@@ -383,7 +381,7 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
         else:
             hasher = hashlib.sha256()
             result, streams = run_load(config, hasher)
-            input_info = {"path": str(config["input"]),
+            input_info = {"path": config["input"],
                           "sha256": hasher.hexdigest()}
         return result
 

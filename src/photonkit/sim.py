@@ -86,7 +86,8 @@ class BlinkingLaw(_ArrayRecord):
         used by the "power_law" kind. Must lie strictly inside (0, 1),
         the heavy-tailed regime such traces actually show.
     min_dwell_ms, max_dwell_ms : float
-        Support of the truncated power-law dwell distribution.
+        Support of the truncated power-law dwell distribution. Only
+        ``max_dwell_ms`` may be infinite, for an untruncated power law.
     mean_on_ms, mean_off_ms : float
         Dwell means for the "two_state_exponential" kind.
     off_emission_rate_per_ms : float
@@ -99,7 +100,7 @@ class BlinkingLaw(_ArrayRecord):
     alpha_on: float = _real(default=0.5)
     alpha_off: float = _real(default=0.5)
     min_dwell_ms: float = _real(default=1.0)
-    max_dwell_ms: float = _real(default=100_000.0)
+    max_dwell_ms: float = _real(finite=False, default=100_000.0)
     mean_on_ms: float = _real(default=100.0)
     mean_off_ms: float = _real(default=50.0)
     off_emission_rate_per_ms: float = _real(default=20.0)

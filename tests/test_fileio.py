@@ -772,6 +772,15 @@ class TestHistogramCsv:
         with pytest.raises(ValueError, match="no header"):
             read_histogram_csv(path)
 
+    @pytest.mark.parametrize("count", ["2.7", "nan", "inf"])
+    def test_read_count_not_whole_rejected(self, tmp_path, count):
+        path = tmp_path / "frac.csv"
+        path.write_text(f"bin_center_ns,count\n0.25,3\n0.75,{count}\n")
+        with pytest.raises(ValueError, match=(
+                rf"^column 'count' must hold whole numbers, got {count} "
+                r"in row 2$")):
+            read_histogram_csv(path)
+
     def test_read_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("bin_center_ns,count\n0.5,1,99\n")

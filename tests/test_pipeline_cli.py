@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -828,6 +829,36 @@ class TestReadmePythonApi:
         assert "PeriodicStream(channel=255" in out
 
 
+class TestReadmeJobKeys:
+    """The README's job-key table lists ``pipeline._KEYS`` row for row,
+    and its job block runs as written."""
+
+    @staticmethod
+    def readme():
+        return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_table_rows_are_the_key_table(self):
+        table = self.readme().split("| Section | Key | Rule | Default |")[1]
+        rows = []
+        for line in table.split("\n\n")[0].splitlines():
+            if line.startswith("| "):
+                section, key, rule, default = (
+                    c.strip().strip("`") for c in line.strip("|").split("|"))
+                default = json.loads(default)
+                rows.append(("" if section == "top level" else section, key,
+                             rule, type(default), default))
+        assert rows == [
+            (section, key, rule.__name__.strip("_").replace("_", " "),
+             type(default), default)
+            for section, keys in pipeline._KEYS.items()
+            for key, (rule, default) in keys.items()]
+
+    def test_json_block_runs(self, tmp_path):
+        [block] = re.findall(r"```json\n(.*?)```", self.readme(), re.S)
+        doc = run_pipeline(json.loads(block), base_dir=str(tmp_path))
+        assert doc.ok, doc.errors
+
+
 class TestWholePicosecondJobs:
     """A job's ps values follow the records' rule: an integral float runs
     exactly like the int, a fractional one is an error entry naming it."""
@@ -875,8 +906,9 @@ class TestWholePicosecondJobs:
         assert "simulate" in doc.results
         assert [(e["stage"], e["type"]) for e in doc.errors] == [
             ("g2pw", "ValueError"), ("lifetime", "ValueError")]
-        for entry in doc.errors:
-            assert entry["message"].startswith("bin_width must be a whole")
+        for entry, section in zip(doc.errors, ("correlation", "lifetime")):
+            assert entry["message"].startswith(
+                f"{section}.bin_width_ps must be a whole")
 
 
 
@@ -1016,6 +1048,26 @@ class TestFloatJobKeys:
         self.test_analysis_key_is_that_analysis_error(
             cw_run, tmp_path, analysis, section, key, None)
 
+    @pytest.mark.parametrize("mode, stage, keys, message", [
+        ("analyze", "g2cw", {"correlation": {"bin_width_ps": None}},
+         "correlation.bin_width_ps must be a number of ps, got None"),
+        ("analyze", "input", {"duration_ps": "abc"},
+         "duration_ps must be a number of ps, got 'abc'"),
+        ("simulate", "simulate", {"duration_s": -1},
+         "duration_s must be positive, got -1"),
+        ("analyze", "blinking", {"blinking": {"bin_width_ms": -1}},
+         "blinking.bin_width_ms must be positive, got -1")])
+    def test_key_is_refused_by_its_job_name(self, cw_run, tmp_path, mode,
+                                            stage, keys, message):
+        """Not by the argument name of the builder it is passed to."""
+        _, path = cw_run
+        job = (cw_config(duration_s=0.01) if mode == "simulate" else
+               {"mode": "analyze", "input": str(path),
+                "analyses": [stage] if stage != "input" else []})
+        doc = run_pipeline({**job, **keys}, base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            (stage, "ValueError", message)]
+
     def test_null_reads_as_unset(self, pulsed_path, tmp_path):
         job = {"mode": "analyze", "input": str(pulsed_path),
                "analyses": ["lifetime", "blinking"]}
@@ -1047,6 +1099,16 @@ class TestModelFieldJobs:
         assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
             ("simulate", "ValueError", f"{key} must be a number, got {value!r}")]
         assert not (tmp_path / "cw.ptst").exists()
+
+    @pytest.mark.parametrize("block, key", [
+        ("emitter", "lifetime_ns"),
+        ("excitation", "cw_rate_per_s"),
+        ("detector", "jitter_sigma_ps"),
+        ("detector", "dark_rate_per_ms")])
+    def test_infinity_names_the_field(self, tmp_path, block, key):
+        """Only ``max_dwell_ms`` takes an infinity."""
+        self.test_simulate_error_entry_names_the_field(tmp_path, block, key,
+                                                       float("inf"))
 
     def test_blinking_field_and_infinite_dwell(self, tmp_path):
         emitter = {"lifetime_ns": 4.7, "blinking": {
@@ -1105,6 +1167,50 @@ class TestJobBlocks:
         assert doc.ok, doc.errors
 
 
+class TestPathJobKeys:
+    """``input``, ``output`` and each section's ``csv`` name files, so they
+    must be strings: anything else is the reading stage's error entry
+    naming the key, before any file is opened. ``open(True)`` would be
+    file descriptor 1, and closing it would close stdout."""
+
+    @pytest.mark.parametrize("value", [True, 2])
+    def test_input_is_an_input_error(self, tmp_path, value):
+        doc = run_pipeline({"mode": "analyze", "input": value,
+                            "analyses": ["g2cw"]}, base_dir=str(tmp_path))
+        assert (doc.errors[0]["stage"], doc.errors[0]["type"],
+                doc.errors[0]["message"]) == (
+            "input", "ValueError", f"input must be a string, got {value!r}")
+        os.fstat(1)
+        os.fstat(2)
+
+    def test_input_error_is_printed(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"mode": "analyze", "input": 2}))
+        assert cli_main(["pipeline", str(job), "--outdir",
+                         str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error[input]: input must be a string, got 2\n")
+        os.fstat(1)
+        os.fstat(2)
+
+    def test_output_is_a_simulate_error(self, tmp_path):
+        doc = run_pipeline(cw_config(duration_s=0.01, output=7),
+                           base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            ("simulate", "ValueError", "output must be a string, got 7")]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("analysis, section", [
+        ("g2cw", "correlation"), ("lifetime", "lifetime")])
+    def test_csv_is_that_analysis_error(self, pulsed_path, tmp_path,
+                                        analysis, section):
+        doc = run_pipeline({"mode": "analyze", "input": str(pulsed_path),
+                            "analyses": [analysis], section: {"csv": 5}},
+                           base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            (analysis, "ValueError", f"{section}.csv must be a string, got 5")]
+
+
 class TestSubcommandErrorCodes:
     """A file error keeps its stable code on every subcommand, as it does
     in the pipeline's ``error[stage:code]`` lines."""
@@ -1135,6 +1241,29 @@ class TestFitPeriodFlag:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: --period must be positive, got {float(period)}\n")
+        assert captured.out == ""
+
+    def test_config_string_exits_1_naming_the_flag(self, pulsed_path,
+                                                   tmp_path, capsys):
+        assert cli_main(["lifetime", str(pulsed_path), "--components", "1",
+                         "--outdir", str(tmp_path), "-o", "decay.csv"]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"period": "abc"}))
+        assert cli_main(["fit", str(tmp_path / "decay.csv"), "--model",
+                         "decay", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --period must be a number, got 'abc'\n"
+        assert captured.out == ""
+
+    def test_fractional_count_exits_1_naming_the_row(self, tmp_path, capsys):
+        csv = tmp_path / "h.csv"
+        csv.write_text("bin_center_ns,count\n0.250,3\n0.750,2.7\n"
+                       "1.250,1\n")
+        assert cli_main(["fit", str(csv), "--model", "decay"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: column 'count' must hold whole "
+                                "numbers, got 2.7 in row 2\n")
         assert captured.out == ""
 
 

@@ -675,9 +675,9 @@ class TestConfigValidation:
 
 class TestModelFieldNumbers:
     """The simulator models' real-valued fields are numbers by the job
-    keys' rule, checked on construction: a bool, a string, null, a list
-    or NaN is refused by name. An infinity is allowed, so an untruncated
-    power law (``max_dwell_ms = inf``) stays valid."""
+    keys' rule, checked on construction: a bool, a string, null, a list,
+    NaN or an infinity is refused by name. Only ``max_dwell_ms`` takes an
+    infinity, so an untruncated power law stays valid."""
 
     @pytest.mark.parametrize("value", [True, "4.7", None, [4.7],
                                        float("nan")])
@@ -689,6 +689,16 @@ class TestModelFieldNumbers:
         with pytest.raises(ValueError,
                            match=f"^{name} must be a number, got "):
             model(**{name: value})
+
+    @pytest.mark.parametrize("model, name", [
+        (pk.EmitterModel, "lifetime_ns"),
+        (pk.ExcitationConfig, "cw_rate_per_s"),
+        (pk.DetectorModel, "jitter_sigma_ps"),
+        (pk.DetectorModel, "dark_rate_per_ms")])
+    def test_infinity_refused_by_name(self, model, name):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a number, got inf$"):
+            model(**{name: float("inf")})
 
     def test_integral_and_infinite_values(self):
         assert pk.EmitterModel(lifetime_ns=5) == pk.EmitterModel(
