@@ -23,7 +23,7 @@ import os
 import sys
 
 from .core import (PS_PER_NS, CoincidenceHistogram, DecayHistogram,
-                   Measurement, _positive, ns_to_ps)
+                   Measurement, _span, ns_to_ps)
 from .fileio import TimestampFileError, export_histogram_csv, read_histogram_csv
 from .pipeline import (
     run_blinking,
@@ -93,7 +93,8 @@ def _print_fit(result: dict) -> None:
 # subcommands
 
 def cmd_simulate(args) -> int:
-    period_ps = None if args.period is None else ns_to_ps(args.period)
+    period_ps = (None if args.period is None
+                 else _span(PS_PER_NS)(args.period, "--period"))
     blinking = _given(kind=args.blinking, alpha_on=args.alpha,
                       alpha_off=args.alpha,
                       off_emission_rate_per_ms=args.background_per_ms)
@@ -194,10 +195,9 @@ def cmd_fit(args) -> int:
         kind = "g2cw" if args.model == "cw" else "g2pw"
         _print_fit(run_g2_fit(kind, hist, {}, config))
     else:
-        if args.period is None:
-            period_ps = int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
-        else:
-            period_ps = ns_to_ps(_positive(args.period, "--period"))
+        period_ps = (int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
+                     if args.period is None
+                     else _span(PS_PER_NS)(args.period, "--period"))
         hist = DecayHistogram(bin_ps, period_ps, counts)
         config = {"lifetime": _given(n_components=args.components)}
         _print_fit(run_lifetime(hist, config))

@@ -25,8 +25,9 @@ declared with ``_real`` (the simulator models' floats) go through
 ``_number``: null, a bool, a string, a list, an object, NaN or an
 infinity is an error naming the key or field. Only a field declared
 ``_real(finite=False)`` (``BlinkingLaw.max_dwell_ms``) takes an infinity.
-``_positive`` is ``_number`` with a value > 0, and ``_path`` takes a job's
-file names, which must be strings.
+A job's spans and the CLI's ``--period`` go through ``_span(unit)``: a
+``_number`` > 0 read as whole ps, from 1 to below 2**63. ``_path`` takes
+a job's file names, which must be non-empty strings.
 """
 
 from __future__ import annotations
@@ -165,18 +166,27 @@ def _number(value, name: str, unit: str = "", finite: bool = True) -> float:
     return number
 
 
-def _positive(value, name: str) -> float:
-    """``value`` as a number by :func:`_number`'s rule that is > 0."""
-    number = _number(value, name)
-    if not number > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return number
+def _span(unit: int):
+    """The rule of a span given in ``unit`` ps (``PS_PER_S``, ...): a
+    number by :func:`_number`'s rule, > 0, read as ``int(round(value *
+    unit))`` ps, from 1 to below 2**63; else an error naming it."""
+    def span(value, name: str) -> int:
+        number = _number(value, name)
+        if not number > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.5 < number * unit < 2 ** 63:  # 0.5 ps rounds to 0
+            raise ValueError(
+                f"{name} must be from 1 ps to below 2**63 ps, got {value}")
+        return int(round(number * unit))
+    return span
 
 
 def _path(value, name: str) -> str:
-    """``value`` as a file path: a string, else an error naming it."""
+    """``value`` as a non-empty file path string, else an error naming it."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
+    if not value:
+        raise ValueError(f"{name} must not be empty")
     return value
 
 

@@ -40,10 +40,9 @@ from .core import (
     TimestampStream,
     _number,
     _path,
-    _positive,
+    _span,
     _whole,
     _whole_ps,
-    ns_to_ps,
 )
 from .correlator import (_sync_period, cross_correlate, intensity_trace,
                          sync_decay_histogram)
@@ -66,20 +65,20 @@ __all__ = ["run_pipeline", "KNOWN_ANALYSES"]
 
 KNOWN_ANALYSES = ("g2cw", "g2pw", "lifetime", "blinking")
 
-# Every scalar job key, by section ("" is the top level): the rule that
-# reads it and its default. Null means unset only where the default is None.
+# Every scalar job key by section ("" is the top level): its rule, which
+# gives a span in whole ps, and default; null is unset only if that is None.
 _KEYS = {
-    "": {"seed": (_whole, 0), "duration_s": (_positive, 1.0),
+    "": {"seed": (_whole, 0), "duration_s": (_span(PS_PER_S), 1.0),
          "workers": (_whole, 1), "output": (_path, "timestamps.ptst"),
          "input": (_path, None), "duration_ps": (_whole_ps, None)},
-    "correlation": {"window_ns": (_positive, 1000.0),
+    "correlation": {"window_ns": (_span(PS_PER_NS), 1000.0),
                     "bin_width_ps": (_whole_ps, 500),
-                    "period_ns": (_positive, None), "n_side": (_whole, 5),
-                    "csv": (_path, None)},
+                    "period_ns": (_span(PS_PER_NS), None),
+                    "n_side": (_whole, 5), "csv": (_path, None)},
     "lifetime": {"bin_width_ps": (_whole_ps, 500),
-                 "period_ns": (_positive, None),
+                 "period_ns": (_span(PS_PER_NS), None),
                  "n_components": (_whole, 3), "csv": (_path, None)},
-    "blinking": {"bin_width_ms": (_positive, 1.0),
+    "blinking": {"bin_width_ms": (_span(PS_PER_MS), 1.0),
                  "threshold_per_ms": (_number, 50.0),
                  "min_dwell_ms": (_number, 0.0),
                  "tau_min_ms": (_number, None)},
@@ -164,17 +163,22 @@ def _detector_channels(streams: dict) -> list[TimestampStream]:
     return parts
 
 
-def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
-    """Pulse period from the sync channel (``correlator._sync_period``),
-    else from ``period_ns`` in the stage's :func:`_section`."""
+def _period_ps(streams: dict, stage_cfg: dict) -> float:
+    """Pulse period in ps from the sync channel (``correlator._sync_period``),
+    else ``period_ns`` from the stage's :func:`_section`, in whole ps."""
     sync = _sync(streams)
-    if sync is not None:
-        return _sync_period(sync) / PS_PER_NS
-    if stage_cfg.get("period_ns") is not None:
-        return stage_cfg["period_ns"]
-    raise ValueError(
-        "pulse period unknown: no sync channel in the data and no "
-        "period_ns in the config (--period on the command line)")
+    period = (_sync_period(sync) if sync is not None
+              else stage_cfg.get("period_ns"))
+    if period is None:
+        raise ValueError(
+            "pulse period unknown: no sync channel in the data and no "
+            "period_ns in the config (--period on the command line)")
+    return period
+
+
+def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
+    """The pulse period of :func:`_period_ps` in ns."""
+    return _period_ps(streams, stage_cfg) / PS_PER_NS
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +188,11 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
     """Simulate emission and detection, then write the timestamp file;
     returns the stage result and the detector streams by channel."""
     job = _section(config)
-    duration = int(round(job["duration_s"] * PS_PER_S))
+    duration, seed, workers = job["duration_s"], job["seed"], job["workers"]
     emitter = _build(EmitterModel, config.get("emitter"), "emitter")
     excitation = _build(ExcitationConfig, config.get("excitation"),
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
-    seed, workers = job["seed"], job["workers"]
     # The emission record is not kept: it is freed before the file is
     # written, where this stage reaches its peak memory.
     ch0, ch1, sync = detect_hbt(
@@ -234,7 +237,7 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
         raise ValueError(
             "analysis needs events on both detector channels 0 and 1")
     corr = _section(config, "correlation")
-    return cross_correlate(ch0, ch1, ns_to_ps(corr["window_ns"]),
+    return cross_correlate(ch0, ch1, corr["window_ns"],
                            corr["bin_width_ps"], _section(config)["workers"])
 
 
@@ -262,12 +265,10 @@ def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
     """Sync-referenced decay histogram of both detector channels; without
     a sync, folded on the configured period."""
     life = _section(config, "lifetime")
-    channels = _detector_channels(streams)
     sync = _sync(streams)
-    period_ps = None if sync is not None else ns_to_ps(
-        resolved_period_ns(streams, life))
-    return sync_decay_histogram(channels, sync=sync, period=period_ps,
-                                bin_width=life["bin_width_ps"])
+    return sync_decay_histogram(
+        _detector_channels(streams), sync=sync, bin_width=life["bin_width_ps"],
+        period=None if sync is not None else _period_ps(streams, life))
 
 
 def run_lifetime(histogram: DecayHistogram, config: dict,
@@ -286,9 +287,8 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
 
 def run_intensity_trace(streams: dict, config: dict) -> IntensityTrace:
     """Intensity trace of both detector channels, on the longer duration."""
-    bin_width_ms = _section(config, "blinking")["bin_width_ms"]
     return intensity_trace(_detector_channels(streams),
-                           int(round(bin_width_ms * PS_PER_MS)))
+                           _section(config, "blinking")["bin_width_ms"])
 
 
 def run_blinking(trace: IntensityTrace, config: dict) -> dict:

@@ -1,11 +1,13 @@
 """Unit conversions, stream validation, and the shared dataclasses."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import photonkit as pk
-from photonkit.core import ns_to_ps, ps_to_ns
+from photonkit.core import _span, ns_to_ps, ps_to_ns
 
 
 class TestUnitConversion:
@@ -32,6 +34,42 @@ class TestUnitConversion:
         assert ps_to_ns(1500) == 1.5
         assert ns_to_ps(1.5) == 1500
         assert isinstance(ns_to_ps(1.5), int)
+
+    # A job's span keys are read by ``_span(unit)``: the same whole ps the
+    # stages computed as ``int(round(value * unit))``, refused by name when
+    # that is under 1 ps or does not fit a signed 64-bit int.
+    @given(st.sampled_from([pk.PS_PER_S, pk.PS_PER_NS, pk.PS_PER_MS]),
+           st.one_of(st.floats(min_value=1e-16, max_value=1e12),
+                     st.floats(min_value=0.0, exclude_min=True,
+                               allow_infinity=False)))
+    def test_span_is_the_rounded_product_or_refused(self, unit, value):
+        product = value * unit
+        ps = int(round(product)) if math.isfinite(product) else None
+        if ps is not None and 1 <= ps < 2**63:
+            assert _span(unit)(value, "key") == ps
+            assert type(_span(unit)(value, "key")) is int
+        else:
+            with pytest.raises(ValueError) as refused:
+                _span(unit)(value, "key")
+            assert str(refused.value) == (
+                f"key must be from 1 ps to below 2**63 ps, got {value}")
+
+    @pytest.mark.parametrize("ps, expected", [
+        (0.5, None), (0.5000001, 1), (1.5, 2), (2.5, 2),
+        (float(2**63 - 1024), 2**63 - 1024), (float(2**63), None)])
+    def test_span_edges(self, ps, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="^key must be from 1 ps"):
+                _span(1)(ps, "key")
+        else:
+            assert _span(1)(ps, "key") == expected
+
+    @given(st.integers(min_value=1, max_value=2**42 * 1000))
+    def test_three_decimal_ns_span_keeps_its_float(self, k):
+        """A ``period_ns`` of at most three decimals reaches the pulsed
+        fit, as whole ps divided once, as the same float it was typed as."""
+        assert _span(pk.PS_PER_NS)(k / 1000, "period_ns") / pk.PS_PER_NS == (
+            k / 1000)
 
 
 class TestTimestampStream:

@@ -910,6 +910,32 @@ class TestWholePicosecondJobs:
             assert entry["message"].startswith(
                 f"{section}.bin_width_ps must be a whole")
 
+    def test_g2pw_and_lifetime_share_one_whole_ps_period(
+            self, cw_run, tmp_path, monkeypatch):
+        """Without a sync channel the pulsed fit's period in ns is the
+        lifetime fold's whole ps period, divided once."""
+        _, path = cw_run
+        seen = {}
+
+        def g2pw(histogram, period_ns, n_side):
+            seen["g2pw"] = period_ns
+            raise _StageReached
+
+        def decay(channels, sync=None, period=None, bin_width=500):
+            seen["lifetime"] = period
+            raise _StageReached
+
+        monkeypatch.setattr(fitmod, "fit_g2_pw", g2pw)
+        monkeypatch.setattr(pipeline, "sync_decay_histogram", decay)
+        doc = run_pipeline({
+            "mode": "analyze", "input": str(path),
+            "analyses": ["g2pw", "lifetime"],
+            "correlation": {"window_ns": 300, "period_ns": 12.3456},
+            "lifetime": {"period_ns": 12.3456}}, base_dir=str(tmp_path))
+        assert [e["type"] for e in doc.errors] == ["_StageReached"] * 2
+        assert seen == {"g2pw": 12.346, "lifetime": 12_346}
+        assert type(seen["lifetime"]) is int
+
 
 
 class TestWholeNumberJobs:
@@ -1068,6 +1094,37 @@ class TestFloatJobKeys:
         assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
             (stage, "ValueError", message)]
 
+    @pytest.mark.parametrize("out_of_range", ["under_1_ps", "past_2**63_ps"])
+    @pytest.mark.parametrize("stage, section, key, under", [
+        ("simulate", "", "duration_s", 1e-13),
+        ("g2cw", "correlation", "window_ns", 1e-4),
+        ("g2pw", "correlation", "period_ns", 1e-4),
+        ("lifetime", "lifetime", "period_ns", 1e-4),
+        ("blinking", "blinking", "bin_width_ms", 1e-13)])
+    def test_span_out_of_range_is_refused_by_its_job_name(
+            self, cw_run, tmp_path, monkeypatch, stage, section, key, under,
+            out_of_range):
+        """A span that rounds to 0 ps, or to 2**63 ps or more, is that
+        stage's error entry naming the key, before a simulation runs or a
+        builder sees 0 ps or an overflow."""
+        value = under if out_of_range == "under_1_ps" else 1e300
+        _, path = cw_run
+        simulated = []
+        monkeypatch.setattr(pipeline, "generate_emission",
+                            lambda *args: simulated.append(args))
+        if stage == "simulate":
+            job = cw_config(duration_s=value)
+        else:
+            job = {"mode": "analyze", "input": str(path), "analyses": [stage],
+                   section: {key: value}}
+        doc = run_pipeline(job, base_dir=str(tmp_path))
+        name = f"{section}.{key}" if section else key
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            (stage, "ValueError",
+             f"{name} must be from 1 ps to below 2**63 ps, got {value}")]
+        assert simulated == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_null_reads_as_unset(self, pulsed_path, tmp_path):
         job = {"mode": "analyze", "input": str(pulsed_path),
                "analyses": ["lifetime", "blinking"]}
@@ -1210,6 +1267,38 @@ class TestPathJobKeys:
         assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
             (analysis, "ValueError", f"{section}.csv must be a string, got 5")]
 
+    def test_empty_output_is_refused_before_simulating(self, tmp_path,
+                                                        monkeypatch):
+        """Joined to the base directory, "" would name the directory
+        itself, and the write would fail only after the simulation."""
+        simulated = []
+        monkeypatch.setattr(pipeline, "generate_emission",
+                            lambda *args: simulated.append(args))
+        doc = run_pipeline(cw_config(duration_s=0.01, output=""),
+                           base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            ("simulate", "ValueError", "output must not be empty")]
+        assert simulated == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("analysis, section", [
+        ("g2cw", "correlation"), ("lifetime", "lifetime")])
+    def test_empty_csv_is_that_analysis_error(self, pulsed_path, tmp_path,
+                                              analysis, section):
+        """Not read as "no CSV", which would drop the export silently."""
+        doc = run_pipeline({"mode": "analyze", "input": str(pulsed_path),
+                            "analyses": [analysis], section: {"csv": ""}},
+                           base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            (analysis, "ValueError", f"{section}.csv must not be empty")]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_input_is_an_input_error(self, tmp_path):
+        doc = run_pipeline({"mode": "analyze", "input": ""},
+                           base_dir=str(tmp_path))
+        assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
+            ("input", "ValueError", "input must not be empty")]
+
 
 class TestSubcommandErrorCodes:
     """A file error keeps its stable code on every subcommand, as it does
@@ -1227,7 +1316,9 @@ class TestSubcommandErrorCodes:
 class TestFitPeriodFlag:
     """``photonkit fit --model decay`` refuses a ``--period`` that is not
     positive, naming the flag, instead of replacing it by the CSV's extent
-    or failing on the bin width."""
+    or failing on the bin width. ``photonkit simulate --period`` and the
+    out-of-range spans of both follow the job's ns span rule, by the
+    flag's name."""
 
     @pytest.mark.parametrize("period", ["0", "-50"])
     def test_not_positive_exits_1_naming_the_flag(self, pulsed_path,
@@ -1255,6 +1346,43 @@ class TestFitPeriodFlag:
         captured = capsys.readouterr()
         assert captured.err == "error: --period must be a number, got 'abc'\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, period, message", [
+        ("fit", "0.0001", "from 1 ps to below 2**63 ps, got 0.0001"),
+        ("fit", "1e300", "from 1 ps to below 2**63 ps, got 1e+300"),
+        ("simulate", "0.0001", "from 1 ps to below 2**63 ps, got 0.0001"),
+        ("simulate", "1e300", "from 1 ps to below 2**63 ps, got 1e+300"),
+        ("simulate", "0", "positive, got 0.0")])
+    def test_span_exits_1_naming_the_flag(self, pulsed_path, tmp_path,
+                                          capsys, command, period, message):
+        if command == "fit":
+            assert cli_main(["lifetime", str(pulsed_path), "--components",
+                             "1", "--outdir", str(tmp_path),
+                             "-o", "decay.csv"]) == 0
+            argv = ["fit", str(tmp_path / "decay.csv"), "--model", "decay",
+                    "--components", "1"]
+        else:
+            argv = ["simulate", "--mode", "pulsed", "--duration-s", "0.001",
+                    "--outdir", str(tmp_path)]
+        capsys.readouterr()
+        files = sorted(os.listdir(tmp_path))
+        assert cli_main([*argv, f"--period={period}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --period must be {message}\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == files
+
+    def test_simulate_config_string_exits_1_naming_the_flag(self, tmp_path,
+                                                             capsys):
+        """Not an uncaught ``TypeError`` from rounding a string."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"period": "abc", "mode": "pulsed"}))
+        assert cli_main(["simulate", "--duration-s", "0.001", "--config",
+                         str(cfg), "--outdir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --period must be a number, got 'abc'\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
     def test_fractional_count_exits_1_naming_the_row(self, tmp_path, capsys):
         csv = tmp_path / "h.csv"
