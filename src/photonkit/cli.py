@@ -26,6 +26,7 @@ from .core import (PS_PER_NS, CoincidenceHistogram, DecayHistogram,
                    Measurement, _span, ns_to_ps)
 from .fileio import TimestampFileError, export_histogram_csv, read_histogram_csv
 from .pipeline import (
+    _section,
     run_blinking,
     run_correlate,
     run_decay_histogram,
@@ -124,15 +125,16 @@ def cmd_correlate(args) -> int:
     config = _given(
         input=args.input, duration_ps=args.duration_ps, workers=args.workers,
         correlation=_given(window_ns=args.window, bin_width_ps=args.bin_width,
-                           period_ns=args.period, n_side=args.n_side))
+                           period_ns=args.period, n_side=args.n_side,
+                           csv=args.output))
+    corr = _section(config, "correlation")  # refused before any file is read
     _, streams = run_load(config)
     hist = run_correlate(streams, config)
     print(f"{int(hist.counts.sum())} pairs in {hist.n_bins} bins")
     if args.fit == "none":
-        path = os.path.join(_outdir(args), args.output)
+        path = os.path.join(_outdir(args), corr["csv"])
         export_histogram_csv(hist, path)
     else:
-        config["correlation"]["csv"] = args.output
         kind = "g2cw" if args.fit == "cw" else "g2pw"
         result = run_g2_fit(kind, hist, streams, config, _outdir(args))
         _print_fit(result)
@@ -187,6 +189,10 @@ def cmd_fit(args) -> int:
     if centers.size < 2:
         raise ValueError("histogram CSV has fewer than 2 rows")
     bin_ps = ns_to_ps(centers[1] - centers[0])
+    # Read by the flag's name for every model; the g2 fits then take the
+    # same value as their job key.
+    period_ps = (None if args.period is None
+                 else _span(PS_PER_NS)(args.period, "--period"))
     if args.model in ("cw", "pulsed"):
         window_ps = int(round(-centers[0] * PS_PER_NS + bin_ps / 2.0))
         hist = CoincidenceHistogram(bin_ps, window_ps, counts)
@@ -195,9 +201,8 @@ def cmd_fit(args) -> int:
         kind = "g2cw" if args.model == "cw" else "g2pw"
         _print_fit(run_g2_fit(kind, hist, {}, config))
     else:
-        period_ps = (int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
-                     if args.period is None
-                     else _span(PS_PER_NS)(args.period, "--period"))
+        if period_ps is None:
+            period_ps = int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
         hist = DecayHistogram(bin_ps, period_ps, counts)
         config = {"lifetime": _given(n_components=args.components)}
         _print_fit(run_lifetime(hist, config))

@@ -18,13 +18,17 @@ every model: the CW dip and the pulsed peaks pass u = |delay|, the decay
 u = t - tau0.
 
 Every driver checks its histogram with ``_counts``, fits the bins its
-model covers from starting values read off the data, and builds its
-:class:`~photonkit.core.FitResult` with ``_result``.
+model covers and builds its :class:`~photonkit.core.FitResult` with
+``_result``. All start the engine by one rule: a model is linear in its
+amplitudes once its shapes are fixed (Golub & Pereyra, *SIAM J. Numer.
+Anal.* 10, 413 (1973)), so the shapes are searched on a ``_grid``, the
+amplitudes solved at each point, and the lowest chi-square starts the fit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,44 +92,23 @@ class _RawFit:
 def numeric_jacobian(model, x, theta) -> np.ndarray:
     """Central-difference Jacobian of ``model(x, theta)`` w.r.t. theta."""
     theta = np.asarray(theta, dtype=np.float64)
-    p = theta.size
-    cols = []
-    for j in range(p):
-        h = _REL_STEP * max(abs(theta[j]), 1.0)
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((model(x, up) - model(x, dn)) / (2.0 * h))
-    return np.column_stack(cols)
+    steps = _REL_STEP * np.maximum(np.abs(theta), 1.0)
+    return np.column_stack([
+        (model(x, theta + dh) - model(x, theta - dh)) / (2.0 * h)
+        for h, dh in zip(steps, np.diag(steps))])
 
 
 def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
                         bounds=None, max_iterations: int = 500) -> _RawFit:
-    """Minimize sum w_i * (y_i - model(x, theta)_i)^2 over theta.
+    """Minimize sum w_i * (y_i - model(x, theta)_i)^2 over theta from init.
 
-    Parameters
-    ----------
-    model : callable
-        ``model(x, theta) -> ndarray`` of the same length as ``y``.
-    x, y : ndarray
-        Data. At least as many points as parameters are required.
-    init : ndarray
-        Starting parameter vector.
-    jacobian : callable, optional
-        ``jacobian(x, theta) -> (m, p)`` array. Central differences when
-        omitted.
-    weights : ndarray, optional
-        Per-point weights w_i (inverse variances); ones when omitted.
-    bounds : sequence of (lo, hi), optional
-        Per-parameter box constraints; steps are clipped to the box, and
-        a parameter on a bound that the gradient pushes out is held there.
-
-    Returns
-    -------
-    _RawFit
-        Fitted vector, per-parameter sigmas, covariance, reduced chi-square,
-        convergence flag, iteration count, and non-fatal flags.
+    ``model(x, theta)`` gives the m >= p values fitted to ``y`` and
+    ``jacobian(x, theta)`` their (m, p) derivatives, central differences
+    when omitted. ``weights`` are inverse variances, ones when omitted;
+    ``bounds`` a (lo, hi) box per parameter that clips the steps and holds
+    a parameter the gradient pushes out of it. Returns a ``_RawFit``: the
+    fitted vector, sigmas, covariance, reduced chi-square, convergence
+    flag, iteration count and non-fatal flags.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -140,9 +123,8 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
         raise ValueError("weights must be non-negative, one per point")
     sw = np.sqrt(w)
 
-    box = np.array([(-np.inf, np.inf)] * p if bounds is None else bounds,
-                   dtype=np.float64)
-    lo, hi = box[:, 0], box[:, 1]
+    lo, hi = np.array([(-np.inf, np.inf)] * p if bounds is None else bounds,
+                      dtype=np.float64).T
     theta = np.clip(theta, lo, hi)
 
     jac = jacobian if jacobian is not None else (
@@ -190,20 +172,15 @@ def levenberg_marquardt(model, x, y, init, *, jacobian=None, weights=None,
         if converged:
             break
 
-        moved = trial - theta
-        drop = chi2 - chi2_t
+        converged = (chi2 - chi2_t <= _CHI2_RTOL * max(chi2_t, tiny)
+                     or float(np.linalg.norm(trial - theta)) < _STEP_ATOL)
         theta, r, chi2 = trial, rt, chi2_t
         lam = max(lam * 0.3, 1e-12)
-        if drop <= _CHI2_RTOL * max(chi2, tiny):
-            converged = True
-            break
-        if float(np.linalg.norm(moved)) < _STEP_ATOL:
-            converged = True
+        if converged:
             break
 
     _, A = normal(theta)
-    dof = max(m - p, 1)
-    chi2_reduced = chi2 / dof
+    chi2_reduced = chi2 / max(m - p, 1)
     try:
         cov = np.linalg.inv(A)
         if not np.all(np.isfinite(cov)):
@@ -276,21 +253,26 @@ def pulsed_g2_model(tau_ns, theta, period_ns: float) -> np.ndarray:
     return a + heights[n_side] * e0 + (1.0 - e0) * side
 
 
+def _comb_basis(e, n_side: int) -> np.ndarray:
+    """The pulsed columns of (a, b_-N .. b_+N) from a kernel ``e`` (bins,
+    2N+1): 1, then E_k (1 - E0) for k != 0 and E0 for k = 0."""
+    e0 = e[..., n_side:n_side + 1]
+    cols = np.concatenate((np.ones_like(e0), e * (1.0 - e0)), axis=-1)
+    cols[..., 1 + n_side] = e0[..., 0]
+    return cols
+
+
 def pulsed_g2_jacobian(tau_ns, theta, period_ns: float) -> np.ndarray:
     _, heights, n_side, d, (e, e_u, e_tau) = _comb(
         tau_ns, theta, period_ns, derivatives=True)
     e0 = e[:, n_side]
     b0 = heights[n_side]
     side = e @ heights - b0 * e0                      # sum_{k != 0} b_k E_k
-    cols = np.empty((e.shape[0], heights.size + 3))
-    cols[:, 0] = 1.0
-    cols[:, 1:-2] = e * (1.0 - e0)[:, None]
-    cols[:, 1 + n_side] = e0
     # d(model) = dE_0 * (b0 - side) + (1 - E0) * sum_{k != 0} b_k dE_k
-    for j, de in ((-2, -e_u * np.sign(d)), (-1, e_tau)):
-        de0 = de[:, n_side]
-        cols[:, j] = de0 * (b0 - side) + (1.0 - e0) * (de @ heights - b0 * de0)
-    return cols
+    return np.column_stack((_comb_basis(e, n_side), *(
+        de[:, n_side] * (b0 - side)
+        + (1.0 - e0) * (de @ heights - b0 * de[:, n_side])
+        for de in (-e_u * np.sign(d), e_tau))))
 
 
 def multi_exp_model(t_ns, theta, tau0_ns: float) -> np.ndarray:
@@ -331,62 +313,82 @@ def _result(params, raw: _RawFit) -> FitResult:
                      raw.chi2_reduced, raw.converged, raw.iterations, raw.flags)
 
 
-def _tau_x0(tau, counts, i_center, level, bin_ns):
-    """Starting tauX: the mean distance from the center bin to where counts
-    recross ``level`` on either side (one bin if neither does) over ln 2,
-    which inverts the exponential profile; at least half a bin."""
-    widths = []
-    right = np.nonzero(counts[i_center:] >= level)[0]
-    if right.size:
-        widths.append(tau[i_center + right[0]] - tau[i_center])
-    left = np.nonzero(counts[:i_center + 1][::-1] >= level)[0]
-    if left.size:
-        widths.append(tau[i_center] - tau[i_center - left[0]])
-    widths = [w for w in widths if w > 0]
-    half = float(np.mean(widths)) if widths else bin_ns
-    return max(half / math.log(2.0), bin_ns / 2.0)
+_GRID = 20  # grid values per shape parameter in the start search
+
+
+def _grid(bin_ns: float, top_ns: float, size: int = _GRID) -> np.ndarray:
+    """Log-spaced shapes from half a bin (tauX's lower bound) to top_ns."""
+    return np.geomspace(bin_ns / 2.0, top_ns, size)
+
+
+def _amplitudes(gram, rhs, yy):
+    """Stacked normal equations ``gram @ x = rhs`` (B^T W B, B^T W y) solved,
+    clipped at zero, and the chi-square yy - 2 x.rhs + x.gram.x each leaves."""
+    x = np.clip(np.linalg.solve(gram, rhs[..., None])[..., 0], 0.0, None)
+    return x, (yy - 2.0 * np.einsum("...i,...i", x, rhs)
+               + np.einsum("...i,...ij,...j", x, gram, x))
+
+
+def _cw_sums(counts, bin_ns, tau_x):
+    """Sums over bins i of y_i e_ij, e_ij and e_ij**2 at every bin j, for
+    e_ij = r**|i - j|, r = exp(-bin / tauX), one row per ``tau_x`` (a
+    column). The first is an FFT correlation over 2n points, which does not
+    wrap, with the ring r**min(m, 2n - m) transformed in closed form:
+    2 Re[(1 - z**n) / (1 - z)] - 1 + z**n, z = r exp(-i pi f / n). The
+    others are running sums over lags 0..j and 0..n-1-j, less lag 0."""
+    n = counts.size
+    e = _kernel(np.arange(n + 1) * bin_ns, tau_x)
+    cos = np.cos(np.pi * np.arange(n + 1) / n)
+    r, zn = e[:, 1:2], e[:, n:] * (-1.0) ** np.arange(n + 1)
+    ring = (2.0 * (1.0 - zn) * (1.0 - r * cos) / (1.0 - 2.0 * r * cos + r * r)
+            - 1.0 + zn)
+    ye = np.fft.irfft(np.fft.rfft(counts, 2 * n) * ring, 2 * n)[:, :n]
+    s, s2 = np.cumsum(e[:, :n], axis=1), np.cumsum(e[:, :n] ** 2, axis=1)
+    return ye, s + s[:, ::-1] - 1.0, s2 + s2[:, ::-1] - 1.0
 
 
 def fit_g2_cw(histogram: CoincidenceHistogram) -> FitResult:
     """Fit the CW antibunching model to a raw coincidence histogram.
 
-    Initial values come from the data: the plateau from the outer 20% of
-    bins, the dip position from the minimum bin, the depth from min/plateau,
-    and tauX from the dip half-width at half-depth (divided by ln 2 to
-    invert the exponential profile).
+    Every bin has unit weight. The fit starts at the least-squares minimum
+    over tau0 on every bin centre and tauX on a ``_grid`` to the window,
+    with y ~ a - c*e solved at each: c = -cov(y, e) / var(e), clipped at
+    zero, leaves sum((y - mean y)^2) - c^2 * n * var(e), and b = c / a.
 
     Raises
     ------
     ValueError
-        On an all-zero histogram, or when the window leaves no plateau
-        (narrower than ~5 tauX around the dip).
+        On an all-zero histogram, a zero plateau (the mean of the outer 20%
+        of bins), or a window narrower than 5 tauX of the start's dip.
     NoDipError
         When the minimum bin is not below the plateau level.
     """
     counts = _counts(histogram)
-    tau = histogram.tau_centers_ns
-    n = counts.size
-    edge = max(n // 10, 1)
-    a0 = float(np.mean(np.concatenate((counts[:edge], counts[-edge:]))))
-    if a0 <= 0:
+    edge = max(counts.size // 10, 1)
+    plateau = float(np.mean(np.concatenate((counts[:edge], counts[-edge:]))))
+    if plateau <= 0:
         raise ValueError("plateau estimate is zero; no correlations to fit")
-    i_min = int(np.argmin(counts))
-    tau0_0 = float(tau[i_min])
-    b0 = 1.0 - counts[i_min] / a0
-    if b0 <= 0:
+    if counts.min() >= plateau:
         raise NoDipError(
             "histogram minimum is not below the plateau; no dip to fit")
+    tau = histogram.tau_centers_ns
     bin_ns = histogram.bin_width / PS_PER_NS
-    tau_x0 = _tau_x0(tau, counts, i_min, a0 * (1.0 - b0 / 2.0), bin_ns)
-    if float(np.max(np.abs(tau - tau0_0))) < 5.0 * tau_x0:
+    window_ns = histogram.window / PS_PER_NS
+    tau_x = _grid(bin_ns, window_ns)[:, None]
+    ye, se, see = _cw_sums(counts, bin_ns, tau_x)
+    n, sy = counts.size, counts.sum()
+    var = see - se * se / n
+    c = np.clip((sy * se / n - ye) / var, 0.0, None)
+    g, j = np.unravel_index(np.argmax(c * c * var), c.shape)
+    a = (sy + c[g, j] * se[g, j]) / n
+    if float(np.max(np.abs(tau - tau[j]))) < 5.0 * tau_x[g, 0]:
         raise ValueError(
             "window too narrow: no plateau beyond 5 lifetimes of the dip")
 
-    window_ns = histogram.window / PS_PER_NS
     bounds = [(1e-300, np.inf), (0.0, 1.0),
-              (-window_ns, window_ns), (bin_ns * 1e-3, np.inf)]
+              (-window_ns, window_ns), (bin_ns / 2.0, np.inf)]
     raw = levenberg_marquardt(
-        cw_g2_model, tau, counts, [a0, min(b0, 1.0), tau0_0, tau_x0],
+        cw_g2_model, tau, counts, [a, c[g, j] / a, tau[j], tau_x[g, 0]],
         jacobian=cw_g2_jacobian, bounds=bounds)
     return _result(G2CwParams.from_vector(raw.theta), raw)
 
@@ -411,17 +413,17 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
     """Fit the pulsed comb model jointly: background, all 2*n_side+1 peak
     coefficients, tau0, and a shared tauX.
 
-    Initialization finds tau0 by comb search over the side peaks (robust
-    when the center peak is strongly suppressed), peak heights from local
-    maxima, and tauX from the strongest side peak's half-width. The fit
-    uses the bins within (n_side + 0.5) periods of that tau0, the ones
-    the modelled peaks cover.
+    It starts at tau0 from a comb search over the side peaks (robust when
+    the center peak is suppressed) and at the tauX on a ``_grid`` to the
+    window whose solved background and heights leave the lowest
+    chi-square. It fits the bins within (n_side + 0.5) periods of that
+    tau0, with unit weights.
 
     Raises
     ------
     ValueError
         If the window does not cover (n_side + 0.5) periods, or fewer than
-        3 side peaks rise resolvably above the baseline.
+        3 solved side-peak heights rise resolvably above the background.
     """
     if period_ns <= 0:
         raise ValueError(f"period_ns must be positive, got {period_ns}")
@@ -435,43 +437,34 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
             f"window ({window_ns:.1f} ns) must cover (n_side + 0.5) periods "
             f"({(n_side + 0.5) * period_ns:.1f} ns)")
 
-    a0 = float(np.percentile(counts, 10.0))
-    i0 = _comb_search(tau, counts, period_ns, n_side)
-    tau0_0 = float(tau[i0])
+    tau0 = float(tau[_comb_search(tau, counts, period_ns, n_side)])
+    fitted = np.abs(tau - tau0) <= (n_side + 0.5) * period_ns
+    x, y = tau[fitted], counts[fitted]
     bin_ns = histogram.bin_width / PS_PER_NS
+    grid = _grid(bin_ns, window_ns)
+    p = 2 * n_side + 2  # background and heights: the amplitudes
+    u = np.abs(_comb(x, np.r_[np.zeros(p), tau0, 1.0], period_ns)[3])
+    # Held at exp(-50) past 50 tauX, which no sum sees, the kernel keeps the
+    # small tauX off the slow subnormal path of exp and of the products.
+    normal = [(b.T @ b, b.T @ y) for b in (
+        _comb_basis(_kernel(np.minimum(u, 50 * t), t), n_side) for t in grid)]
+    amps, chi2 = _amplitudes(*map(np.array, zip(*normal)), y @ y)
+    g = int(np.argmin(chi2))
 
-    # Each peak's highest bin within a quarter period; the center peak,
-    # suppressed, is read at tau0 itself.
-    heights0 = np.zeros(2 * n_side + 1)
-    peak_bin = np.zeros(2 * n_side + 1, dtype=np.int64)
-    for j, k in enumerate(range(-n_side, n_side + 1)):
-        center = tau0_0 + k * period_ns
-        sel = np.flatnonzero(np.abs(tau - center) <= period_ns / 4.0)
-        if sel.size:
-            peak_bin[j] = i0 if k == 0 else sel[np.argmax(counts[sel])]
-            heights0[j] = max(counts[peak_bin[j]] - a0, 0.0)
-
-    side = np.arange(2 * n_side + 1) != n_side
-    resolvable = int(np.count_nonzero(
-        heights0[side] > 3.0 * math.sqrt(a0 + 1.0)))
+    side = np.delete(amps[g, 1:], n_side)
+    resolvable = int(np.count_nonzero(side > 3 * math.sqrt(amps[g, 0] + 1)))
     if resolvable < 3:
         raise ValueError(
             f"only {resolvable} side peaks rise above the baseline; "
             "at least 3 are needed to anchor the comb")
 
-    j_best = int(np.argmax(np.where(side, heights0, -np.inf)))
-    tau_x0 = _tau_x0(tau, -counts, int(peak_bin[j_best]),
-                     -(a0 + heights0[j_best] / 2.0), bin_ns)
-
-    init = np.concatenate(([a0], heights0, [tau0_0, tau_x0]))
-    bounds = [(0.0, np.inf)] * (2 * n_side + 2) + [
-        (tau0_0 - period_ns / 2.0, tau0_0 + period_ns / 2.0),
-        (bin_ns * 1e-3, np.inf)]
-    fitted = np.abs(tau - tau0_0) <= (n_side + 0.5) * period_ns
+    bounds = [(0.0, np.inf)] * p + [
+        (tau0 - period_ns / 2.0, tau0 + period_ns / 2.0),
+        (bin_ns / 2.0, np.inf)]
     raw = levenberg_marquardt(
-        lambda x, th: pulsed_g2_model(x, th, period_ns),
-        tau[fitted], counts[fitted], init,
-        jacobian=lambda x, th: pulsed_g2_jacobian(x, th, period_ns),
+        lambda xx, th: pulsed_g2_model(xx, th, period_ns), x, y,
+        np.r_[amps[g], tau0, grid[g]],
+        jacobian=lambda xx, th: pulsed_g2_jacobian(xx, th, period_ns),
         bounds=bounds)
     return _result(G2PwParams.from_vector(raw.theta, period_ns), raw)
 
@@ -480,42 +473,47 @@ def fit_multiexp(histogram: DecayHistogram, n_components: int = 3) -> FitResult:
     """Fit a multi-exponential decay to a sync-referenced histogram.
 
     The fit runs on bins at and after the histogram peak (tau0, held fixed
-    at the argmax bin) with Poisson weights 1/max(counts, 1). Components
-    come back sorted by ascending lifetime, with sigma and covariance
-    permuted to match. If any amplitude is consistent with zero at one
-    sigma the result is flagged degenerate with a suggestion to refit with
+    at the argmax bin) with Poisson weights 1/max(counts, 1). It starts at
+    the n_components (at most ``_GRID``) distinct lifetimes on a ``_grid``
+    to the span after tau0 whose solved floor and amplitudes leave the
+    lowest chi-square. Components come back sorted by lifetime, with sigma
+    and covariance permuted to match. An amplitude within one sigma of
+    zero, or with no positive sigma (two components merged into one
+    lifetime), flags the result degenerate with a suggestion to refit with
     one fewer component.
     """
-    if n_components < 1:
-        raise ValueError(f"n_components must be >= 1, got {n_components}")
+    if not 1 <= n_components <= _GRID:
+        raise ValueError(
+            f"n_components must be from 1 to {_GRID}, got {n_components}")
     counts = _counts(histogram)
     tau = histogram.delay_centers_ns
     i_peak = int(np.argmax(counts))
     tau0 = float(tau[i_peak])
-    x = tau[i_peak:]
-    y = counts[i_peak:]
+    x, y = tau[i_peak:], counts[i_peak:]
     p = 1 + 2 * n_components
     if y.size < p:
         raise ValueError(
             f"{y.size} bins after the peak cannot constrain {p} parameters")
 
-    tail = max(y.size // 20, 1)
-    floor0 = float(np.mean(y[-tail:]))
-    peak = float(y[0])
-    amp = max(peak - floor0, peak * 0.1, 1.0)
-    below = np.nonzero(y - floor0 < amp / math.e)[0]
-    tau_e = (x[below[0]] - tau0) if below.size else (x[-1] - tau0) / 3.0
-    tau_e = max(tau_e, (x[1] - x[0]) if x.size > 1 else 1.0)
-    if n_components == 1:
-        ratios = np.array([1.0])
-    else:
-        ratios = np.geomspace(0.25, 4.0, n_components)
-    init = [floor0]
-    for rr in ratios:
-        init += [amp / n_components, tau_e * rr]
+    # Past 3 components a coarser grid keeps to C(_GRID, 3) combinations.
+    size = max(g for g in range(n_components, _GRID + 1)
+               if math.comb(g, n_components) <= math.comb(_GRID, 3))
+    grid = _grid(histogram.bin_width / PS_PER_NS, x[-1] - tau0, size)
+    weights = 1.0 / np.maximum(y, 1.0)
+    basis = np.column_stack((np.ones_like(y),
+                             _kernel((x - tau0)[:, None], grid)))
+    bw = basis.T * weights
+    gram, rhs = bw @ basis, bw @ y
+    rows = np.array([(0, *c) for c in itertools.combinations(
+        range(1, size + 1), n_components)])
+    amps, chi2 = _amplitudes(gram[rows[:, :, None], rows[:, None, :]],
+                             rhs[rows], y @ (weights * y))
+    k = int(np.argmin(chi2))
+    # (A, B1, tau1, B2, tau2, ...): a Fortran ravel interleaves B and tau
+    init = np.r_[amps[k, 0],
+                 np.ravel((amps[k, 1:], grid[rows[k, 1:] - 1]), order="F")]
     bounds = [(0.0, np.inf)] + [(0.0, np.inf), (1e-6, np.inf)] * n_components
 
-    weights = 1.0 / np.maximum(y, 1.0)
     raw = levenberg_marquardt(
         lambda xx, th: multi_exp_model(xx, th, tau0), x, y, init,
         jacobian=lambda xx, th: multi_exp_jacobian(xx, th, tau0),
@@ -526,7 +524,8 @@ def fit_multiexp(histogram: DecayHistogram, n_components: int = 3) -> FitResult:
     perm = np.concatenate(([0], np.stack((2 * order + 1, 2 * order + 2)).T.ravel()))
     raw = dataclasses.replace(raw, theta=raw.theta[perm], sigma=raw.sigma[perm],
                               covariance=raw.covariance[np.ix_(perm, perm)])
-    if np.any(raw.theta[1::2] <= raw.sigma[1::2]):
+    amps, sigma = raw.theta[1::2], raw.sigma[1::2]
+    if np.any((amps <= sigma) | (sigma == 0.0)):
         raw = dataclasses.replace(raw, flags=raw.flags + (
             "degenerate_component",
             f"suggest_n_components={max(n_components - 1, 1)}"))

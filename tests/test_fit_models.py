@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonkit as pk
+from photonkit import fit as fitmod
 from photonkit.fit import (
     cw_g2_jacobian,
     cw_g2_model,
@@ -450,3 +451,109 @@ class TestVerdict:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             pk.single_photon_verdict(pk.Measurement(0.3, -0.1))
+
+
+class TestSeparableStart:
+    """Oracles for the start search: the CW sums taken by FFT and the
+    (tau0, tauX) it starts from equal a brute-force least squares over the
+    same grid, and the shared amplitude solve equals ``np.linalg.lstsq``
+    wherever the unconstrained amplitudes are non-negative."""
+
+    @pytest.mark.parametrize("plateau, bump, seed", [
+        (3.0, 0.0, 40), (20.0, 0.0, 41), (20.0, 60.0, 42)])
+    def test_cw_start_is_the_brute_force_minimum(self, monkeypatch,
+                                                 plateau, bump, seed):
+        """The third histogram adds a peak at +20 ns that fits better than
+        the dip as a negative depth, which the clip at zero rules out."""
+        rng = np.random.default_rng(seed)
+        hist = synth_cw_histogram(rng, a=plateau)
+        tau = hist.tau_centers_ns
+        hist = dataclasses.replace(hist, counts=hist.counts + rng.poisson(
+            bump * np.exp(-np.abs(tau - 20.0) / 3.0)))
+        y = hist.counts.astype(float)
+        assert y.size == 200
+        bin_ns = hist.bin_width / pk.PS_PER_NS
+        window_ns = hist.window / pk.PS_PER_NS
+        grid = fitmod._grid(bin_ns, window_ns)
+        # e[g, i, j] = exp(-|tau_i - tau_j| / tauX_g), tau0 on bin centre j
+        e = np.exp(-np.abs(tau[:, None] - tau[None, :])
+                   / grid[:, None, None])
+        ye, se, see = fitmod._cw_sums(y, bin_ns, grid[:, None])
+        np.testing.assert_allclose(ye, np.einsum("i,gij->gj", y, e),
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(se, e.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(see, (e ** 2).sum(axis=1), rtol=1e-12)
+
+        best = (np.inf, None)
+        for g in range(grid.size):
+            for j in range(tau.size):
+                basis = np.column_stack((np.ones_like(y), -e[g, :, j]))
+                a, c = np.linalg.lstsq(basis, y, rcond=None)[0]
+                if c < 0:  # the depth is clipped at zero
+                    a, c = y.mean(), 0.0
+                chi2 = float(((y - a + c * e[g, :, j]) ** 2).sum())
+                if chi2 < best[0]:
+                    best = (chi2, [a, c / a, tau[j], grid[g]])
+
+        starts = []
+        engine = fitmod.levenberg_marquardt
+
+        def spy(*args, **kwargs):
+            starts.append(args[3])
+            return engine(*args, **kwargs)
+        monkeypatch.setattr(fitmod, "levenberg_marquardt", spy)
+        pk.fit_g2_cw(hist)
+        (start,) = starts
+        assert start[2:] == best[1][2:]
+        np.testing.assert_allclose(start[:2], best[1][:2], rtol=1e-9)
+
+    def test_amplitudes_match_lstsq(self):
+        rng = np.random.default_rng(42)
+        basis = rng.uniform(0.0, 1.0, (12, 40, 4))
+        truth = rng.uniform(-0.5, 2.0, (12, 4))
+        y = (basis @ truth[..., None])[..., 0] + rng.normal(0, 0.05, (12, 40))
+        w = rng.uniform(0.5, 2.0, 40)
+        bw = basis.transpose(0, 2, 1) * w
+        amps, chi2 = fitmod._amplitudes(
+            bw @ basis, (bw @ y[..., None])[..., 0], (w * y * y).sum(axis=1))
+        assert np.all(amps >= 0.0)
+        checked = 0
+        for k in range(len(basis)):
+            sw = np.sqrt(w)
+            want = np.linalg.lstsq(sw[:, None] * basis[k], sw * y[k],
+                                   rcond=None)[0]
+            if np.all(want >= 0):
+                checked += 1
+                np.testing.assert_allclose(amps[k], want, rtol=1e-9)
+                r = y[k] - basis[k] @ want
+                np.testing.assert_allclose(chi2[k], (w * r * r).sum(),
+                                           rtol=1e-9)
+            else:
+                assert np.all(amps[k][want < 0] == 0.0)
+        assert 0 < checked < len(basis)
+
+    def test_decay_components_within_the_grid(self):
+        """Past 3 components the lifetime grid thins, so the start search
+        stays at C(20, 3) solves; more components than grid values are
+        refused."""
+        hist = synth_decay_histogram(np.random.default_rng(43), 10.0,
+                                     [(3000.0, 1.3), (800.0, 24.0)])
+        assert pk.fit_multiexp(hist, n_components=4).converged
+        with pytest.raises(ValueError, match="from 1 to 20, got 21"):
+            pk.fit_multiexp(hist, n_components=21)
+
+
+class TestDefaultCwJobDip:
+    """The default CW job at 30 ms, seed 9, once started in an empty bin
+    at +1000 ns and read ``not_single`` off a one-bin "dip"; the start
+    search finds the dip at zero delay."""
+
+    def test_tau0_near_zero_and_not_single_refused(self, tmp_path):
+        doc = pk.run_pipeline(
+            {"mode": "simulate", "duration_s": 0.03, "seed": 9,
+             "analyses": ["g2cw"], "output": "cw.ptst"},
+            base_dir=str(tmp_path))
+        assert doc.ok, doc.errors
+        g2cw = doc.results["g2cw"]
+        assert abs(g2cw["fit"]["tau0_ns"]["value"]) <= 10.0
+        assert g2cw["verdict"] is not pk.Verdict.NOT_SINGLE

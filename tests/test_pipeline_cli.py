@@ -1293,6 +1293,22 @@ class TestPathJobKeys:
             (analysis, "ValueError", f"{section}.csv must not be empty")]
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_correlate_output_is_refused_before_reading(
+            self, pulsed_path, tmp_path, capsys, monkeypatch):
+        """``correlate -o ""`` is read as ``correlation.csv``, so it is
+        refused before the file is read, not after correlating it."""
+        import photonkit.cli as cli
+        loaded = []
+        monkeypatch.setattr(cli, "run_load",
+                            lambda *args: loaded.append(args))
+        assert cli_main(["correlate", str(pulsed_path), "--outdir",
+                         str(tmp_path), "-o", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: correlation.csv must not be empty\n"
+        assert captured.out == ""
+        assert loaded == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_input_is_an_input_error(self, tmp_path):
         doc = run_pipeline({"mode": "analyze", "input": ""},
                            base_dir=str(tmp_path))
@@ -1371,6 +1387,24 @@ class TestFitPeriodFlag:
         assert captured.err == f"error: --period must be {message}\n"
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == files
+
+    @pytest.mark.parametrize("model", ["cw", "pulsed"])
+    @pytest.mark.parametrize("period, message", [
+        ("0.0001", "from 1 ps to below 2**63 ps, got 0.0001"),
+        ("1e300", "from 1 ps to below 2**63 ps, got 1e+300"),
+        ("0", "positive, got 0.0")])
+    def test_g2_models_exit_1_naming_the_flag(self, pulsed_path, tmp_path,
+                                              capsys, model, period, message):
+        """The g2 models read ``--period`` by the flag's name too, not as
+        the job key ``correlation.period_ns`` it becomes."""
+        assert cli_main(["correlate", str(pulsed_path), "--window", "600",
+                         "--outdir", str(tmp_path), "-o", "raw.csv"]) == 0
+        capsys.readouterr()
+        assert cli_main(["fit", str(tmp_path / "raw.csv"), "--model", model,
+                         f"--period={period}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --period must be {message}\n"
+        assert captured.out == ""
 
     def test_simulate_config_string_exits_1_naming_the_flag(self, tmp_path,
                                                              capsys):
