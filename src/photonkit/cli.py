@@ -1,13 +1,9 @@
 """Command-line interface.
 
-Subcommands cover the full workflow: ``simulate`` writes synthetic
-timestamp files, ``correlate``/``lifetime``/``blink`` run the individual
-analyses on a timestamp file, ``fit`` refits an exported histogram CSV,
-and ``pipeline`` executes a JSON job description end to end.
-
-The simulate and analysis subcommands map their flags onto job-config
-keys and call the stage functions of ``photonkit.pipeline``; an unset
-flag takes the same default a JSON job would.
+``simulate``, ``correlate``, ``lifetime`` and ``blink`` each map their
+flags onto job-config keys (an unset flag takes the job's default) and
+run that one job with ``pipeline.run_pipeline``; ``fit`` refits an
+exported histogram CSV with the fit stages; ``pipeline`` runs a JSON job.
 
 Option precedence is defaults, then command-line flags, then values from
 a ``--config`` JSON file, which override flags by design so a saved
@@ -24,19 +20,8 @@ import sys
 
 from .core import (PS_PER_NS, CoincidenceHistogram, DecayHistogram,
                    Measurement, _span, ns_to_ps)
-from .fileio import TimestampFileError, export_histogram_csv, read_histogram_csv
-from .pipeline import (
-    _section,
-    run_blinking,
-    run_correlate,
-    run_decay_histogram,
-    run_g2_fit,
-    run_intensity_trace,
-    run_lifetime,
-    run_load,
-    run_pipeline,
-    run_simulate,
-)
+from .fileio import TimestampFileError, read_histogram_csv
+from .pipeline import _section, run_g2_fit, run_lifetime, run_pipeline
 
 __all__ = ["main", "build_parser"]
 
@@ -48,20 +33,25 @@ def _outdir(args) -> str:
 
 
 def _apply_config(args, parser):
-    """Overlay values from a JSON config file onto parsed flags."""
+    """Overlay values from a JSON config file onto parsed flags, refusing
+    a key that names no option and a value outside its option's choices."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as f:
         overrides = json.load(f)
     if not isinstance(overrides, dict):
         parser.error(f"config file {args.config} must hold a JSON object")
-    valid = set(vars(args)) - {"config", "command", "func"}
+    actions = {a.dest: a for a in args.parser._actions
+               if a.dest not in ("help", "config")}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in valid:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             parser.error(
                 f"config key {key!r} does not match any {args.command} option")
-        setattr(args, dest, value)
+        if action.choices and value not in action.choices:
+            parser.error(f"config key {key!r} must be one of "
+                         f"{action.choices}, got {value!r}")
+        setattr(args, action.dest, value)
     return args
 
 
@@ -69,6 +59,14 @@ def _given(**keys) -> dict:
     """Job-config keys for the flags that were set. An unset flag is None
     and is left out, so the stage or model default applies."""
     return {k: v for k, v in keys.items() if v is not None}
+
+
+def _print_errors(errors, keys=("code",)) -> None:
+    """Print error entries as ``error[<keys>]: message``, or ``error:``."""
+    for err in errors:
+        where = ":".join(str(err[k]) for k in keys if err.get(k) is not None)
+        print(f"error{f'[{where}]' if where else ''}: {err['message']}",
+              file=sys.stderr)
 
 
 def _print_fit(result: dict) -> None:
@@ -90,6 +88,55 @@ def _print_fit(result: dict) -> None:
               file=sys.stderr)
 
 
+def _print_result(name: str, res: dict) -> None:
+    """Print the report entry ``res`` of the source or analysis ``name``."""
+    if name == "simulate":
+        counts, rates = res["counts"], res["rates_per_ms"]
+        print(f"wrote {res['records']} records to {res['output']}")
+        for ch in (0, 1):
+            print(f"channel {ch}: {counts[f'channel_{ch}']} events "
+                  f"({rates[f'channel_{ch}']:.2f}/ms)")
+        if counts["sync"]:
+            print(f"sync: {counts['sync']} pulses")
+    elif name == "blinking":
+        print(f"threshold = {res['threshold_per_ms']:g} counts/ms")
+        print(f"on dwells = {res['n_on_dwells']}, "
+              f"off dwells = {res['n_off_dwells']}")
+        for state in ("on", "off"):
+            alpha = res[f"alpha_{state}"]
+            if alpha is None:
+                print(f"{state}: too few dwells to characterize")
+            else:
+                print(f"{state}: alpha = {alpha}, "
+                      f"model = {res[f'model_{state}']}")
+        print(f"mean rates: on {res['mean_on_rate_per_ms']:.2f}/ms, "
+              f"off {res['mean_off_rate_per_ms']:.2f}/ms")
+    else:
+        if "n_pairs" in res:
+            print(f"{res['n_pairs']} pairs in {res['n_bins']} bins")
+        if "fit" in res:
+            _print_fit(res)
+        print(f"histogram written to {res['csv']}")
+
+
+def _run_job(args, name: str, **keys) -> int:
+    """Run the source or analysis ``name`` alone, as a job of ``keys`` and
+    of an analysis's reader flags; print its result or its first error."""
+    if name == "simulate":
+        config = {"mode": "simulate", **keys}
+    else:
+        config = _given(mode="analyze", analyses=[name], input=args.input,
+                        duration_ps=args.duration_ps, workers=args.workers,
+                        **keys)
+        for section in keys:  # refused before any file is read
+            _section(config, section)
+    doc = run_pipeline(config, base_dir=_outdir(args))
+    _print_errors(doc.errors[:1])  # the rest follow from the first
+    if doc.ok:
+        _print_result(name, doc.results[name])
+    return 0 if doc.ok else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -99,9 +146,9 @@ def cmd_simulate(args) -> int:
     blinking = _given(kind=args.blinking, alpha_on=args.alpha,
                       alpha_off=args.alpha,
                       off_emission_rate_per_ms=args.background_per_ms)
-    config = _given(
-        seed=args.seed, duration_s=args.duration_s, workers=args.workers,
-        output=args.output,
+    return _run_job(args, "simulate", **_given(
+        seed=args.seed, duration_s=args.duration_s,
+        workers=args.workers, output=args.output,
         emitter=_given(lifetime_ns=args.lifetime_ns, blinking=blinking),
         excitation=_given(
             mode=args.mode, cw_rate_per_s=args.rate_per_s,
@@ -109,77 +156,38 @@ def cmd_simulate(args) -> int:
             excitation_probability=args.excitation_probability),
         detector=_given(
             efficiency=args.efficiency, dark_rate_per_ms=args.dark_rate_per_ms,
-            jitter_sigma_ps=args.jitter_ps, dead_time_ps=args.dead_time_ps))
-    result, _ = run_simulate(config, _outdir(args))
-    counts, rates = result["counts"], result["rates_per_ms"]
-    print(f"wrote {result['records']} records to {result['output']}")
-    for ch in (0, 1):
-        print(f"channel {ch}: {counts[f'channel_{ch}']} events "
-              f"({rates[f'channel_{ch}']:.2f}/ms)")
-    if counts["sync"]:
-        print(f"sync: {counts['sync']} pulses")
-    return 0
+            jitter_sigma_ps=args.jitter_ps, dead_time_ps=args.dead_time_ps)))
 
 
 def cmd_correlate(args) -> int:
-    config = _given(
-        input=args.input, duration_ps=args.duration_ps, workers=args.workers,
-        correlation=_given(window_ns=args.window, bin_width_ps=args.bin_width,
-                           period_ns=args.period, n_side=args.n_side,
-                           csv=args.output))
-    corr = _section(config, "correlation")  # refused before any file is read
-    _, streams = run_load(config)
-    hist = run_correlate(streams, config)
-    print(f"{int(hist.counts.sum())} pairs in {hist.n_bins} bins")
-    if args.fit == "none":
-        path = os.path.join(_outdir(args), corr["csv"])
-        export_histogram_csv(hist, path)
-    else:
-        kind = "g2cw" if args.fit == "cw" else "g2pw"
-        result = run_g2_fit(kind, hist, streams, config, _outdir(args))
-        _print_fit(result)
-        path = result["csv"]
-    print(f"histogram written to {path}")
-    return 0
+    name = {"none": "g2", "cw": "g2cw", "pulsed": "g2pw"}[args.fit]
+    return _run_job(args, name, correlation=_given(
+        window_ns=args.window, bin_width_ps=args.bin_width,
+        period_ns=args.period, n_side=args.n_side, csv=args.output))
 
 
 def cmd_lifetime(args) -> int:
-    config = _given(
-        input=args.input, duration_ps=args.duration_ps, workers=args.workers,
-        lifetime=_given(bin_width_ps=args.bin_width, period_ns=args.period,
-                        n_components=args.components, csv=args.output))
-    _, streams = run_load(config)
-    result = run_lifetime(run_decay_histogram(streams, config), config,
-                          _outdir(args))
-    _print_fit(result)
-    print(f"histogram written to {result['csv']}")
-    return 0
+    return _run_job(args, "lifetime", lifetime=_given(
+        bin_width_ps=args.bin_width, period_ns=args.period,
+        n_components=args.components, csv=args.output))
 
 
 def cmd_blink(args) -> int:
-    config = _given(
-        input=args.input, duration_ps=args.duration_ps, workers=args.workers,
-        blinking=_given(threshold_per_ms=args.threshold,
-                        bin_width_ms=args.bin_ms,
-                        min_dwell_ms=args.min_dwell_ms,
-                        tau_min_ms=args.tau_min_ms))
-    _, streams = run_load(config)
-    res = run_blinking(run_intensity_trace(streams, config), config)
-    print(f"threshold = {res['threshold_per_ms']:g} counts/ms")
-    print(f"on dwells = {res['n_on_dwells']}, "
-          f"off dwells = {res['n_off_dwells']}")
-    for state in ("on", "off"):
-        alpha = res[f"alpha_{state}"]
-        if alpha is None:
-            print(f"{state}: too few dwells to characterize")
-        else:
-            print(f"{state}: alpha = {alpha}, model = {res[f'model_{state}']}")
-    print(f"mean rates: on {res['mean_on_rate_per_ms']:.2f}/ms, "
-          f"off {res['mean_off_rate_per_ms']:.2f}/ms")
-    return 0
+    return _run_job(args, "blinking", blinking=_given(
+        threshold_per_ms=args.threshold, bin_width_ms=args.bin_ms,
+        min_dwell_ms=args.min_dwell_ms, tau_min_ms=args.tau_min_ms))
 
 
 def cmd_fit(args) -> int:
+    # Read by the flag's name for every model, then refused, not ignored,
+    # where the model does not read it.
+    period_ps = (None if args.period is None
+                 else _span(PS_PER_NS)(args.period, "--period"))
+    for dest in {"cw": ("period", "n_side", "components"),
+                 "pulsed": ("components",), "decay": ("n_side",)}[args.model]:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply "
+                             f"to --model {args.model}")
     columns = read_histogram_csv(args.input)
     centers = columns.get("bin_center_ns")
     counts = columns.get("count")
@@ -189,23 +197,18 @@ def cmd_fit(args) -> int:
     if centers.size < 2:
         raise ValueError("histogram CSV has fewer than 2 rows")
     bin_ps = ns_to_ps(centers[1] - centers[0])
-    # Read by the flag's name for every model; the g2 fits then take the
-    # same value as their job key.
-    period_ps = (None if args.period is None
-                 else _span(PS_PER_NS)(args.period, "--period"))
+    config = {"correlation": _given(period_ns=args.period, n_side=args.n_side),
+              "lifetime": _given(n_components=args.components)}
     if args.model in ("cw", "pulsed"):
         window_ps = int(round(-centers[0] * PS_PER_NS + bin_ps / 2.0))
         hist = CoincidenceHistogram(bin_ps, window_ps, counts)
-        config = {"correlation": _given(period_ns=args.period,
-                                        n_side=args.n_side)}
         kind = "g2cw" if args.model == "cw" else "g2pw"
         _print_fit(run_g2_fit(kind, hist, {}, config))
     else:
         if period_ps is None:
             period_ps = int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
-        hist = DecayHistogram(bin_ps, period_ps, counts)
-        config = {"lifetime": _given(n_components=args.components)}
-        _print_fit(run_lifetime(hist, config))
+        _print_fit(run_lifetime(DecayHistogram(bin_ps, period_ps, counts),
+                                config))
     return 0
 
 
@@ -218,9 +221,7 @@ def cmd_pipeline(args) -> int:
     path = os.path.join(_outdir(args), args.output)
     doc.write(path)
     print(f"report written to {path}")
-    for err in doc.errors:
-        where = ":".join(str(err[k]) for k in ("stage", "code") if k in err)
-        print(f"error[{where}]: {err['message']}", file=sys.stderr)
+    _print_errors(doc.errors, ("stage", "code"))
     return 0 if doc.ok else 1
 
 
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uncorrelated background in counts/ms")
     p.add_argument("--workers", type=int)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("correlate", parents=[common, overridable, reader],
                        help="cross-correlate the two detector channels")
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-side", type=int,
                    help="side peaks per side in the pulsed fit")
     p.add_argument("-o", "--output", default="g2.csv")
-    p.set_defaults(func=cmd_correlate)
+    p.set_defaults(func=cmd_correlate, parser=p)
 
     p = sub.add_parser("lifetime", parents=[common, overridable, reader],
                        help="sync-referenced decay histogram and fit")
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pulse period in ns when the file has no sync channel")
     p.add_argument("--components", type=int)
     p.add_argument("-o", "--output", default="decay.csv")
-    p.set_defaults(func=cmd_lifetime)
+    p.set_defaults(func=cmd_lifetime, parser=p)
 
     p = sub.add_parser("blink", parents=[common, overridable, reader],
                        help="intensity thresholding and dwell statistics")
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-ms", type=float, help="intensity bin width in ms")
     p.add_argument("--min-dwell-ms", type=float)
     p.add_argument("--tau-min-ms", type=float)
-    p.set_defaults(func=cmd_blink)
+    p.set_defaults(func=cmd_blink, parser=p)
 
     p = sub.add_parser("fit", parents=[common, overridable],
                        help="refit an exported histogram CSV")
@@ -310,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=float, help="pulse period in ns")
     p.add_argument("--components", type=int)
     p.add_argument("--n-side", type=int)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("pipeline", parents=[common],
                        help="run a JSON job end to end and write a report")
     p.add_argument("job", help="JSON job description")
     p.add_argument("-o", "--output", default="report.json")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, parser=p)
 
     return parser
 
@@ -328,9 +329,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, TimestampFileError) as e:
-        code = getattr(e, "code", None)
-        where = f"[{code}]" if code is not None else ""
-        print(f"error{where}: {e}", file=sys.stderr)
+        _print_errors([{"message": str(e), "code": getattr(e, "code", None)}])
         return 1
 
 

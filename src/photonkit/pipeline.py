@@ -6,16 +6,18 @@
   beam-splitter detector model, and write a binary timestamp file.
 * mode "analyze": read a timestamp file back.
 
-Either mode can then run any subset of the named analyses ("g2cw",
+Either mode can then run any subset of the named analyses ("g2", "g2cw",
 "g2pw", "lifetime", "blinking") on the resulting streams. Every analysis
 runs inside its own error boundary; a failing stage adds an entry to the
 report's ``errors`` list instead of aborting the rest.
 
-Each step is a ``run_*`` stage function of the job config; the CLI
-subcommands call the same functions, so the two cannot drift apart. An
-analysis is a build stage that makes a histogram, then a fit stage:
+Each step is a ``run_*`` stage function of the job config. An analysis
+is a build stage that makes a histogram, then a fit stage:
 ``run_correlate``/``run_g2_fit``, ``run_decay_histogram``/``run_lifetime``
-and ``run_intensity_trace``/``run_blinking``.
+and ``run_intensity_trace``/``run_blinking``; "g2" is the correlation
+alone, exported raw. The CLI subcommands ``simulate``, ``correlate``,
+``lifetime`` and ``blink`` run their work as a ``run_pipeline`` job of
+one source or one analysis, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ from .sim import (
 
 __all__ = ["run_pipeline", "KNOWN_ANALYSES"]
 
-KNOWN_ANALYSES = ("g2cw", "g2pw", "lifetime", "blinking")
+KNOWN_ANALYSES = ("g2", "g2cw", "g2pw", "lifetime", "blinking")
+# The analyses that correlate, each writing ``correlation.csv`` if set.
+_G2_ANALYSES = ("g2", "g2cw", "g2pw")
 
 # Every scalar job key by section ("" is the top level): its rule, which
 # gives a span in whole ps, and default; null is unset only if that is None.
@@ -254,6 +258,7 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
     out = {
         **_fit_entry(res),
         "n_pairs": int(histogram.counts.sum()),
+        "n_bins": histogram.n_bins,
         "g2_at_dip": g2,
         "verdict": fit.single_photon_verdict(g2),
     }
@@ -310,9 +315,13 @@ def run_blinking(trace: IntensityTrace, config: dict) -> dict:
 
 
 def _analyze(name: str, streams: dict, config: dict, base: str) -> dict:
-    if name in ("g2cw", "g2pw"):
-        return run_g2_fit(name, run_correlate(streams, config), streams,
-                          config, base)
+    if name in _G2_ANALYSES:
+        hist = run_correlate(streams, config)
+        if name != "g2":
+            return run_g2_fit(name, hist, streams, config, base)
+        out = {"n_pairs": int(hist.counts.sum()), "n_bins": hist.n_bins}
+        _export_csv(out, hist, _section(config, "correlation"), base)
+        return out
     if name == "lifetime":
         return run_lifetime(run_decay_histogram(streams, config), config,
                             base)
@@ -330,9 +339,10 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
     config : dict
         Job description; see the module docstring for the shape. The dict
         is echoed verbatim into the report. An unknown top-level key, an
-        ``analyses`` value that is not a list of strings, or a name listed
-        twice in it raises ``ValueError``; an unknown key in an analysis
-        section becomes that analysis's error entry.
+        ``analyses`` value that is not a list of strings, a name listed
+        twice in it, or more than one of "g2", "g2cw" and "g2pw" while
+        ``correlation.csv`` is set raises ``ValueError``; an unknown key
+        in an analysis section becomes that analysis's error entry.
     base_dir : str, optional
         Directory that relative output paths are resolved against.
         Defaults to the current directory.
@@ -357,6 +367,13 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
     for name in analyses:
         if analyses.count(name) > 1:
             raise ValueError(f"analysis {name!r} is listed more than once")
+    # One correlation.csv holds one histogram, so only one may write it.
+    writers = [name for name in analyses if name in _G2_ANALYSES]
+    corr = config.get("correlation")
+    if (len(writers) > 1 and isinstance(corr, dict)
+            and corr.get("csv") is not None):
+        raise ValueError(f"analyses {', '.join(map(repr, writers))} would "
+                         f"each write correlation.csv")
     base = base_dir or "."
     results: dict = {}
     errors: list = []

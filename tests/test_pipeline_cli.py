@@ -784,31 +784,31 @@ class TestReadmeFlagKeys:
             value = ns_to_ps(value)
 
         stage = self.STAGE[command]
+        signature = inspect.signature(getattr(pipeline, stage))
         seen = []
 
         def spy(*args, **kwargs):
-            bound = inspect.signature(getattr(pipeline, stage)).bind(
-                *args, **kwargs)
-            seen.append(bound.arguments["config"])
+            seen.append(signature.bind(*args, **kwargs).arguments["config"])
             raise _StageReached
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(f"photonkit.cli.{stage}", spy)
+        monkeypatch.setattr(f"photonkit.pipeline.{stage}", spy)
         argv = [command]
         if command != "simulate":
             argv.append(typed if flag == "input" else "in.ptst")
         if flag != "input":
             argv += [flag, typed]
         if command == "correlate":
-            monkeypatch.setattr("photonkit.cli.run_load",
-                                lambda config: ({}, {}))
+            monkeypatch.setattr("photonkit.pipeline.run_load",
+                                lambda config, hasher=None: ({}, {}))
             monkeypatch.setattr(
-                "photonkit.cli.run_correlate",
+                "photonkit.pipeline.run_correlate",
                 lambda streams, config: CoincidenceHistogram(500, 1000,
                                                              [0] * 4))
             argv += ["--fit", "pulsed"]
-        with pytest.raises(_StageReached):
-            cli_main(argv)
+        # The job's stage boundary turns the spy's exception into an
+        # error entry, so the subcommand exits 1.
+        assert cli_main(argv) == 1
         [config] = seen
         for path in paths:
             node = config
@@ -1297,9 +1297,8 @@ class TestPathJobKeys:
             self, pulsed_path, tmp_path, capsys, monkeypatch):
         """``correlate -o ""`` is read as ``correlation.csv``, so it is
         refused before the file is read, not after correlating it."""
-        import photonkit.cli as cli
         loaded = []
-        monkeypatch.setattr(cli, "run_load",
+        monkeypatch.setattr(pipeline, "run_load",
                             lambda *args: loaded.append(args))
         assert cli_main(["correlate", str(pulsed_path), "--outdir",
                          str(tmp_path), "-o", ""]) == 1
@@ -1535,3 +1534,180 @@ class TestChannelSumOracle:
         assert [(e["stage"], e["type"], e["message"]) for e in doc.errors] == [
             (stage, "ValueError", "no detector events to analyze")
             for stage in ("lifetime", "blinking")]
+
+
+def printed_result(name, entry, outdir):
+    """The stdout and stderr lines a subcommand prints for the report
+    entry ``entry`` of analysis ``name``, its CSV taken in ``outdir``."""
+    out, err = [], []
+    if name == "blinking":
+        out += [f"threshold = {entry['threshold_per_ms']:g} counts/ms",
+                f"on dwells = {entry['n_on_dwells']}, "
+                f"off dwells = {entry['n_off_dwells']}"]
+        for state in ("on", "off"):
+            alpha = entry[f"alpha_{state}"]
+            out.append(f"{state}: too few dwells to characterize"
+                       if alpha is None else
+                       f"{state}: alpha = {Measurement(**alpha)}, "
+                       f"model = {entry[f'model_{state}']}")
+        out.append(f"mean rates: on {entry['mean_on_rate_per_ms']:.2f}/ms, "
+                   f"off {entry['mean_off_rate_per_ms']:.2f}/ms")
+        return out, err
+    if "n_pairs" in entry:
+        out.append(f"{entry['n_pairs']} pairs in {entry['n_bins']} bins")
+    if "fit" in entry:
+        out += [f"{k} = {Measurement(**m)}" for k, m in entry["fit"].items()]
+        out.append(f"chi2_reduced = {entry['chi2_reduced']:.4g}")
+        if "g2_at_dip" in entry:
+            out += [f"g2(tau0) = {Measurement(**entry['g2_at_dip'])}",
+                    f"verdict = {entry['verdict']}"]
+        else:
+            out.append(f"tau_avg_ns = {Measurement(**entry['tau_avg_ns'])}")
+        if not entry["converged"]:
+            err.append("warning: fit did not converge")
+        err += [f"flag: {flag}" for flag in entry["flags"]]
+        if entry.get("discarded"):
+            err.append(f"{entry['discarded']} photons outside the sync window")
+    csv = os.path.join(outdir, os.path.basename(entry["csv"]))
+    out.append(f"histogram written to {csv}")
+    return out, err
+
+
+class TestSubcommandJobParity:
+    """Every analysis subcommand prints the values of the ``pipeline``
+    subcommand's report entry for the same keys, and writes the same CSV
+    bytes, on seeded files."""
+
+    # subcommand flags, analysis, job section, file
+    CASES = {
+        "correlate_none": (
+            ["correlate", "--window", "600", "-o", "raw.csv"], "g2",
+            {"correlation": {"window_ns": 600.0, "csv": "raw.csv"}},
+            "pulsed"),
+        "correlate_cw": (
+            ["correlate", "--fit", "cw", "--window", "400", "-o", "g2.csv"],
+            "g2cw", {"correlation": {"window_ns": 400.0, "csv": "g2.csv"}},
+            "cw"),
+        "correlate_pulsed": (
+            ["correlate", "--fit", "pulsed", "--window", "600", "--n-side",
+             "4", "-o", "g2.csv"], "g2pw",
+            {"correlation": {"window_ns": 600.0, "n_side": 4,
+                             "csv": "g2.csv"}}, "pulsed"),
+        "lifetime": (
+            ["lifetime", "--components", "1", "--bin-width", "100",
+             "-o", "decay.csv"], "lifetime",
+            {"lifetime": {"n_components": 1, "bin_width_ps": 100,
+                          "csv": "decay.csv"}}, "pulsed"),
+        "blink": (
+            ["blink", "--threshold", "30", "--bin-ms", "2"], "blinking",
+            {"blinking": {"threshold_per_ms": 30.0, "bin_width_ms": 2.0}},
+            "blinking"),
+    }
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, pulsed_path):
+        base = tmp_path_factory.mktemp("subcommand_parity")
+        files = {"pulsed": pulsed_path}
+        for kind, flags in (("cw", ["--rate-per-s", "2e6"]),
+                            ("blinking", ["--rate-per-s", "2e5",
+                                          "--blinking", "power_law"])):
+            files[kind] = base / f"{kind}.ptst"
+            assert cli_main(["simulate", "--duration-s", "0.5", "--seed", "3",
+                             *flags, "-o", str(files[kind])]) == 0
+        return files
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_prints_the_report_entry_and_writes_its_csv(
+            self, files, tmp_path, capsys, case):
+        argv, name, section, kind = self.CASES[case]
+        path = str(files[kind])
+        cli_dir, job_dir = tmp_path / "cli", tmp_path / "job"
+        capsys.readouterr()
+        assert cli_main([argv[0], path, *argv[1:],
+                         "--outdir", str(cli_dir)]) == 0
+        printed = capsys.readouterr()
+
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"mode": "analyze", "input": path,
+                                   "analyses": [name], **section}))
+        assert cli_main(["pipeline", str(job), "--outdir", str(job_dir)]) == 0
+        capsys.readouterr()
+        report = json.loads((job_dir / "report.json").read_text())
+        out, err = printed_result(name, report["results"][name], str(cli_dir))
+        # The report sorts its keys, so the fit parameters come in another
+        # order than the subcommand prints them.
+        assert sorted(printed.out.splitlines()) == sorted(out)
+        assert printed.err.splitlines() == err
+        for csv in {s.get("csv") for s in section.values()} - {None}:
+            assert ((cli_dir / csv).read_bytes()
+                    == (job_dir / csv).read_bytes())
+        if name == "blinking":  # both exponents reach the printed lines
+            entry = report["results"][name]
+            assert None not in (entry["alpha_on"], entry["alpha_off"])
+
+
+class TestFitUnreadFlags:
+    """``photonkit fit`` refuses a flag its model does not read, before
+    the CSV is read, instead of ignoring it."""
+
+    @pytest.mark.parametrize("model, flag, value", [
+        ("cw", "--period", "100"), ("cw", "--n-side", "3"),
+        ("cw", "--components", "2"), ("pulsed", "--components", "2"),
+        ("decay", "--n-side", "3")])
+    def test_exits_1_naming_the_flag(self, tmp_path, capsys, model, flag,
+                                     value):
+        assert cli_main(["fit", str(tmp_path / "missing.csv"), "--model",
+                         model, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} does not apply to --model {model}\n")
+        assert captured.out == ""
+
+
+class TestConfigChoices:
+    """A ``--config`` value outside its flag's choices is refused the way
+    an unknown key is, naming the key, instead of running as another
+    choice."""
+
+    @pytest.mark.parametrize("command, key", [("correlate", "fit"),
+                                              ("fit", "model")])
+    def test_exits_2_naming_the_key(self, pulsed_path, tmp_path, capsys,
+                                    command, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: "bogus"}))
+        outdir = tmp_path / "out"
+        argv = ([command, str(pulsed_path)] if command == "correlate" else
+                [command, str(tmp_path / "h.csv"), "--model", "decay"])
+        with pytest.raises(SystemExit) as err:
+            cli_main([*argv, "--config", str(cfg), "--outdir", str(outdir)])
+        assert err.value.code == 2
+        assert f"config key {key!r} must be one of [" in (
+            capsys.readouterr().err)
+        assert not outdir.exists()
+
+
+class TestOneCorrelationCsv:
+    """"g2", "g2cw" and "g2pw" each write ``correlation.csv``, so a job
+    that lists more than one of them while it is set is refused before
+    any stage runs, instead of keeping the last writer's histogram."""
+
+    @pytest.mark.parametrize("analyses, message", [
+        (["g2cw", "g2pw"], "analyses 'g2cw', 'g2pw' would each write "
+                           "correlation.csv"),
+        (["g2", "lifetime", "g2cw"], "analyses 'g2', 'g2cw' would each "
+                                     "write correlation.csv")])
+    def test_rejected_before_simulating(self, tmp_path, analyses, message):
+        cfg = cw_config(duration_s=0.01, analyses=analyses,
+                        correlation={"csv": "g2.csv"})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_pipeline(cfg, base_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_without_csv_each_reports_the_histogram(self, cw_run, tmp_path):
+        doc = run_pipeline({"mode": "analyze", "input": str(cw_run[1]),
+                            "analyses": ["g2", "g2cw"]},
+                           base_dir=str(tmp_path))
+        assert doc.ok, doc.errors
+        g2, g2cw = doc.results["g2"], doc.results["g2cw"]
+        assert g2 == {"n_pairs": g2cw["n_pairs"], "n_bins": g2cw["n_bins"]}
+        assert list(tmp_path.iterdir()) == []
