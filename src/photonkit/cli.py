@@ -2,8 +2,8 @@
 
 ``simulate``, ``correlate``, ``lifetime`` and ``blink`` each map their
 flags onto job-config keys (an unset flag takes the job's default) and
-run that one job with ``pipeline.run_pipeline``; ``fit`` refits an
-exported histogram CSV with the fit stages; ``pipeline`` runs a JSON job.
+run that one job with ``pipeline.run_pipeline``; ``fit`` refits what
+``fileio.histogram_from_csv`` reads back; ``pipeline`` runs a JSON job.
 
 Option precedence is defaults, then command-line flags, then values from
 a ``--config`` JSON file, which override flags by design so a saved
@@ -18,9 +18,8 @@ import json
 import os
 import sys
 
-from .core import (PS_PER_NS, CoincidenceHistogram, DecayHistogram,
-                   Measurement, _span, ns_to_ps)
-from .fileio import TimestampFileError, read_histogram_csv
+from .core import PS_PER_NS, DecayHistogram, Measurement, _span
+from .fileio import TimestampFileError, histogram_from_csv
 from .pipeline import _section, run_g2_fit, run_lifetime, run_pipeline
 
 __all__ = ["main", "build_parser"]
@@ -121,7 +120,7 @@ def _print_result(name: str, res: dict) -> None:
 
 def _run_job(args, name: str, **keys) -> int:
     """Run the source or analysis ``name`` alone, as a job of ``keys`` and
-    of an analysis's reader flags; print its result or its first error."""
+    of an analysis's reader flags; print its result or its error."""
     if name == "simulate":
         config = {"mode": "simulate", **keys}
     else:
@@ -131,7 +130,7 @@ def _run_job(args, name: str, **keys) -> int:
         for section in keys:  # refused before any file is read
             _section(config, section)
     doc = run_pipeline(config, base_dir=_outdir(args))
-    _print_errors(doc.errors[:1])  # the rest follow from the first
+    _print_errors(doc.errors)
     if doc.ok:
         _print_result(name, doc.results[name])
     return 0 if doc.ok else 1
@@ -188,27 +187,16 @@ def cmd_fit(args) -> int:
         if getattr(args, dest) is not None:
             raise ValueError(f"--{dest.replace('_', '-')} does not apply "
                              f"to --model {args.model}")
-    columns = read_histogram_csv(args.input)
-    centers = columns.get("bin_center_ns")
-    counts = columns.get("count")
-    if centers is None or counts is None:
-        raise ValueError(
-            "fit needs a raw histogram CSV with bin_center_ns,count columns")
-    if centers.size < 2:
-        raise ValueError("histogram CSV has fewer than 2 rows")
-    bin_ps = ns_to_ps(centers[1] - centers[0])
+    hist = histogram_from_csv(
+        args.input, period_ps if args.model == "decay" else None)
+    if isinstance(hist, DecayHistogram) != (args.model == "decay"):
+        raise ValueError(f"{args.input} holds a {type(hist).__name__}, "
+                         f"which --model {args.model} does not fit")
     config = {"correlation": _given(period_ns=args.period, n_side=args.n_side),
               "lifetime": _given(n_components=args.components)}
-    if args.model in ("cw", "pulsed"):
-        window_ps = int(round(-centers[0] * PS_PER_NS + bin_ps / 2.0))
-        hist = CoincidenceHistogram(bin_ps, window_ps, counts)
-        kind = "g2cw" if args.model == "cw" else "g2pw"
-        _print_fit(run_g2_fit(kind, hist, {}, config))
-    else:
-        if period_ps is None:
-            period_ps = int(round(centers[-1] * PS_PER_NS + bin_ps / 2.0))
-        _print_fit(run_lifetime(DecayHistogram(bin_ps, period_ps, counts),
-                                config))
+    _print_fit(run_lifetime(hist, config) if args.model == "decay" else
+               run_g2_fit({"cw": "g2cw", "pulsed": "g2pw"}[args.model],
+                          hist, {}, config))
     return 0
 
 

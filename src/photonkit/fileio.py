@@ -53,6 +53,7 @@ from .core import (
     CoincidenceHistogram,
     DecayHistogram,
     Measurement,
+    PS_PER_NS,
     PeriodicStream,
     TimestampStream,
     Verdict,
@@ -84,6 +85,7 @@ __all__ = [
     "read_timestamps",
     "export_histogram_csv",
     "read_histogram_csv",
+    "histogram_from_csv",
     "file_digest",
     "ReportDocument",
 ]
@@ -473,6 +475,31 @@ def read_histogram_csv(path) -> dict[str, np.ndarray]:
             col = col.astype(np.int64)
         out[name] = col
     return out
+
+
+def histogram_from_csv(path, period: int | None = None):
+    """The histogram a raw ``bin_center_ns,count`` CSV was exported from:
+    decay if its first centre is not negative, with ``period`` (ps) or
+    bins * bin width as its period. Centres are printed to 1 ps, so the
+    bin width, their mean spacing, is exact from 4 rows up (fewer are
+    refused); the window is the mean of those they give, kept to the
+    ones with the CSV's bin count, so 1 ps off at most (odd bin widths).
+    """
+    columns = read_histogram_csv(path)
+    centers, counts = columns.get("bin_center_ns"), columns.get("count")
+    if centers is None or counts is None:
+        raise ValueError(
+            "fit needs a raw histogram CSV with bin_center_ns,count columns")
+    if centers.size < 4:
+        raise ValueError("histogram CSV has fewer than 4 rows")
+    n, ps = centers.size, centers * PS_PER_NS
+    bin_width = int(round((ps[-1] - ps[0]) / (n - 1)))
+    if not np.signbit(centers[0]):  # a printed -0.000 is negative
+        return DecayHistogram(
+            bin_width, n * bin_width if period is None else period, counts)
+    window = np.clip(np.rint(np.mean((np.arange(n) + 0.5) * bin_width - ps)),
+                     (n - 1) * bin_width // 2 + 1, n * bin_width // 2)
+    return CoincidenceHistogram(bin_width, int(window), counts)
 
 
 # ---------------------------------------------------------------------------

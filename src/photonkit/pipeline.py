@@ -7,9 +7,9 @@
 * mode "analyze": read a timestamp file back.
 
 Either mode can then run any subset of the named analyses ("g2", "g2cw",
-"g2pw", "lifetime", "blinking") on the resulting streams. Every analysis
-runs inside its own error boundary; a failing stage adds an entry to the
-report's ``errors`` list instead of aborting the rest.
+"g2pw", "lifetime", "blinking") on its streams, each inside its own
+error boundary: a failing stage adds an entry to the report's ``errors``
+list instead of aborting the rest, and none runs after a failed source.
 
 Each step is a ``run_*`` stage function of the job config. An analysis
 is a build stage that makes a histogram, then a fit stage:
@@ -403,9 +403,9 @@ def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:
         return result
 
     stage("simulate" if mode == "simulate" else "input", source)
-
-    for name in analyses:
-        stage(name, _analyze, name, streams, config, base)
+    if not errors:  # every analysis reads the source's streams
+        for name in analyses:
+            stage(name, _analyze, name, streams, config, base)
 
     return ReportDocument(config=dict(config), results=results,
                           errors=errors, input=input_info)

@@ -43,6 +43,7 @@ from photonkit.fileio import (
     UnsupportedVersionError,
     export_histogram_csv,
     file_digest,
+    histogram_from_csv,
     read_histogram_csv,
     read_timestamps,
     write_timestamps,
@@ -786,6 +787,88 @@ class TestHistogramCsv:
         path.write_text("bin_center_ns,count\n0.5,1,99\n")
         with pytest.raises(ValueError):
             read_histogram_csv(path)
+
+
+@st.composite
+def coincidence_grids(draw):
+    """A bin width of 1-2001 ps and a window that gives it 4 to 200 bins."""
+    bin_width = draw(st.integers(1, 2001))
+    return bin_width, draw(st.integers(3 * bin_width // 2 + 1,
+                                       100 * bin_width))
+
+
+class TestHistogramFromCsv:
+    """``histogram_from_csv`` rebuilds the histogram that
+    ``export_histogram_csv`` wrote, from centres printed to 1 ps."""
+
+    @given(coincidence_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_coincidence_round_trip(self, tmp_path_factory, grid):
+        bin_width, window = grid
+        hist = CoincidenceHistogram(bin_width, window, np.arange(
+            -(-2 * window // bin_width)) * 7 % 11)
+        path = tmp_path_factory.mktemp("csv") / "g2.csv"
+        export_histogram_csv(hist, path)
+        back = histogram_from_csv(path)
+        assert isinstance(back, CoincidenceHistogram)
+        assert back.bin_width == bin_width
+        assert back.n_bins == hist.n_bins
+        np.testing.assert_array_equal(back.counts, hist.counts)
+        # Half-ps centres can leave two windows that print alike.
+        if bin_width % 2 == 0 or 2 * window % bin_width == 0:
+            assert back.window == window
+        else:
+            assert abs(back.window - window) <= 1
+
+    @pytest.mark.parametrize("bin_width, window", [(5, 11), (9, 19),
+                                                   (499, 999)])
+    def test_window_from_every_centre(self, tmp_path, bin_width, window):
+        """Odd bin widths and partial last bins where the first and last
+        centres alone, each printed half a ps off, point 1 ps away."""
+        hist = CoincidenceHistogram(bin_width, window, [1, 2, 3, 4, 5])
+        export_histogram_csv(hist, tmp_path / "g2.csv")
+        assert histogram_from_csv(tmp_path / "g2.csv").window == window
+
+    @given(st.integers(1, 2001), st.integers(4, 400), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_decay_round_trip(self, tmp_path_factory, bin_width, n, data):
+        period = n * bin_width - data.draw(st.integers(0, bin_width - 1))
+        hist = DecayHistogram(bin_width, period, np.arange(n) * 7 % 11)
+        path = tmp_path_factory.mktemp("csv") / "decay.csv"
+        export_histogram_csv(hist, path)
+        for given_period, read_period in ((None, n * bin_width),
+                                          (period, period)):
+            back = histogram_from_csv(path, given_period)
+            assert isinstance(back, DecayHistogram)
+            assert (back.bin_width, back.n_bins) == (bin_width, n)
+            assert back.period == read_period
+            np.testing.assert_array_equal(back.counts, hist.counts)
+            np.testing.assert_array_equal(back.delay_centers_ns,
+                                          hist.delay_centers_ns)
+
+    def test_negative_zero_first_centre_is_a_coincidence(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("bin_center_ns,count\n-0.000,1\n0.001,2\n"
+                        "0.002,3\n0.003,4\n")
+        back = histogram_from_csv(path)
+        assert isinstance(back, CoincidenceHistogram)
+        assert (back.bin_width, back.window) == (1, 2)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_fewer_than_4_rows_refused(self, tmp_path, rows):
+        path = tmp_path / "h.csv"
+        path.write_text("bin_center_ns,count\n" + "".join(
+            f"{0.25 + 0.5 * i:.3f},1\n" for i in range(rows)))
+        with pytest.raises(ValueError,
+                           match="^histogram CSV has fewer than 4 rows$"):
+            histogram_from_csv(path)
+
+    def test_normalized_csv_refused(self, tmp_path):
+        hist = CoincidenceHistogram(500, 1000, [3, 0, 17, 250],
+                                    normalization=200.0)
+        export_histogram_csv(hist, tmp_path / "g2.csv")
+        with pytest.raises(ValueError, match="bin_center_ns,count columns"):
+            histogram_from_csv(tmp_path / "g2.csv")
 
 
 class TestFileDigest:

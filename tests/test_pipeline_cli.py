@@ -452,7 +452,7 @@ class TestErrorEntries:
         assert entry["stage"] == "input"
         assert entry["type"] == "BadMagicError"
         assert entry["code"] == "bad_magic"
-        assert "code" not in doc.errors[1]
+        assert len(doc.errors) == 1
 
         (tmp_path / "job.json").write_text(json.dumps(job))
         assert cli_main(["pipeline", str(tmp_path / "job.json"),
@@ -1661,6 +1661,65 @@ class TestFitUnreadFlags:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: {flag} does not apply to --model {model}\n")
+        assert captured.out == ""
+
+
+class TestRefitParity:
+    """``photonkit fit`` on the raw CSV an analysis exported prints that
+    analysis's fit lines, line for line, at a bin width of 333 ps, whose
+    centres fall on half picoseconds and print 0.5 ps off."""
+
+    # analysis flags, flags that make it fit, refit flags
+    CASES = {
+        "pulsed": (["correlate", "--window", "599.4", "--bin-width", "333"],
+                   ["--fit", "pulsed"],
+                   ["--model", "pulsed", "--period", "100"]),
+        "decay": (["lifetime", "--bin-width", "333", "--components", "1"],
+                  [], ["--model", "decay", "--components", "1"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refit_prints_the_analysis_fit(self, pulsed_path, tmp_path,
+                                           capsys, case):
+        analysis, fit_flags, refit = self.CASES[case]
+        argv = [analysis[0], str(pulsed_path), *analysis[1:],
+                "--outdir", str(tmp_path)]
+        assert cli_main([*argv, *fit_flags, "-o", "fitted.csv"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert cli_main([*argv, "-o", "raw.csv"]) == 0
+        capsys.readouterr()
+        assert cli_main(["fit", str(tmp_path / "raw.csv"), *refit]) == 0
+        fit_lines = [line for line in printed if " pairs in " not in line
+                     and not line.startswith("histogram written to ")]
+        assert capsys.readouterr().out.splitlines() == fit_lines
+
+
+class TestFitKindMismatch:
+    """A CSV whose kind the ``--model`` does not fit is refused, naming
+    the kind, before any fit runs."""
+
+    @pytest.mark.parametrize("analysis, refit, kind", [
+        (["correlate", "--window", "600"], ["--model", "decay"],
+         "CoincidenceHistogram"),
+        (["lifetime"], ["--model", "cw"], "DecayHistogram"),
+        (["lifetime"], ["--model", "pulsed", "--period", "50"],
+         "DecayHistogram")])
+    def test_exits_1_naming_the_csv_kind(self, pulsed_path, tmp_path, capsys,
+                                         monkeypatch, analysis, refit, kind):
+        assert cli_main([analysis[0], str(pulsed_path), *analysis[1:],
+                         "--outdir", str(tmp_path), "-o", "h.csv"]) == 0
+        capsys.readouterr()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        for name in ("fit_g2_cw", "fit_g2_pw", "fit_multiexp"):
+            monkeypatch.setattr(fitmod, name, no_fit)
+        csv = tmp_path / "h.csv"
+        assert cli_main(["fit", str(csv), *refit]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {csv} holds a {kind}, which "
+                                f"--model {refit[1]} does not fit\n")
         assert captured.out == ""
 
 
