@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .core import PS_PER_NS, DecayHistogram, Measurement, _span
+from .core import PS_PER_NS, DecayHistogram, Measurement, _path, _span
 from .fileio import TimestampFileError, histogram_from_csv
 from .pipeline import _section, run_g2_fit, run_lifetime, run_pipeline
 
@@ -201,12 +201,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    output = _path(args.output, "-o")
     with open(args.job) as f:
         config = json.load(f)
     if not isinstance(config, dict):
         raise ValueError(f"job file {args.job} must hold a JSON object")
     doc = run_pipeline(config, base_dir=_outdir(args))
-    path = os.path.join(_outdir(args), args.output)
+    path = os.path.join(_outdir(args), output)
     doc.write(path)
     print(f"report written to {path}")
     _print_errors(doc.errors, ("stage", "code"))
@@ -313,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
     try:
-        return args.func(args)
+        return _apply_config(args, parser).func(args)
     except (OSError, ValueError, TimestampFileError) as e:
         _print_errors([{"message": str(e), "code": getattr(e, "code", None)}])
         return 1

@@ -5,26 +5,29 @@ components; curve fitting works internally in floating-point nanoseconds.
 Channels 0 and 1 are the two detector arms of the beam-splitter setup,
 channel 255 carries laser synchronization pulses.
 
-Arrays held by the dataclasses below are made read-only on construction so
-instances can be shared freely between analysis stages. One place does it
-for every record in the package: ``_ArrayRecord`` converts each field
-declared with ``_array(dtype)`` to its dtype and freezes it, copying it
-first when it is a view of another array. A contiguous array of that dtype
-that owns its data is adopted and frozen in place, read-only for the
-caller too: pass a copy to keep writing to it.
+A record is checked once, when it is built, so an invalid one never
+exists: for every record in the package, the simulator's models too,
+``_ArrayRecord`` converts each declared field by its rule, then runs the
+record's own ``validate()`` if it defines one. Arrays are made read-only
+so records can be shared freely between analysis stages: each field
+declared with ``_array(dtype)`` is converted to its dtype and frozen,
+copied first when it is a view of another array. A contiguous array of
+that dtype that owns its data is adopted and frozen in place, read-only
+for the caller too: pass a copy to keep writing to it.
 
 Histogram bin geometry is decided here too: the records and every builder
 of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
 ``_decay_bins`` (period), the only checks of a bin width. Each field
 declared with ``_ps``, and each ps argument of the correlator's builders
 and the ``sim`` generators, goes through ``_whole_ps``; a job's counts
-(``seed``, ``workers``, ``n_side``, ``n_components``) and a
-``PeriodicStream``'s ``channel`` and ``count`` go through ``_whole``, the
-same rule without the unit. A job's real-valued keys and each field
-declared with ``_real`` (the simulator models' floats) go through
-``_number``: null, a bool, a string, a list, an object, NaN or an
-infinity is an error naming the key or field. Only a field declared
-``_real(finite=False)`` (``BlinkingLaw.max_dwell_ms``) takes an infinity.
+(``seed``, ``workers``, ``n_side``, ``n_components``), a stream's
+``channel``, a ``PeriodicStream``'s ``count`` and a ``DecayHistogram``'s
+``discarded`` go through ``_whole``, the same rule without the unit. A
+job's real-valued keys and each field declared with ``_real`` (the
+simulator models' floats) go through ``_number``: null, a bool, a
+string, a list, an object, NaN or an infinity is an error naming the key
+or field. Only ``_real(finite=False)`` (``BlinkingLaw.max_dwell_ms``)
+takes an infinity.
 A job's spans and the CLI's ``--period`` go through ``_span(unit)``: a
 ``_number`` > 0 read as whole ps, from 1 to below 2**63. ``_path`` takes
 a job's file names, which must be non-empty strings.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -112,13 +116,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _map_workers(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, computed on ``workers`` threads when
-    that is more than one; the results keep the order of ``items``."""
+    """``[fn(x) for x in items]``, on up to ``workers`` threads but no
+    more than items or cores; the results keep the order of ``items``."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
+    items = list(items)
+    threads = min(workers, len(items), os.cpu_count() or 1)
+    if threads <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
 
@@ -224,11 +230,11 @@ def _real(finite: bool = True, **kw):
 
 
 class _ArrayRecord:
-    """Mixin for record dataclasses: on construction, fields declared with
-    :func:`_array` are converted and made read-only, fields declared with
-    :func:`_ps` are taken as whole picoseconds and fields declared with
-    :func:`_real` as numbers (a validating record calls this
-    ``__post_init__`` first), and equality compares arrays by value."""
+    """Mixin for record dataclasses: on construction (by
+    ``dataclasses.replace`` too) each field declared with :func:`_array`,
+    :func:`_ps`, :func:`_real` or a ``convert`` rule is converted by it,
+    then the record's ``validate()``, if it defines one, checks the
+    record. Equality compares arrays by value."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -236,6 +242,9 @@ class _ArrayRecord:
             if convert is not None:
                 object.__setattr__(self, f.name,
                                    convert(getattr(self, f.name), f.name))
+        validate = getattr(self, "validate", None)
+        if validate is not None:
+            validate()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -268,7 +277,7 @@ class TimestampStream(_ArrayRecord):
         Observation span in ps.
     """
 
-    channel: int
+    channel: int = field(metadata={"convert": _whole})
     events: np.ndarray = _array(np.int64)
     duration: int = _ps()
 
@@ -313,8 +322,7 @@ class PeriodicStream(_ArrayRecord):
     count: int = field(metadata={"convert": _whole})
     duration: int = _ps()
 
-    def __post_init__(self):
-        super().__post_init__()
+    def validate(self) -> None:
         if self.offset < 0:
             raise ValueError(f"offset must be >= 0, got {self.offset}")
         if self.period <= 0:
@@ -448,8 +456,7 @@ class CoincidenceHistogram(_ArrayRecord):
     center_offset: int | None = None
     normalization: float | None = None
 
-    def __post_init__(self):
-        super().__post_init__()
+    def validate(self) -> None:
         bw, w = self.bin_width, self.window
         _check_counts(self.counts, _delay_bins(w, bw),
                       f"window {w} and bin width {bw}")
@@ -496,14 +503,12 @@ class DecayHistogram(_ArrayRecord):
     bin_width: int = _ps()
     period: int = _ps()
     counts: np.ndarray = _array(np.int64)
-    discarded: int = 0
+    discarded: int = field(metadata={"convert": _whole}, default=0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def validate(self) -> None:
         bw, t = self.bin_width, self.period
         _check_counts(self.counts, _decay_bins(t, bw),
                       f"period {t} and bin width {bw}")
-        object.__setattr__(self, "discarded", int(self.discarded))
 
     @property
     def n_bins(self) -> int:
@@ -619,8 +624,7 @@ class G2PwParams(_ArrayRecord):
     tau_x_ns: float
     period_ns: float
 
-    def __post_init__(self):
-        super().__post_init__()
+    def validate(self) -> None:
         n = self.peak_heights.size
         if n % 2 != 1 or n < 3:
             raise ValueError(
@@ -673,8 +677,7 @@ class MultiExpParams(_ArrayRecord):
     lifetimes_ns: np.ndarray = _array(np.float64)
     tau0_ns: float
 
-    def __post_init__(self):
-        super().__post_init__()
+    def validate(self) -> None:
         b, t = self.amplitudes, self.lifetimes_ns
         if b.size != t.size or b.size == 0:
             raise ValueError(

@@ -117,8 +117,8 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     bin_width : int
         Bin width in ps, 500 by default.
     workers : int
-        Threads to spread the event range over. The result is bit-identical
-        for any value; partial histograms are integer sums.
+        Most threads and slices (no more than blocks) of the event range.
+        Any value gives the same result: slices' counts are integer sums.
 
     Returns
     -------
@@ -132,15 +132,17 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     ta = a.events
     tb = b.events
 
+    parts = min(workers, -(-ta.size // _BLOCK))  # no more than blocks of a
+
     def part(i: int) -> np.ndarray:
-        t = ta[ta.size * i // workers:ta.size * (i + 1) // workers]
+        t = ta[ta.size * i // parts:ta.size * (i + 1) // parts]
         counts = np.zeros(n_bins, np.int64)
         for lo in range(0, t.size, _BLOCK):
             counts += _pair_counts(t[lo:lo + _BLOCK], tb, window, bin_width,
                                    n_bins)
         return counts
 
-    counts = sum(_map_workers(part, range(workers), workers),
+    counts = sum(_map_workers(part, range(parts), workers),
                  np.zeros(n_bins, np.int64))
     return CoincidenceHistogram(bin_width, window, counts)
 

@@ -401,8 +401,9 @@ def _read_mapped(data: np.ndarray, duration, workers: int, hasher) -> dict:
                     part *= resolution
 
     n = len(blocks)
-    _map_workers(gather, [range(n * i // workers, n * (i + 1) // workers)
-                          for i in range(workers)], workers)
+    parts = min(workers, n)
+    _map_workers(gather, [range(n * i // parts, n * (i + 1) // parts)
+                          for i in range(parts)], workers)
     out = {c: TimestampStream(c, events, duration) for c, events in channels}
     for c, offset, period, count in table:
         out[c] = PeriodicStream(c, offset * resolution, period * resolution,

@@ -152,7 +152,6 @@ class EmitterModel(_ArrayRecord):
                         ("quantum_yield", self.quantum_yield)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        self.blinking.validate()
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,7 @@ class EmissionRecord(_ArrayRecord):
     duration: int = _ps()
     excitation: ExcitationConfig | None
 
-    def __post_init__(self):
-        super().__post_init__()
+    def validate(self) -> None:
         if self.times.size != self.is_signal.size:
             raise ValueError("times and is_signal must have equal length")
 
@@ -273,7 +271,6 @@ def sample_dwells_ms(law: BlinkingLaw, on: bool, n: int, seed: int) -> np.ndarra
     Exposed mainly so dwell statistics can be checked against the sampler
     without generating whole photon streams.
     """
-    law.validate()
     return _draw_dwells_ms(law, on, _rng(seed, _TAG_SEGMENTS, 1 if on else 2), n)
 
 
@@ -408,8 +405,6 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
         Sorted emission times, signal/background mask, and the ON/OFF
         ground-truth segments.
     """
-    emitter.validate()
-    excitation.validate()
     if excitation.mode == "cw" and emitter.biexciton_probability:
         raise ValueError("biexciton_probability must be 0 under cw "
                          f"excitation, got {emitter.biexciton_probability}")
@@ -506,7 +501,6 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
         every multiple of the period before ``duration``; otherwise the
         sync is an empty :class:`TimestampStream`.
     """
-    detector.validate()
     if isinstance(emission, TimestampStream):
         emission = EmissionRecord(
             emission.events, np.ones(len(emission), bool),
@@ -598,7 +592,6 @@ def simulate_intensity_trace(law: BlinkingLaw, on_rate_per_ms: float,
 
     Returns the trace and the ground-truth segments.
     """
-    law.validate()
     if on_rate_per_ms <= 0:
         raise ValueError(f"on_rate_per_ms must be positive, got {on_rate_per_ms}")
     duration = _whole_ps(duration, "duration")

@@ -1,13 +1,17 @@
 """Unit conversions, stream validation, and the shared dataclasses."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import photonkit as pk
+from photonkit import core
 from photonkit.core import _span, ns_to_ps, ps_to_ns
+from photonkit.correlator import cross_correlate
+from photonkit.fileio import read_timestamps, write_timestamps
 
 
 class TestUnitConversion:
@@ -91,6 +95,15 @@ class TestTimestampStream:
         s = pk.TimestampStream(0, np.arange(500), pk.PS_PER_MS)
         assert s.rate_per_ms == pytest.approx(500.0)
         assert pk.TimestampStream(0, [], 0).rate_per_ms == 0.0
+
+    @pytest.mark.parametrize("channel", [0.5, True])
+    def test_channel_must_be_whole(self, channel):
+        with pytest.raises(ValueError, match="channel"):
+            pk.TimestampStream(channel, [2, 6], 20)
+
+    def test_integral_float_channel(self):
+        s = pk.TimestampStream(0.0, [2, 6], 20)
+        assert s.channel == 0 and type(s.channel) is int
 
 
 class TestPeriodicStream:
@@ -222,6 +235,12 @@ class TestDecayHistogram:
     def test_centers(self):
         h = pk.DecayHistogram(500, 2000, [1, 2, 3, 4])
         np.testing.assert_allclose(h.delay_centers_ps, [250, 750, 1250, 1750])
+
+    def test_discarded_is_whole(self):
+        h = pk.DecayHistogram(500, 1000, [1, 2], np.int64(7))
+        assert h.discarded == 7 and type(h.discarded) is int
+        with pytest.raises(ValueError, match="discarded"):
+            pk.DecayHistogram(500, 1000, [1, 2], 0.5)
 
     def test_bin_wider_than_period_rejected(self):
         with pytest.raises(ValueError, match="must not exceed period"):
@@ -375,3 +394,65 @@ class TestWholePicosecondFields:
                 == hash(pk.DetectorModel()))
         assert (hash(pk.PeriodicStream(255, 0.0, 10, 3, 100))
                 == hash(pk.PeriodicStream(255, 0, 10, 3, 100)))
+
+
+class TestWorkerBound:
+    """``workers`` bounds the threads and parts, it does not set them: a
+    pool gets no more threads than it has items or the machine has cores,
+    and a split makes no more parts than there are blocks. A fake pool
+    records its size and item count and runs the items inline."""
+
+    WORKERS = 10**5
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.size = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                pools.append((self.size, len(items)))
+                return map(fn, items)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        threads = threading.active_count()
+        yield pools
+        assert threading.active_count() == threads
+
+    def test_threads_bounded_by_items_and_cores(self, pools):
+        out = core._map_workers(lambda ab: ab[0] * ab[1],
+                                zip((1, 2, 3), (4, 5, 6)), self.WORKERS)
+        assert out == [4, 10, 18]
+        assert core._map_workers(str, range(20), self.WORKERS) == [
+            str(i) for i in range(20)]
+        assert pools == [(3, 3), (8, 20)]
+
+    def test_correlate_parts_bounded_by_blocks(self, pools):
+        rng = np.random.default_rng(4)
+        n = 3 * core._BLOCK + 5
+        a = pk.TimestampStream(0, np.sort(rng.integers(0, 10**9, n)), 10**9)
+        b = pk.TimestampStream(1, np.sort(rng.integers(0, 10**9, n)), 10**9)
+        got = cross_correlate(a, b, 500, 500, workers=self.WORKERS)
+        assert pools == [(4, 4)]
+        assert got == cross_correlate(a, b, 500, 500)
+
+    def test_read_parts_bounded_by_blocks(self, pools, tmp_path):
+        n = 2 * core._BLOCK + 1
+        streams = [pk.TimestampStream(c, np.arange(c, 2 * n, 2), 2 * n)
+                   for c in (0, 1)]
+        path = tmp_path / "x.ptst"
+        write_timestamps(streams, path, workers=self.WORKERS)
+        assert pools == [(2, 2)]  # the two record columns
+        got = read_timestamps(path, 2 * n, workers=self.WORKERS)
+        assert pools[1:] == [(5, 5)]  # 2n records fill five blocks
+        assert got == read_timestamps(path, 2 * n)

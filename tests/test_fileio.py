@@ -110,6 +110,16 @@ class TestTimestampRoundTrip:
         np.testing.assert_array_equal(recs["t"], [5, 10, 200, 300])
         np.testing.assert_array_equal(recs["ch"], [1, 0, 1, 0])
 
+    def test_channels_0_and_0_0_are_one_channel(self, tmp_path):
+        """A float channel is read as its whole number, so the writer sees
+        the duplicate instead of merging two streams into channel 0."""
+        path = tmp_path / "dup.ptst"
+        with pytest.raises(ValueError,
+                           match="channel 0 is given by two streams"):
+            write_timestamps([stream([1, 5, 9], channel=0),
+                              TimestampStream(0.0, [2, 6], 20)], path)
+        assert not path.exists()
+
     def test_duration_not_stored_defaults_to_last_event(self, tmp_path):
         path = tmp_path / "span.ptst"
         write_timestamps([stream([100, 900], duration=50_000)], path)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonkit import correlator
+from photonkit import cli, correlator
 from photonkit import fit as fitmod
 from photonkit import pipeline
 from photonkit.cli import _print_fit, build_parser
@@ -1308,6 +1308,24 @@ class TestPathJobKeys:
         assert loaded == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_pipeline_output_is_refused_before_the_job(
+            self, tmp_path, capsys, monkeypatch):
+        """``pipeline -o ""`` names the flag before the job runs, not
+        after it, as a directory that cannot be written."""
+        ran = []
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda *args, **kw: ran.append(args))
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(cw_config(duration_s=0.01)))
+        outdir = tmp_path / "out"
+        assert cli_main(["pipeline", str(job), "--outdir", str(outdir),
+                         "-o", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: -o must not be empty\n"
+        assert captured.out == ""
+        assert ran == []
+        assert not outdir.exists()
+
     def test_empty_input_is_an_input_error(self, tmp_path):
         doc = run_pipeline({"mode": "analyze", "input": ""},
                            base_dir=str(tmp_path))
@@ -1742,6 +1760,30 @@ class TestConfigChoices:
         assert err.value.code == 2
         assert f"config key {key!r} must be one of [" in (
             capsys.readouterr().err)
+        assert not outdir.exists()
+
+
+class TestConfigFileErrors:
+    """A ``--config`` file that cannot be opened or parsed is an
+    ``error:`` line and exit 1, like any other unreadable input, not a
+    traceback; a key or choice refusal still exits 2 (above)."""
+
+    def test_missing_file(self, pulsed_path, tmp_path, capsys):
+        missing, outdir = tmp_path / "missing.json", tmp_path / "out"
+        assert cli_main(["correlate", str(pulsed_path), "--config",
+                         str(missing), "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] ") and str(missing) in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_malformed_file(self, pulsed_path, tmp_path, capsys):
+        cfg, outdir = tmp_path / "c.json", tmp_path / "out"
+        cfg.write_text('{"window": 20,')
+        assert cli_main(["correlate", str(pulsed_path), "--config",
+                         str(cfg), "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Expecting property name")
         assert not outdir.exists()
 
 

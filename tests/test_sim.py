@@ -1,11 +1,15 @@
 """Simulator tests: determinism, photon statistics, detector effects."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonkit as pk
+from photonkit import pipeline
 from photonkit.sim import _dead_time_filter
 from photonkit.sim import _TAG_DETECT, _rng
 
@@ -611,6 +615,48 @@ class TestIntensityTraceSim:
             pk.simulate_intensity_trace(pk.BlinkingLaw(), 10.0, 0, seed=0)
 
 
+class TestConstructionChecks:
+    """A simulator model checks itself when it is built, so an invalid one
+    never exists: not by construction, not by ``dataclasses.replace``."""
+
+    CASES = [
+        (pk.BlinkingLaw, {"kind": "power_law"}, {"alpha_on": 1.0},
+         "alpha_on must lie in (0, 1), got 1.0"),
+        (pk.EmitterModel, {}, {"lifetime_ns": 0.0},
+         "lifetime_ns must be positive, got 0.0"),
+        (pk.ExcitationConfig, {"mode": "pulsed"}, {"pulse_width_ps": -1},
+         "pulse_width_ps must lie in [0, period)"),
+        (pk.DetectorModel, {}, {"efficiency": 1.2},
+         "efficiency must lie in [0, 1], got 1.2"),
+    ]
+
+    @pytest.mark.parametrize("cls, base, bad, message", CASES)
+    def test_refused_when_built(self, cls, base, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**base, **bad)
+
+    @pytest.mark.parametrize("cls, base, bad, message", CASES)
+    def test_refused_by_replace(self, cls, base, bad, message):
+        good = cls(**base)
+        good.validate()  # still callable on a valid model
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(good, **bad)
+
+    def test_bad_detector_block_is_refused_before_simulation(
+            self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "generate_emission",
+                            lambda *args: calls.append(args))
+        doc = pipeline.run_pipeline(
+            {"mode": "simulate", "duration_s": 0.01,
+             "detector": {"efficiency": 1.2}}, base_dir=str(tmp_path))
+        assert doc.errors == [{
+            "stage": "simulate", "type": "ValueError",
+            "message": "efficiency must lie in [0, 1], got 1.2"}]
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigValidation:
     def test_blinking_law(self):
         with pytest.raises(ValueError):
@@ -652,13 +698,11 @@ class TestConfigValidation:
             pk.ExcitationConfig("pulsed", pulse_width_ps=100_000).validate()
 
     def test_detector(self):
-        for bad in (pk.DetectorModel(efficiency=1.2),
-                    pk.DetectorModel(splitter_ratio=-0.1),
-                    pk.DetectorModel(dark_rate_per_ms=-1.0),
-                    pk.DetectorModel(jitter_sigma_ps=-1.0),
-                    pk.DetectorModel(dead_time_ps=-1)):
+        for bad in ({"efficiency": 1.2}, {"splitter_ratio": -0.1},
+                    {"dark_rate_per_ms": -1.0}, {"jitter_sigma_ps": -1.0},
+                    {"dead_time_ps": -1}):
             with pytest.raises(ValueError):
-                bad.validate()
+                pk.DetectorModel(**bad).validate()
 
     def test_generate_emission_args(self):
         em = quiet_emitter()
