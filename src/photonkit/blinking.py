@@ -1,11 +1,11 @@
 """Blinking analysis: thresholding, dwell times, power-law statistics.
 
 An intensity trace is split into ON and OFF runs against a count-rate
-threshold (default 50 counts/ms for the usual 1 ms binning). Dwell-time
-distributions are then characterized two ways: a maximum-likelihood
-power-law exponent on the raw durations, and a log-log histogram slope as
-a cross-check. A likelihood comparison against an exponential dwell model
-decides which family describes each state.
+threshold (default 50 counts/ms for the usual 1 ms binning). Each state's
+dwell durations get a maximum-likelihood power-law exponent, taken on the
+raw durations rather than on a binned histogram, and a likelihood
+comparison against an exponential dwell model on the same durations
+decides which family describes the state.
 
 Durations are in milliseconds throughout; the power-law exponent alpha
 follows the survival-function convention P(t > T) ~ T^-alpha, so the
@@ -24,47 +24,19 @@ from .core import (
     IntensityTrace,
     Measurement,
     Segment,
-    _ArrayRecord,
-    _array,
 )
 
 __all__ = [
-    "DwellDensity",
     "DwellModelComparison",
     "segment_trace",
-    "dwell_histogram",
     "fit_power_law_mle",
     "fit_exponential_dwell",
-    "fit_power_law_slope",
     "compare_dwell_models",
     "alpha_distribution",
     "analyze_blinking",
 ]
 
 _MIN_FIT_SEGMENTS = 8  # fewest surviving dwells for which a state is fitted
-
-
-@dataclass(frozen=True, eq=False)
-class DwellDensity(_ArrayRecord):
-    """Probability density of dwell durations on logarithmic bins.
-
-    ``density[i]`` is counts[i] / (n_total * bin_width_ms[i]), so the
-    integral over all bins is 1 and a power law appears as a straight line
-    in log-log coordinates.
-    """
-
-    edges_ms: np.ndarray = _array(np.float64)
-    counts: np.ndarray = _array(np.int64)
-    density: np.ndarray = _array(np.float64)
-
-    @property
-    def n_total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def centers_ms(self) -> np.ndarray:
-        """Geometric bin centers, natural for log-spaced bins."""
-        return np.sqrt(self.edges_ms[:-1] * self.edges_ms[1:])
 
 
 @dataclass(frozen=True)
@@ -118,23 +90,6 @@ def _positive_durations(durations_ms) -> np.ndarray:
     return d
 
 
-def dwell_histogram(durations_ms, n_bins: int = 30) -> DwellDensity:
-    """Histogram dwell durations on log-spaced bins, normalized to density."""
-    d = _positive_durations(durations_ms)
-    if d.size < 2:
-        raise ValueError(f"need at least 2 durations, got {d.size}")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    lo, hi = float(d.min()), float(d.max())
-    if lo == hi:
-        lo, hi = lo / 2.0, hi * 2.0
-    edges = np.geomspace(lo, hi, n_bins + 1)
-    counts, _ = np.histogram(d, bins=edges)
-    widths = np.diff(edges)
-    density = counts / (d.size * widths)
-    return DwellDensity(edges, counts, density)
-
-
 def fit_power_law_mle(durations_ms, tau_min_ms: float | None = None) -> Measurement:
     """Maximum-likelihood power-law exponent of dwell durations.
 
@@ -172,28 +127,6 @@ def fit_exponential_dwell(durations_ms) -> Measurement:
         raise ValueError(f"need at least 2 durations, got {d.size}")
     rate = 1.0 / float(d.mean())
     return Measurement(rate, rate / math.sqrt(d.size))
-
-
-def fit_power_law_slope(density: DwellDensity) -> Measurement:
-    """Power-law exponent from a straight-line fit in log-log coordinates.
-
-    Regresses ln(density) on ln(duration) over occupied bins and maps the
-    slope m to alpha = -m - 1. This histogram-based estimator is noisier
-    than the likelihood one and serves as an independent cross-check.
-    """
-    sel = density.counts > 0
-    if int(sel.sum()) < 3:
-        raise ValueError(
-            f"need at least 3 occupied bins, got {int(sel.sum())}")
-    x = np.log(density.centers_ms[sel])
-    y = np.log(density.density[sel])
-    n = x.size
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    slope = float(xc @ y) / sxx
-    resid = y - (y.mean() + slope * xc)
-    var_slope = float(resid @ resid) / (n - 2) / sxx
-    return Measurement(-slope - 1.0, math.sqrt(max(var_slope, 0.0)))
 
 
 def compare_dwell_models(durations_ms,

@@ -31,13 +31,21 @@ def _outdir(args) -> str:
     return outdir
 
 
+def _read_json(path: str, what: str):
+    """Load a JSON file; a decode error names the file it came from."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{e} in {what} {path}") from None
+
+
 def _apply_config(args, parser):
     """Overlay values from a JSON config file onto parsed flags, refusing
     a key that names no option and a value outside its option's choices."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as f:
-        overrides = json.load(f)
+    overrides = _read_json(args.config, "--config")
     if not isinstance(overrides, dict):
         parser.error(f"config file {args.config} must hold a JSON object")
     actions = {a.dest: a for a in args.parser._actions
@@ -202,8 +210,7 @@ def cmd_fit(args) -> int:
 
 def cmd_pipeline(args) -> int:
     output = _path(args.output, "-o")
-    with open(args.job) as f:
-        config = json.load(f)
+    config = _read_json(args.job, "job file")
     if not isinstance(config, dict):
         raise ValueError(f"job file {args.job} must hold a JSON object")
     doc = run_pipeline(config, base_dir=_outdir(args))

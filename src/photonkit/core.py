@@ -57,8 +57,6 @@ __all__ = [
     "Verdict",
     "TimestampStream",
     "PeriodicStream",
-    "ValidationReport",
-    "validate_stream",
     "CoincidenceHistogram",
     "DecayHistogram",
     "IntensityTrace",
@@ -351,48 +349,6 @@ class PeriodicStream(_ArrayRecord):
         return self.count
 
     rate_per_ms = TimestampStream.rate_per_ms
-
-
-@dataclass(frozen=True, eq=False)
-class ValidationReport(_ArrayRecord):
-    """Outcome of :func:`validate_stream`. Reports, never raises."""
-
-    n_events: int
-    order_violations: np.ndarray = _array(np.int64)  # out-of-order indices
-    n_duplicates: int             # events sharing a timestamp with a neighbor
-    n_negative: int
-    n_past_duration: int
-
-    @property
-    def ok(self) -> bool:
-        """True when the stream is sorted and inside [0, duration].
-
-        Duplicate timestamps are reported but are not a failure; they are
-        legal whenever detector dead time is zero.
-        """
-        return (self.order_violations.size == 0
-                and self.n_negative == 0
-                and self.n_past_duration == 0)
-
-
-def validate_stream(stream: TimestampStream) -> ValidationReport:
-    """Check ordering and range invariants of a stream, report-only.
-
-    Returns
-    -------
-    ValidationReport
-        Indices of sortedness violations, duplicate-time count, and counts
-        of events outside [0, duration].
-    """
-    ev = stream.events
-    if ev.size == 0:
-        return ValidationReport(0, np.empty(0, np.int64), 0, 0, 0)
-    d = np.diff(ev)
-    violations = np.nonzero(d < 0)[0] + 1
-    duplicates = int(np.count_nonzero(d == 0))
-    negative = int(np.count_nonzero(ev < 0))
-    past = int(np.count_nonzero(ev > stream.duration))
-    return ValidationReport(int(ev.size), violations, duplicates, negative, past)
 
 
 def _n_bins(span: int, bin_width: int) -> int:

@@ -144,6 +144,9 @@ class EmitterModel(_ArrayRecord):
     blinking: BlinkingLaw = field(default_factory=BlinkingLaw)
 
     def validate(self) -> None:
+        if not isinstance(self.blinking, BlinkingLaw):
+            raise ValueError(f"blinking must be a BlinkingLaw, got "
+                             f"{type(self.blinking).__name__}")
         if self.lifetime_ns <= 0:
             raise ValueError(f"lifetime_ns must be positive, got {self.lifetime_ns}")
         if self.biexciton_probability and self.biexciton_lifetime_ns <= 0:

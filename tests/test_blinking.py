@@ -63,35 +63,6 @@ class TestSegmentTrace:
             pk.segment_trace(trace_of([1, 2]), -1.0)
 
 
-class TestDwellHistogram:
-    def test_counts_and_density_normalization(self):
-        rng = np.random.default_rng(2)
-        d = rng.uniform(1.0, 500.0, 1000)
-        h = pk.dwell_histogram(d, n_bins=25)
-        assert h.n_total == 1000
-        assert int(h.counts.sum()) == 1000
-        widths = np.diff(h.edges_ms)
-        assert float((h.density * widths).sum()) == pytest.approx(1.0)
-        np.testing.assert_allclose(
-            h.centers_ms, np.sqrt(h.edges_ms[:-1] * h.edges_ms[1:]))
-
-    def test_degenerate_sample_widens_edges(self):
-        h = pk.dwell_histogram([4.0, 4.0, 4.0], n_bins=5)
-        assert h.edges_ms[0] == pytest.approx(2.0)
-        assert h.edges_ms[-1] == pytest.approx(8.0)
-        assert h.n_total == 3
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            pk.dwell_histogram([1.0])
-        with pytest.raises(ValueError):
-            pk.dwell_histogram([1.0, 2.0], n_bins=0)
-        with pytest.raises(ValueError):
-            pk.dwell_histogram([1.0, -2.0])
-        with pytest.raises(ValueError):
-            pk.dwell_histogram([[1.0, 2.0]])
-
-
 class TestPowerLawMle:
     def test_closed_form(self):
         d = np.exp([0.0, 1.0, 2.0, 4.0])
@@ -130,6 +101,10 @@ class TestPowerLawMle:
             pk.fit_power_law_mle([0.5, 3.0], tau_min_ms=1.0)
         with pytest.raises(ValueError):
             pk.fit_power_law_mle([2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="finite and positive"):
+            pk.fit_power_law_mle([1.0, -2.0])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            pk.fit_power_law_mle([[1.0, 2.0]])
 
 
 class TestExponentialDwell:
@@ -147,20 +122,6 @@ class TestExponentialDwell:
     def test_errors(self):
         with pytest.raises(ValueError):
             pk.fit_exponential_dwell([5.0])
-
-
-class TestSlopeEstimator:
-    def test_recovers_exponent_from_histogram(self):
-        rng = np.random.default_rng(4)
-        d = stats.pareto.rvs(0.6, size=20_000, random_state=rng)
-        m = pk.fit_power_law_slope(pk.dwell_histogram(d, n_bins=30))
-        assert abs(m.value - 0.6) < 0.15
-        assert m.sigma > 0
-
-    def test_needs_three_occupied_bins(self):
-        h = pk.dwell_histogram([1.0, 1.0, 8.0], n_bins=2)
-        with pytest.raises(ValueError):
-            pk.fit_power_law_slope(h)
 
 
 class TestCompareModels:

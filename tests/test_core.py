@@ -154,30 +154,6 @@ class TestPeriodicStream:
         assert s == pk.PeriodicStream(255, 0, 100, 10, 10**6)
 
 
-class TestValidateStream:
-    def test_clean(self):
-        r = pk.validate_stream(pk.TimestampStream(0, [1, 2, 3], 10))
-        assert r.ok and r.n_events == 3 and r.n_duplicates == 0
-
-    def test_unsorted_reported_not_raised(self):
-        r = pk.validate_stream(pk.TimestampStream(0, [5, 3, 8], 10))
-        assert not r.ok
-        np.testing.assert_array_equal(r.order_violations, [1])
-
-    def test_duplicates_are_informational(self):
-        r = pk.validate_stream(pk.TimestampStream(0, [1, 1, 2], 10))
-        assert r.ok
-        assert r.n_duplicates == 1
-
-    def test_range_violations(self):
-        r = pk.validate_stream(pk.TimestampStream(0, [-1, 2, 11], 10))
-        assert not r.ok
-        assert r.n_negative == 1 and r.n_past_duration == 1
-
-    def test_empty(self):
-        assert pk.validate_stream(pk.TimestampStream(0, [], 10)).ok
-
-
 class TestCoincidenceHistogram:
     def test_bin_count_and_centers(self):
         h = pk.CoincidenceHistogram(500, 1000, np.zeros(4, np.int64))

@@ -18,22 +18,22 @@ LIBRARY = (core, sim, correlator, fit, blinking, fileio, pipeline)
 # Every name ``photonkit`` exported while its ``__init__`` listed them by hand.
 EARLIER_NAMES = """
     BadMagicError BlinkingLaw BlinkingResult CHANNEL_A CHANNEL_B
-    CoincidenceHistogram DecayHistogram DetectorModel DwellDensity
+    CoincidenceHistogram DecayHistogram DetectorModel
     DwellModelComparison EmissionRecord EmitterModel ExcitationConfig
     FitResult G2CwParams G2PwParams IntensityTrace Measurement
     MultiExpParams NoDipError PS_PER_MS PS_PER_NS PS_PER_S PeriodicStream
     ReportDocument SYNC_CHANNEL Segment TimestampFileError TimestampStream
     TruncatedFileError UnsortedRecordsError UnsupportedVersionError
-    ValidationReport Verdict alpha_distribution analyze_blinking
+    Verdict alpha_distribution analyze_blinking
     average_lifetime brute_force_correlate compare_dwell_models
-    cross_correlate cw_g2_model detect_hbt dwell_histogram
+    cross_correlate cw_g2_model detect_hbt
     export_histogram_csv fit_exponential_dwell fit_g2_cw fit_g2_pw
-    fit_multiexp fit_power_law_mle fit_power_law_slope generate_emission
+    fit_multiexp fit_power_law_mle generate_emission
     intensity_trace levenberg_marquardt multi_exp_model normalize_g2
     ns_to_ps ps_to_ns pulsed_g2_model read_histogram_csv read_timestamps
     run_pipeline sample_dwells_ms segment_trace simulate_intensity_trace
     simulate_poissonian single_photon_verdict sync_decay_histogram
-    validate_stream write_timestamps
+    write_timestamps
 """.split()
 
 

@@ -1786,6 +1786,16 @@ class TestConfigFileErrors:
         assert err.startswith("error: Expecting property name")
         assert not outdir.exists()
 
+    def test_truncated_job_file_is_named(self, tmp_path, capsys):
+        job, outdir = tmp_path / "job.json", tmp_path / "out"
+        job.write_text('{"mode": "simulate", "duration_s"')
+        assert cli_main(["pipeline", str(job), "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Expecting ':' delimiter")
+        assert err.rstrip().endswith(f"in job file {job}")
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 class TestOneCorrelationCsv:
     """"g2", "g2cw" and "g2pw" each write ``correlation.csv``, so a job

@@ -262,7 +262,8 @@ class TestDetectHbt:
         for s in (ch0, ch1):
             assert len(s) > 100
             assert np.diff(s.events).min() >= det.dead_time_ps
-            assert pk.validate_stream(s).ok
+            assert np.all(np.diff(s.events) >= 0)
+            assert s.events.min() >= 0 and s.events.max() <= s.duration
 
     def test_sync_stream_pulsed_vs_cw(self):
         em = quiet_emitter()
@@ -624,6 +625,8 @@ class TestConstructionChecks:
          "alpha_on must lie in (0, 1), got 1.0"),
         (pk.EmitterModel, {}, {"lifetime_ns": 0.0},
          "lifetime_ns must be positive, got 0.0"),
+        (pk.EmitterModel, {}, {"blinking": {"kind": "power_law"}},
+         "blinking must be a BlinkingLaw, got dict"),
         (pk.ExcitationConfig, {"mode": "pulsed"}, {"pulse_width_ps": -1},
          "pulse_width_ps must lie in [0, period)"),
         (pk.DetectorModel, {}, {"efficiency": 1.2},
