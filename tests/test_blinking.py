@@ -183,6 +183,24 @@ class TestAlphaDistribution:
             pk.alpha_distribution([1.0, 2.0], n_boot=0)
 
 
+class TestDurationSampleChecks:
+    """The exponential fit, the model comparison and the bootstrap refuse
+    the same bad duration samples as the power-law fit, before any
+    estimate is taken."""
+
+    @pytest.mark.parametrize("estimator", [
+        pk.fit_exponential_dwell, pk.compare_dwell_models,
+        pk.alpha_distribution])
+    @pytest.mark.parametrize("durations, message", [
+        ([1.0, -2.0], "finite and positive"),
+        ([1.0, np.nan, 3.0], "finite and positive"),
+        ([[1.0, 2.0]], "one-dimensional"),
+    ], ids=["negative", "nan", "2d"])
+    def test_refused(self, estimator, durations, message):
+        with pytest.raises(ValueError, match=message):
+            estimator(durations)
+
+
 class TestAnalyzeBlinking:
     def test_boundary_segments_are_censored(self):
         result = pk.analyze_blinking(trace_of([100, 100, 0, 0, 0, 100]),
