@@ -24,6 +24,8 @@ from .core import (
     IntensityTrace,
     Measurement,
     Segment,
+    _number,
+    _whole,
 )
 
 __all__ = [
@@ -66,6 +68,7 @@ def segment_trace(trace: IntensityTrace, threshold_per_ms: float) -> list[Segmen
     returned segments tile [0, n_bins * bin_width) exactly, alternate in
     state, and are half-open in ps.
     """
+    threshold_per_ms = _number(threshold_per_ms, "threshold_per_ms")
     if threshold_per_ms < 0:
         raise ValueError(
             f"threshold must be non-negative, got {threshold_per_ms}")
@@ -165,8 +168,7 @@ def alpha_distribution(durations_ms, n_boot: int = 200, seed: int = 0,
     d = _positive_durations(durations_ms)
     if d.size < 2:
         raise ValueError(f"need at least 2 durations, got {d.size}")
-    if n_boot < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    n_boot = _whole(n_boot, "n_boot", low=1)
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(n_boot)
     for i in range(n_boot):

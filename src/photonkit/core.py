@@ -8,26 +8,29 @@ channel 255 carries laser synchronization pulses.
 A record is checked once, when it is built, so an invalid one never
 exists: for every record in the package, the simulator's models too,
 ``_ArrayRecord`` converts each declared field by its rule, then runs the
-record's own ``validate()`` if it defines one. Arrays are made read-only
-so records can be shared freely between analysis stages: each field
-declared with ``_array(dtype)`` is converted to its dtype and frozen,
-copied first when it is a view of another array. A contiguous array of
-that dtype that owns its data is adopted and frozen in place, read-only
-for the caller too: pass a copy to keep writing to it.
+record's own ``validate()`` if it defines one. So a ``TimestampStream``
+is non-decreasing and within [0, duration], and no stage checks again.
+Arrays are made read-only so records can be shared freely between
+analysis stages: each field declared with ``_array(dtype)`` is converted
+to its dtype and frozen, copied first when it is a view of another
+array. A contiguous array of that dtype that owns its data is adopted
+and frozen in place, read-only for the caller too: pass a copy to keep
+writing to it.
 
 Histogram bin geometry is decided here too: the records and every builder
 of them get their bin count from ``_n_bins``, ``_delay_bins`` (window) or
 ``_decay_bins`` (period), the only checks of a bin width. Each field
 declared with ``_ps``, and each ps argument of the correlator's builders
-and the ``sim`` generators, goes through ``_whole_ps``; a job's counts
-(``seed``, ``workers``, ``n_side``, ``n_components``), a stream's
-``channel``, a ``PeriodicStream``'s ``count`` and a ``DecayHistogram``'s
-``discarded`` go through ``_whole``, the same rule without the unit. A
-job's real-valued keys and each field declared with ``_real`` (the
-simulator models' floats) go through ``_number``: null, a bool, a
-string, a list, an object, NaN or an infinity is an error naming the key
-or field. Only ``_real(finite=False)`` (``BlinkingLaw.max_dwell_ms``)
-takes an infinity.
+and the ``sim`` generators, goes through ``_whole_ps``; a count (a job's
+``seed``; ``workers``, ``n_side``, ``n_components``, ``n_boot``, a
+file's ``resolution``), a stream's ``channel``, a ``PeriodicStream``'s
+``count`` and a ``DecayHistogram``'s ``discarded`` go through
+``_whole``, the same rule without the unit. A job's real-valued keys,
+the Python API's rates and thresholds and each field declared with
+``_real`` (the simulator models' floats) go through ``_number``: null, a
+bool, a string, a list, an object, NaN or an infinity is an error naming
+it. Only ``_real(finite=False)`` (``BlinkingLaw.max_dwell_ms``) takes an
+infinity.
 A job's spans and the CLI's ``--period`` go through ``_span(unit)``: a
 ``_number`` > 0 read as whole ps, from 1 to below 2**63. ``_path`` takes
 a job's file names, which must be non-empty strings.
@@ -116,8 +119,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _map_workers(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, on up to ``workers`` threads but no
     more than items or cores; the results keep the order of ``items``."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _whole(workers, "workers", low=1)
     items = list(items)
     threads = min(workers, len(items), os.cpu_count() or 1)
     if threads <= 1:
@@ -194,19 +196,22 @@ def _path(value, name: str) -> str:
     return value
 
 
-def _whole(value, name: str, unit: str = "") -> int:
-    """``value`` as a whole number (of ``unit``, if given): an integral
-    float such as 600.0 is its int; a fractional or non-finite one, or a
-    value :func:`_float` refuses, is an error naming it."""
+def _whole(value, name: str, unit: str = "", low: float = -math.inf) -> int:
+    """``value`` as a whole number (of ``unit``, if given) >= ``low``: an
+    integral float such as 600.0 is its int; a fractional or non-finite
+    one, one below ``low``, or a value :func:`_float` refuses, is an error
+    naming it."""
     if not _float(value, name, unit).is_integer():
         of = f" of {unit}" if unit else ""
         raise ValueError(f"{name} must be a whole number{of}, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
 
 
-def _whole_ps(value, name: str) -> int:
-    """``value`` as whole picoseconds, by :func:`_whole`'s rule."""
-    return _whole(value, name, "ps")
+def _whole_ps(value, name: str, low: float = -math.inf) -> int:
+    """``value`` as whole picoseconds >= ``low``, by :func:`_whole`'s rule."""
+    return _whole(value, name, "ps", low)
 
 
 def _array(dtype):
@@ -269,8 +274,9 @@ class TimestampStream(_ArrayRecord):
     channel : int
         Channel id. 0 and 1 are detector arms, 255 is the sync channel.
     events : ndarray of int64
-        Arrival times in ps, non-decreasing, all within [0, duration]. An
-        owned int64 array is frozen in place; pass a copy to keep writing.
+        Arrival times in ps, non-decreasing, all within [0, duration] (else
+        ``ValueError``). An owned int64 array is frozen in place; pass a
+        copy to keep writing.
     duration : int
         Observation span in ps.
     """
@@ -278,6 +284,17 @@ class TimestampStream(_ArrayRecord):
     channel: int = field(metadata={"convert": _whole})
     events: np.ndarray = _array(np.int64)
     duration: int = _ps()
+
+    def validate(self) -> None:
+        ev, name = self.events, f"channel {self.channel}"
+        for lo in range(0, ev.size, _BLOCK):
+            # One event back, so the pair across the cut is compared too.
+            part = ev[max(lo - 1, 0):lo + _BLOCK]
+            if np.any(part[1:] < part[:-1]):
+                raise ValueError(f"{name} stream is not sorted by timestamp")
+        if ev.size and (ev[0] < 0 or ev[-1] > self.duration):
+            raise ValueError(f"{name} events must lie within [0, "
+                             f"{self.duration}] ps, got {ev[0]} to {ev[-1]}")
 
     def __len__(self) -> int:
         return self.events.size
@@ -317,7 +334,7 @@ class PeriodicStream(_ArrayRecord):
     channel: int = field(metadata={"convert": _whole})
     offset: int = _ps()
     period: int = _ps()
-    count: int = field(metadata={"convert": _whole})
+    count: int = field(metadata={"convert": functools.partial(_whole, low=1)})
     duration: int = _ps()
 
     def validate(self) -> None:
@@ -325,8 +342,6 @@ class PeriodicStream(_ArrayRecord):
             raise ValueError(f"offset must be >= 0, got {self.offset}")
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
         if self.duration < self.last:
             raise ValueError(
                 f"duration {self.duration} is before the last pulse "

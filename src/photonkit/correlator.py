@@ -5,6 +5,7 @@ appear once counts are handed to the fitting layer. Bin counts and their
 validity come from :mod:`photonkit.core`. A window, bin width or period is
 taken as whole picoseconds: an integral float such as ``600.0`` bins like
 the int, a fractional one raises ``ValueError`` naming the argument.
+Streams are sorted, within [0, duration]: they checked it when built.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     _delay_bins,
     _map_workers,
     _n_bins,
+    _whole,
     _whole_ps,
 )
 
@@ -39,23 +41,12 @@ __all__ = [
 _PAIR_BUDGET = 4_000_000
 
 
-def _require_sorted(stream: TimestampStream, name: str) -> None:
-    ev = stream.events
-    for lo in range(0, ev.size, _BLOCK):
-        # One event back, so the pair across the cut is compared too.
-        part = ev[max(lo - 1, 0):lo + _BLOCK]
-        if np.any(part[1:] < part[:-1]):
-            raise ValueError(f"{name} stream is not sorted by timestamp")
-
-
 def _photon_streams(photons) -> list[TimestampStream]:
-    """One stream or a non-empty sequence of them, as a checked list."""
+    """One stream or a non-empty sequence of them, as a list."""
     single = isinstance(photons, (TimestampStream, PeriodicStream))
     streams = [photons] if single else list(photons)
     if not streams:
         raise ValueError("photons must be a stream or a non-empty sequence")
-    for s in streams:
-        _require_sorted(s, "photons")
     return streams
 
 
@@ -101,12 +92,13 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     """Full cross-correlation histogram of delays t_b - t_a.
 
     Every ordered pair with delay in [-window, +window) increments one bin.
-    Both streams must be sorted. One binary search per event of ``a``
-    finds its first partner in ``b``; a walk over the following partners
-    checks the upper edge itself. The cost is the in-window pairs plus one
-    pass per partner rank. Each worker folds its slice of ``a`` over
-    blocks of ``core._BLOCK`` events, so a pass's arrays stay block-sized
-    and in cache; the blocks' integer counts add up to the whole slice's.
+    Streams are sorted, as they check when built. One binary search per
+    event of ``a`` finds its first partner in ``b``; a walk over the
+    following partners checks the upper edge itself. The cost is the
+    in-window pairs plus one pass per partner rank. Each worker folds its
+    slice of ``a`` over blocks of ``core._BLOCK`` events, so a pass's
+    arrays stay block-sized and in cache; the blocks' integer counts add
+    up to the whole slice's.
 
     Parameters
     ----------
@@ -124,10 +116,9 @@ def cross_correlate(a: TimestampStream, b: TimestampStream, window: int,
     -------
     CoincidenceHistogram
     """
-    _require_sorted(a, "a")
-    _require_sorted(b, "b")
     window = _whole_ps(window, "window")
     bin_width = _whole_ps(bin_width, "bin_width")
+    workers = _whole(workers, "workers")
     n_bins = _delay_bins(window, bin_width)
     ta = a.events
     tb = b.events
@@ -154,8 +145,6 @@ def brute_force_correlate(a: TimestampStream, b: TimestampStream, window: int,
     Same contract as :func:`cross_correlate`, quadratic cost. Exists as the
     oracle the fast path is checked against; use it for small streams only.
     """
-    _require_sorted(a, "a")
-    _require_sorted(b, "b")
     window = _whole_ps(window, "window")
     bin_width = _whole_ps(bin_width, "bin_width")
     n_bins = _delay_bins(window, bin_width)
@@ -208,10 +197,10 @@ def sync_decay_histogram(photons: TimestampStream | Sequence[TimestampStream],
     A :class:`PeriodicStream` sync and ``period`` share one arithmetic
     path, ``k = (t - offset) // period`` clamped to the last pulse, which
     gives the same delays as searching the materialized pulse array. An
-    explicit sync :class:`TimestampStream` is checked once per call and
-    searched pulse by pulse. Every photon stream from the first pulse on
-    is folded over blocks of ``core._BLOCK`` events into one set of
-    integer counts, so a call's temporaries stay block-sized.
+    explicit sync :class:`TimestampStream` has its period inferred once
+    per call and is searched pulse by pulse. Every photon stream from the
+    first pulse on is folded over blocks of ``core._BLOCK`` events into
+    one set of integer counts, so a call's temporaries stay block-sized.
 
     Parameters
     ----------
@@ -234,7 +223,6 @@ def sync_decay_histogram(photons: TimestampStream | Sequence[TimestampStream],
     elif isinstance(sync, PeriodicStream):
         offset, period, count = sync.offset, sync.period, sync.count
     elif sync is not None:
-        _require_sorted(sync, "sync")
         if sync.events.size < 2:
             raise ValueError(
                 "need at least two sync pulses to infer the period")
@@ -266,7 +254,7 @@ def intensity_trace(photons: TimestampStream | Sequence[TimestampStream],
     """Bin photon streams into one intensity trace (default 1 ms bins).
 
     ``photons`` is one stream or a sequence of them; the trace spans the
-    longest duration. Every event lands in a bin: an event at or past the
+    longest duration. Every event lands in a bin: an event at the
     duration is assigned to the last bin, so the bin sum always equals the
     number of events. The counts come from one binary search per inner bin
     edge in each stream's sorted events, not from binning each event.
@@ -278,12 +266,10 @@ def intensity_trace(photons: TimestampStream | Sequence[TimestampStream],
     if duration <= 0:
         raise ValueError("stream duration must be positive")
     # Events before the edge k*bin_width fill bins 0..k-1; the last bin
-    # also takes those at or past the duration.
+    # also takes those at the duration.
     edges = np.arange(1, n_bins) * bin_width
     counts = np.zeros(n_bins, np.int64)
     for ev in (p.events for p in streams):
-        if ev.size and ev[0] < 0:
-            raise ValueError(f"event times must be non-negative, got {ev[0]}")
         counts += np.diff(np.searchsorted(ev, edges, side="left"),
                           prepend=0, append=ev.size)
     return IntensityTrace(counts, bin_width, duration)

@@ -59,6 +59,7 @@ from .core import (
     Verdict,
     _BLOCK,
     _map_workers,
+    _whole,
     _whole_ps,
 )
 
@@ -164,12 +165,11 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
     Raises
     ------
     ValueError
-        On a bad resolution, more than 255 streams, a channel id outside
-        one byte or used by two streams, or negative timestamps.
+        On a resolution that is not a whole number >= 1, more than 255
+        streams, or a channel id outside one byte or used by two streams
+        (a stream's events are sorted and >= 0: it checked when built).
     """
-    resolution = int(resolution)
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    resolution = _whole(resolution, "resolution", low=1)
     streams = list(streams)
     if len(streams) > 255:
         raise ValueError(f"at most 255 channels per file, got {len(streams)}")
@@ -186,9 +186,6 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
             table.append((s.channel, s.offset // resolution,
                           s.period // resolution, s.count))
             continue
-        if s.events.size and s.events.min() < 0:
-            raise ValueError(
-                f"channel {s.channel} has negative timestamps")
         parts.append((s.channel, s.events))
     # Concatenated in channel order, a stable sort by time alone breaks
     # ties on the channel.
@@ -401,7 +398,7 @@ def _read_mapped(data: np.ndarray, duration, workers: int, hasher) -> dict:
                     part *= resolution
 
     n = len(blocks)
-    parts = min(workers, n)
+    parts = min(_whole(workers, "workers"), n)
     _map_workers(gather, [range(n * i // parts, n * (i + 1) // parts)
                           for i in range(parts)], workers)
     out = {c: TimestampStream(c, events, duration) for c, events in channels}

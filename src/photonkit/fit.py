@@ -44,6 +44,7 @@ from .core import (
     Measurement,
     MultiExpParams,
     Verdict,
+    _whole,
     ns_to_ps,
 )
 
@@ -427,8 +428,7 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
     """
     if period_ns <= 0:
         raise ValueError(f"period_ns must be positive, got {period_ns}")
-    if n_side < 1:
-        raise ValueError(f"n_side must be >= 1, got {n_side}")
+    n_side = _whole(n_side, "n_side", low=1)
     counts = _counts(histogram)
     tau = histogram.tau_centers_ns
     window_ns = histogram.window / PS_PER_NS
@@ -482,6 +482,7 @@ def fit_multiexp(histogram: DecayHistogram, n_components: int = 3) -> FitResult:
     lifetime), flags the result degenerate with a suggestion to refit with
     one fewer component.
     """
+    n_components = _whole(n_components, "n_components")
     if not 1 <= n_components <= _GRID:
         raise ValueError(
             f"n_components must be from 1 to {_GRID}, got {n_components}")

@@ -43,6 +43,7 @@ from .core import (
     _array,
     _map_workers,
     _n_bins,
+    _number,
     _ps,
     _real,
     _whole_ps,
@@ -411,9 +412,7 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     if excitation.mode == "cw" and emitter.biexciton_probability:
         raise ValueError("biexciton_probability must be 0 under cw "
                          f"excitation, got {emitter.biexciton_probability}")
-    duration = _whole_ps(duration, "duration")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    duration = _whole_ps(duration, "duration", low=1)
 
     law = emitter.blinking
     segments = _blinking_segments(law, duration, seed)
@@ -569,11 +568,10 @@ def simulate_poissonian(rate_per_s: float, duration: int, seed: int) -> Timestam
     Returns a single pre-detector stream on channel 0; feed it to
     :func:`detect_hbt` for the beam-splitter null measurement.
     """
+    rate_per_s = _number(rate_per_s, "rate_per_s")
     if rate_per_s <= 0:
         raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-    duration = _whole_ps(duration, "duration")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    duration = _whole_ps(duration, "duration", low=1)
     rng = _rng(seed, _TAG_POISSON)
     n = rng.poisson(rate_per_s * duration / PS_PER_S)
     times = np.sort(rng.integers(0, duration + 1, n))
@@ -595,13 +593,12 @@ def simulate_intensity_trace(law: BlinkingLaw, on_rate_per_ms: float,
 
     Returns the trace and the ground-truth segments.
     """
+    on_rate_per_ms = _number(on_rate_per_ms, "on_rate_per_ms")
     if on_rate_per_ms <= 0:
         raise ValueError(f"on_rate_per_ms must be positive, got {on_rate_per_ms}")
-    duration = _whole_ps(duration, "duration")
+    duration = _whole_ps(duration, "duration", low=1)
     bin_width = _whole_ps(bin_width, "bin_width")
     n_bins = _n_bins(duration, bin_width)
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
     segments = _blinking_segments(law, duration, seed)
     on_fraction = np.zeros(n_bins)
     for seg in segments:

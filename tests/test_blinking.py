@@ -62,6 +62,13 @@ class TestSegmentTrace:
         with pytest.raises(ValueError):
             pk.segment_trace(trace_of([1, 2]), -1.0)
 
+    def test_nan_threshold_refused_by_name(self):
+        with pytest.raises(ValueError, match=(
+                "^threshold_per_ms must be a number, got nan")):
+            pk.segment_trace(trace_of([1, 200]), float("nan"))
+        with pytest.raises(ValueError, match="^threshold_per_ms"):
+            pk.analyze_blinking(trace_of([1, 200]), float("nan"))
+
 
 class TestPowerLawMle:
     def test_closed_form(self):
@@ -181,6 +188,8 @@ class TestAlphaDistribution:
             pk.alpha_distribution([1.0])
         with pytest.raises(ValueError):
             pk.alpha_distribution([1.0, 2.0], n_boot=0)
+        with pytest.raises(ValueError, match="^n_boot must be a whole number"):
+            pk.alpha_distribution([1.0, 2.0], n_boot=2.5)
 
 
 class TestDurationSampleChecks:

@@ -1,6 +1,8 @@
 """Unit conversions, stream validation, and the shared dataclasses."""
 
+import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -78,7 +80,7 @@ class TestUnitConversion:
 
 class TestTimestampStream:
     def test_freezes_events(self):
-        s = pk.TimestampStream(0, [3, 1, 2], 10)
+        s = pk.TimestampStream(0, [1, 2, 3], 10)
         assert not s.events.flags.writeable
         assert s.events.dtype == np.int64
         assert len(s) == 3
@@ -104,6 +106,33 @@ class TestTimestampStream:
     def test_integral_float_channel(self):
         s = pk.TimestampStream(0.0, [2, 6], 20)
         assert s.channel == 0 and type(s.channel) is int
+
+    def test_ties_and_both_ends_of_the_span_accepted(self):
+        s = pk.TimestampStream(3, [0, 5, 5, 100], 100)
+        assert len(s) == 4
+
+    # A stream checks its order and range when it is built, so an invalid
+    # one never exists: not by construction, not by ``dataclasses.replace``.
+    INVALID = [
+        ({"events": [30, 10, 20]},
+         "channel 3 stream is not sorted by timestamp"),
+        ({"events": [-5, 10, 20]},
+         "channel 3 events must lie within [0, 100] ps, got -5 to 20"),
+        ({"duration": 25},
+         "channel 3 events must lie within [0, 25] ps, got 10 to 30"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", INVALID)
+    def test_refused_when_built(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pk.TimestampStream(**{"channel": 3, "events": [10, 20, 30],
+                                  "duration": 100, **bad})
+
+    @pytest.mark.parametrize("bad, message", INVALID)
+    def test_refused_by_replace(self, bad, message):
+        good = pk.TimestampStream(3, [10, 20, 30], 100)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(good, **bad)
 
 
 class TestPeriodicStream:

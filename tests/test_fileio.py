@@ -179,9 +179,19 @@ class TestTimestampRoundTrip:
         write_timestamps([stream(t)], path, resolution=1)
         np.testing.assert_array_equal(read_timestamps(path)[0].events, t)
 
-    def test_bad_resolution_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="resolution"):
-            write_timestamps([stream([1])], tmp_path / "x.ptst", resolution=0)
+    @pytest.mark.parametrize("resolution", [0, 1.5, "2"])
+    def test_bad_resolution_rejected(self, tmp_path, resolution):
+        with pytest.raises(ValueError, match="^resolution must be"):
+            write_timestamps([stream([1, 3000])], tmp_path / "x.ptst",
+                             resolution=resolution)
+        assert not (tmp_path / "x.ptst").exists()
+
+    def test_integral_float_resolution_writes_like_int(self, tmp_path):
+        streams = [stream([1234, 5678, 5999])]
+        write_timestamps(streams, tmp_path / "int.ptst", resolution=1000)
+        write_timestamps(streams, tmp_path / "float.ptst", resolution=1000.0)
+        assert ((tmp_path / "float.ptst").read_bytes()
+                == (tmp_path / "int.ptst").read_bytes())
 
     def test_too_many_channels_rejected(self, tmp_path):
         streams = [stream([i], channel=0) for i in range(256)]
@@ -194,9 +204,8 @@ class TestTimestampRoundTrip:
                              tmp_path / "x.ptst")
 
     def test_negative_timestamps_rejected(self, tmp_path):
-        bad = TimestampStream(0, np.array([-5, 10]), 10)
-        with pytest.raises(ValueError, match="negative"):
-            write_timestamps([bad], tmp_path / "x.ptst")
+        with pytest.raises(ValueError, match="channel 0 events must lie"):
+            TimestampStream(0, np.array([-5, 10]), 10)
 
 
 class TestReadErrors:
@@ -601,6 +610,16 @@ class TestWriteReadWorkers:
                 assert path.read_bytes() == want
                 assert (read_timestamps(path, workers=workers)
                         == reference_read(want))
+
+    def test_integral_float_workers_read_like_int(self, tmp_path):
+        rng = np.random.default_rng(23)
+        streams = [stream(np.sort(rng.integers(0, 10**9, 150_000)), channel=c)
+                   for c in (0, 1)]
+        path = tmp_path / "x.ptst"
+        write_timestamps(streams, path, workers=2.0)
+        assert read_timestamps(path, workers=2.0) == read_timestamps(path)
+        with pytest.raises(ValueError, match="^workers must be a whole"):
+            read_timestamps(path, workers=1.5)
 
     @pytest.mark.parametrize("raw, cls", corrupt_files())
     def test_errors_keep_type_and_code(self, tmp_path, raw, cls):

@@ -257,6 +257,10 @@ class TestPulsedDriver:
             pk.fit_g2_pw(hist, period_ns=0.0)
         with pytest.raises(ValueError):
             pk.fit_g2_pw(hist, period_ns=100.0, n_side=0)
+        with pytest.raises(ValueError, match="^n_side must be a whole number"):
+            pk.fit_g2_pw(hist, period_ns=100.0, n_side=2.5)
+        assert (pk.fit_g2_pw(hist, period_ns=100.0, n_side=2.0).as_dict()
+                == pk.fit_g2_pw(hist, period_ns=100.0, n_side=2).as_dict())
 
 
 class TestPulsedEdgePeaks:
@@ -325,6 +329,9 @@ class TestMultiExpDriver:
         hist = synth_decay_histogram(rng, 10.0, [(3000.0, 4.0)])
         with pytest.raises(ValueError):
             pk.fit_multiexp(hist, n_components=0)
+        with pytest.raises(ValueError,
+                           match="^n_components must be a whole number"):
+            pk.fit_multiexp(hist, 1.5)
         tiny = pk.DecayHistogram(500, 2000, np.array([9, 3, 2, 1], np.int64))
         with pytest.raises(ValueError):
             pk.fit_multiexp(tiny, n_components=2)

@@ -532,6 +532,10 @@ class TestPoissonian:
             pk.simulate_poissonian(0.0, PS_S, seed=0)
         with pytest.raises(ValueError):
             pk.simulate_poissonian(1e6, 0, seed=0)
+        for rate in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=(
+                    f"^rate_per_s must be a number, got {rate}")):
+                pk.simulate_poissonian(rate, PS_S, seed=0)
 
 
 class TestDwellSampling:
@@ -614,6 +618,11 @@ class TestIntensityTraceSim:
             pk.simulate_intensity_trace(pk.BlinkingLaw(), 0.0, PS_S, seed=0)
         with pytest.raises(ValueError):
             pk.simulate_intensity_trace(pk.BlinkingLaw(), 10.0, 0, seed=0)
+        for rate in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=(
+                    f"^on_rate_per_ms must be a number, got {rate}")):
+                pk.simulate_intensity_trace(pk.BlinkingLaw(), rate, PS_S,
+                                            seed=0)
 
 
 class TestConstructionChecks:
