@@ -107,8 +107,11 @@ def fit_power_law_mle(durations_ms, tau_min_ms: float | None = None) -> Measurem
         if d.size == 0:
             raise ValueError("cannot fit an empty duration sample")
         tau_min_ms = float(d.min())
-    elif tau_min_ms <= 0:
-        raise ValueError(f"tau_min_ms must be positive, got {tau_min_ms}")
+    else:
+        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
+        if tau_min_ms <= 0:
+            raise ValueError(
+                f"tau_min_ms must be positive, got {tau_min_ms}")
     d = d[d >= tau_min_ms]
     n = d.size
     if n < 2:
@@ -146,6 +149,8 @@ def compare_dwell_models(durations_ms,
         if d.size == 0:
             raise ValueError("cannot compare models on an empty sample")
         tau_min_ms = float(d.min())
+    else:
+        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
     d = d[d >= tau_min_ms]
     alpha = fit_power_law_mle(d, tau_min_ms)
     rate = fit_exponential_dwell(d)
@@ -169,6 +174,8 @@ def alpha_distribution(durations_ms, n_boot: int = 200, seed: int = 0,
     if d.size < 2:
         raise ValueError(f"need at least 2 durations, got {d.size}")
     n_boot = _whole(n_boot, "n_boot", low=1)
+    if tau_min_ms is not None:
+        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(n_boot)
     for i in range(n_boot):
@@ -193,6 +200,9 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
     Mean ON/OFF rates are computed over all bins of that state, not just
     the surviving segments.
     """
+    min_dwell_ms = _number(min_dwell_ms, "min_dwell_ms")
+    if tau_min_ms is not None:
+        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
     segments = segment_trace(trace, threshold_per_ms)
     rates = trace.rates_per_ms
     on_bins = rates >= threshold_per_ms

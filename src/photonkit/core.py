@@ -116,16 +116,39 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Pool:
+    """Up to ``workers`` threads but no more than ``most`` or cores, kept
+    for the ``map`` calls of one ``with`` block; with one thread, each
+    call runs in the calling thread."""
+
+    def __init__(self, workers: int, most: int):
+        workers = _whole(workers, "workers", low=1)
+        threads = min(workers, most, os.cpu_count() or 1)
+        self._pool = (ThreadPoolExecutor(max_workers=threads)
+                      if threads > 1 else None)
+
+    def __enter__(self) -> "_Pool":
+        if self._pool is not None:
+            self._pool.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.__exit__(*exc)
+
+    def map(self, fn, items) -> list:
+        """``[fn(x) for x in items]``, in the order of ``items``."""
+        if self._pool is None:
+            return [fn(x) for x in items]
+        return list(self._pool.map(fn, items))
+
+
 def _map_workers(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, on up to ``workers`` threads but no
     more than items or cores; the results keep the order of ``items``."""
-    workers = _whole(workers, "workers", low=1)
     items = list(items)
-    threads = min(workers, len(items), os.cpu_count() or 1)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    with _Pool(workers, len(items)) as pool:
+        return pool.map(fn, items)
 
 
 @dataclass(frozen=True)

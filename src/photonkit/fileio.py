@@ -27,8 +27,12 @@ can kill the reading process with SIGBUS. Given a ``hashlib`` object
 the writer and the reader feed it the file's bytes in file order, so the
 caller has the file's digest without reading the file again. Given
 ``workers`` > 1 they hash on one thread of the package's pool
-(``core._map_workers``) while another writes the file or checks the
-records, and the writer fills its two record columns as separate tasks.
+(``core._Pool``) while another writes the file or checks the records.
+The writer merges the streams into records a chunk at a time: a chunk
+ends at every ``core._BLOCK``-th event of each stream, and the cuts fall
+between ticks, so each chunk is sorted on its own. The sorted chunks
+gather in a buffer of ``_BATCH`` blocks of records, which is written and
+hashed each time it fills, so the writer never holds the whole file.
 The reader checks the record order and counts the channels once per
 block of ``core._BLOCK`` records, then gathers every channel from each
 block while that block is in cache; its tasks take contiguous runs of
@@ -58,6 +62,7 @@ from .core import (
     TimestampStream,
     Verdict,
     _BLOCK,
+    _Pool,
     _map_workers,
     _whole,
     _whole_ps,
@@ -100,6 +105,7 @@ PERIODIC_TAG = b"PSYN"
 _TABLE_HEAD = struct.Struct("<4sB")
 _TABLE_ENTRY = struct.Struct("<BQQQ")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_BATCH = 16  # blocks of ``_BLOCK`` records the writer sends out at once
 
 
 class TimestampFileError(Exception):
@@ -157,10 +163,12 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
     entry and adds no records; any other one is written pulse by pulse,
     quantized like every record.
 
-    ``workers`` > 1 fills the two record columns, and then writes the file
-    and feeds ``hasher``, on that many threads; the bytes do not depend on
-    it. ``hasher`` (a :mod:`hashlib` object) is fed every byte of the file
-    in file order.
+    The records are sorted a chunk at a time and go out in batches of at
+    most ``_BATCH`` blocks of ``core._BLOCK`` records, so beyond its
+    input the writer holds about one batch. ``workers`` > 1 writes each
+    batch and feeds it to ``hasher`` on two threads; the bytes do not
+    depend on it. ``hasher`` (a :mod:`hashlib` object) is fed every byte
+    of the file in file order.
 
     Raises
     ------
@@ -188,42 +196,55 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
             continue
         parts.append((s.channel, s.events))
     # Concatenated in channel order, a stable sort by time alone breaks
-    # ties on the channel.
+    # ties on the channel. The records are sorted a chunk at a time: a
+    # chunk ends at every ``_BLOCK``-th event of each stream, cut on a tick
+    # so that all the events of one tick share a chunk.
     parts.sort(key=lambda part: part[0])
-    t = np.concatenate([ev for _, ev in parts] or [np.empty(0, np.int64)])
-    if resolution != 1:
-        t //= resolution
-    ch = np.repeat(np.array([c for c, _ in parts], np.uint8),
-                   [ev.size for _, ev in parts])
-    order = np.argsort(t, kind="stable")
-    records = np.zeros(t.size, dtype=RECORD_DTYPE)
+    channels = np.array([c for c, _ in parts], np.uint8)
+    cuts = np.unique(np.concatenate(
+        [ev[_BLOCK::_BLOCK] // resolution for _, ev in parts]
+        or [np.empty(0, np.int64)])) * resolution
+    # edges[k, j]: index in stream k of its first event in chunk j
+    edges = np.zeros((len(parts), cuts.size + 2), np.int64)
+    for row, (_, ev) in zip(edges, parts):
+        row[1:-1] = np.searchsorted(ev, cuts)
+        row[-1] = ev.size
+    sizes = np.diff(edges, axis=1).sum(axis=0)  # records per chunk
+    n_records = int(sizes.sum())
+    # Sorted chunks gather in one buffer, which goes to the sinks whenever
+    # the next chunk would not fit.
+    buffer = np.zeros(min(max(_BATCH * _BLOCK, sizes.max(initial=0)),
+                          n_records), dtype=RECORD_DTYPE)
+    sinks = [] if hasher is None else [hasher.update]
+    with open(path, "wb") as f, _Pool(workers, len(sinks) + 1) as pool:
+        sinks.append(f.write)
 
-    def fill(field):
-        name, column = field
-        out = records[name]
-        for lo in range(0, column.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            out[block] = column[order[block]]
+        def feed(data) -> None:
+            pool.map(lambda sink: sink(data), sinks)
 
-    _map_workers(fill, (("t", t), ("ch", ch)), workers)
-    chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(streams), resolution,
-                           records.size), records.view(np.uint8)]
-    if table:
-        chunks.append(_TABLE_HEAD.pack(PERIODIC_TAG, len(table)) + b"".join(
-            _TABLE_ENTRY.pack(*entry) for entry in sorted(table)))
-
-    def write():
-        with open(path, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
-
-    def digest():
-        for chunk in chunks:
-            hasher.update(chunk)
-
-    _map_workers(lambda task: task(),
-                 [write] if hasher is None else [digest, write], workers)
-    return int(records.size)
+        feed(_HEADER.pack(MAGIC, FORMAT_VERSION, len(streams), resolution,
+                          n_records))
+        at = 0
+        for j, size in enumerate(sizes):
+            if at + size > buffer.size:
+                feed(buffer[:at].view(np.uint8))
+                at = 0
+            lo, hi = edges[:, j], edges[:, j + 1]
+            t = np.concatenate(
+                [ev[a:b] for (_, ev), a, b in zip(parts, lo, hi)]
+                or [np.empty(0, np.int64)])
+            if resolution != 1:
+                t //= resolution
+            order = np.argsort(t, kind="stable")
+            out = buffer[at:at + size]
+            out["t"] = t[order]
+            out["ch"] = np.repeat(channels, hi - lo)[order]
+            at += size
+        feed(buffer[:at].view(np.uint8))
+        if table:
+            feed(_TABLE_HEAD.pack(PERIODIC_TAG, len(table)) + b"".join(
+                _TABLE_ENTRY.pack(*entry) for entry in sorted(table)))
+    return n_records
 
 
 def _read_table(tail: bytes, fmt_version: int, n_records: int) -> list:

@@ -44,6 +44,7 @@ from .core import (
     Measurement,
     MultiExpParams,
     Verdict,
+    _number,
     _whole,
     ns_to_ps,
 )
@@ -426,6 +427,7 @@ def fit_g2_pw(histogram: CoincidenceHistogram, period_ns: float,
         If the window does not cover (n_side + 0.5) periods, or fewer than
         3 solved side-peak heights rise resolvably above the background.
     """
+    period_ns = _number(period_ns, "period_ns")
     if period_ns <= 0:
         raise ValueError(f"period_ns must be positive, got {period_ns}")
     n_side = _whole(n_side, "n_side", low=1)

@@ -198,7 +198,9 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
     # The emission record is not kept: it is freed before the file is
-    # written, where this stage reaches its peak memory.
+    # written. This stage peaks in detection, which holds the record and
+    # both detector streams at once, or in the writer, which holds the
+    # streams and the file's 16-byte records.
     ch0, ch1, sync = detect_hbt(
         generate_emission(emitter, excitation, duration, seed, workers),
         detector, seed, workers)

@@ -15,9 +15,16 @@ output is bit-identical for any ``workers`` value.
 
 Detection takes ``workers`` too: each of its draws starts at its known
 offset in one seeded stream on its own generator, and its two channels are
-mapped, so its output does not depend on ``workers`` either. Pulsed pieces
-do the same (see ``_pulsed_piece``), and all these draws run in blocks of
-``core._BLOCK`` values through one reused buffer; CW pieces draw whole arrays.
+mapped, so its output does not depend on ``workers`` either. It walks the
+photons in segments of ``_SEGMENT`` blocks: while one task draws the jitter
+of the next segment, another draws the splitter and efficiency uniforms of
+this one and keeps its photons per channel, so no draw or mask spans the
+whole emission. Pulsed pieces start their draws at known offsets too (see
+``_pulsed_piece``). All these draws, and a CW piece's decay times, run in
+blocks of ``core._BLOCK`` values through one reused buffer; a CW piece
+draws its waits whole and casts its times to int64 in place. The pieces,
+and a channel's segments, are joined into one array grown from the first
+(``_joined``) and sorted in place.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .core import (
     Segment,
     TimestampStream,
     _ArrayRecord,
+    _Pool,
     _array,
     _map_workers,
     _n_bins,
@@ -72,6 +80,7 @@ _TAG_POISSON = 4
 _TAG_TRACE = 5
 
 _BLOCK_PS = PS_PER_S  # 1 s generation blocks
+_SEGMENT = 4  # blocks of ``_BLOCK`` photons per detection segment
 
 
 @dataclass(frozen=True)
@@ -262,6 +271,38 @@ def _below(draw, n: int, p: float) -> np.ndarray:
     return mask
 
 
+def _joined(parts: list) -> np.ndarray:
+    """The int64 arrays in ``parts`` end to end.
+
+    The first part is grown in place when it owns its data and holds at
+    least half of the items, so it is never held twice; a smaller one is
+    copied, which is quicker than growing it. The others are copied after
+    it, and the list is emptied as they are, so each part is freed once
+    copied.
+
+    Growing moves the data, so no view of the part may be alive. Every
+    ``resize`` in this module resizes such an array and skips numpy's
+    reference check, which also counts the references a profiler holds.
+    """
+    if not parts:
+        return np.empty(0, np.int64)
+    parts.reverse()
+    out = parts.pop()
+    at = out.size
+    total = at + sum(p.size for p in parts)
+    if out.base is None and 2 * at >= total:
+        out.resize(total, refcheck=False)
+    else:
+        head, out = out, np.empty(total, np.int64)
+        out[:at] = head
+        del head
+    while parts:
+        part = parts.pop()
+        out[at:at + part.size] = part
+        at += part.size
+    return out
+
+
 def _truncated_pareto_ms(rng, alpha: float, lo: float, hi: float, size: int) -> np.ndarray:
     """Inverse-CDF draw from p(t) ~ t**-(1+alpha) on [lo, hi]."""
     u = rng.random(size)
@@ -332,16 +373,27 @@ def _cw_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
     t = float(lo)
     while t < hi:
         n = max(int((hi - t) / mean_cycle * 1.2) + 16, 16)
-        emits = rng.exponential(1.0 / rate_per_ps, n)
-        emits += rng.exponential(tau_x_ps, n)
+        times = np.empty(n, np.int64)  # float ps first, cast in place
+        emits = times.view(np.float64)
+        # exponential(s) is s * standard_exponential, bit for bit.
+        rng.standard_exponential(out=emits)
+        emits *= 1.0 / rate_per_ps
+        for b, e in _drawn(rng.standard_exponential, n):
+            e *= tau_x_ps
+            emits[b] += e
         np.cumsum(emits, out=emits)
         emits += t  # non-decreasing, so the times before hi are a prefix
-        out.append(emits[:np.searchsorted(emits, hi)])
         t = emits[-1]
-    times = np.concatenate(out) if out else np.empty(0)
-    if emitter.quantum_yield < 1.0 and times.size:
-        times = times[_below(rng.random, times.size, emitter.quantum_yield)]
-    return np.rint(times, out=times).astype(np.int64)
+        k = int(np.searchsorted(emits, hi))
+        for j in range(0, k, _BLOCK):
+            times[j:j + _BLOCK] = np.rint(emits[j:j + _BLOCK])
+        del emits
+        times.resize(k, refcheck=False)
+        out.append(times)
+    if emitter.quantum_yield < 1.0:
+        out = [p[_below(rng.random, p.size, emitter.quantum_yield)]
+               for p in out]
+    return _joined(out)
 
 
 def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
@@ -356,8 +408,16 @@ def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
     p = exc.excitation_probability
     n_uniform = max(k1 - k0, 0) if p < 1.0 else 0
     if n_uniform:  # index the excited pulses, never the whole pulse grid
-        out = np.flatnonzero(_below(_rng(seed, _TAG_SIGNAL, i).random, n_uniform, p))
-        out += k0
+        excited = _below(_rng(seed, _TAG_SIGNAL, i).random, n_uniform, p)
+        # Not one flatnonzero, whose result is a view: this array owns its
+        # data, so that ``_joined`` can grow it in place.
+        out = np.empty(np.count_nonzero(excited), np.int64)
+        at = 0
+        for j in range(0, n_uniform, _BLOCK):
+            index = np.flatnonzero(excited[j:j + _BLOCK])
+            np.add(index, k0 + j, out=out[at:at + index.size])
+            at += index.size
+        del excited
     else:
         out = np.arange(k0, k1, dtype=np.int64)
     n = out.size
@@ -433,20 +493,28 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
         times = lo + rng.random(n) * (hi - lo)
         return np.rint(times, out=times).astype(np.int64)
 
-    sig = _map_workers(gen_signal, range(len(pieces)), workers)
-    sig = sig[0] if len(sig) == 1 else np.concatenate(sig)  # never empty
-    sig.sort(kind="stable")  # merges runs: pieces are in order, nearly sorted
+    parts = _map_workers(gen_signal, range(len(pieces)), workers)
     bg = np.concatenate(_map_workers(gen_background, range(n_blocks), workers)
                         if bg_rate > 0 else [np.empty(0, np.int64)])
     bg.sort()
+    parts.append(bg)  # not first: there is at least one piece
+    times = _joined(parts)
+    # One stable sort merges the runs: the pieces are in order and nearly
+    # sorted, and the sorted background is the last run.
+    times.sort(kind="stable")
     # Every draw is added to a piece start >= 0, so only a decay past the
     # end of the trace can fall outside it.
-    sig = sig[:np.searchsorted(sig, duration, side="right")]
-    at = np.searchsorted(sig, bg, side="right")  # ties: signal goes first
-    flags = np.ones(sig.size + bg.size, bool)
-    flags[at + np.arange(bg.size)] = False
-    return EmissionRecord(np.insert(sig, at, bg), flags, segments, duration,
-                          excitation)
+    times.resize(np.searchsorted(times, duration, side="right"),
+                 refcheck=False)
+    # Ties: signal goes first. Background photon j of the sorted ``bg``
+    # follows every signal photon at or before its time and the j
+    # background photons before it.
+    at = np.searchsorted(times, bg, side="right")
+    at -= np.searchsorted(bg, bg, side="right")
+    at += np.arange(bg.size)
+    flags = np.ones(times.size, bool)
+    flags[at] = False
+    return EmissionRecord(times, flags, segments, duration, excitation)
 
 
 def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
@@ -462,7 +530,9 @@ def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
     """
     if dead <= 0 or times.size < 2:
         return times
-    uncertain = np.flatnonzero(np.diff(times) < dead) + 1
+    uncertain = np.concatenate([  # the gaps, a block at a time
+        np.flatnonzero(np.diff(times[lo:lo + _BLOCK + 1]) < dead) + (lo + 1)
+        for lo in range(0, times.size - 1, _BLOCK)])
     if uncertain.size == 0:
         return times
     keep = np.ones(times.size, dtype=bool)
@@ -488,12 +558,16 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     competes with dark counts for the detector; events closer than the dead
     time to the previously registered one on the same channel are dropped.
 
-    ``workers`` threads run the draws and then the two channels. Any value
-    yields bit-identical output: the draws are one seeded stream in a
-    fixed order (splitter and efficiency uniforms, jitter normals, then
-    each channel's dark counts), and a uniform takes exactly one 64-bit
-    output per photon, so each draw starts at its known offset in that
-    stream on its own generator.
+    The photons are taken in segments of ``_SEGMENT`` blocks of
+    ``core._BLOCK``. ``workers`` threads draw the jitter of one segment
+    while they route the one before it (its splitter and efficiency
+    uniforms, then its kept photons per channel), and then run the two
+    channels. Any value yields bit-identical output: the draws are one
+    seeded stream in a fixed order (splitter and efficiency uniforms,
+    jitter normals, then each channel's dark counts), and a uniform takes
+    exactly one 64-bit output per photon, so each draw starts at its
+    known offset in that stream on its own generator and goes on from
+    segment to segment. The returned streams own their arrays.
 
     Returns
     -------
@@ -514,44 +588,54 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     split_rng = _rng(seed, _TAG_DETECT)
     kept_rng = _rng(seed, _TAG_DETECT, skip=n)
     jitter_rng = _rng(seed, _TAG_DETECT, skip=2 * n)
+    step = _SEGMENT * _BLOCK
+    parts = ([], [])  # by channel id: kept photons, an array per segment
 
-    def uniforms() -> tuple[np.ndarray, np.ndarray]:
-        return (_below(split_rng.random, n, detector.splitter_ratio),
-                _below(kept_rng.random, n, detector.efficiency))
-
-    def jittered() -> np.ndarray:
+    def jittered(lo: int) -> np.ndarray:
+        seg = t[lo:lo + step]
         if detector.jitter_sigma_ps <= 0:
-            return t
-        out = np.empty(n, np.int64)  # normal(0, s) is 0 + s * z, bit for bit
-        for b, z in _drawn(jitter_rng.standard_normal, n):
+            return seg
+        # normal(0, s) is 0 + s * z, bit for bit
+        out = np.empty(seg.size, np.int64)
+        for b, z in _drawn(jitter_rng.standard_normal, seg.size):
             z *= detector.jitter_sigma_ps
             out[b] = np.rint(z, out=z)
-            out[b] += t[b]
+            out[b] += seg[b]
         return out
 
-    (to_a, kept), times = _map_workers(lambda task: task(),
-                                       (uniforms, jittered), workers)
-    darks = []
-    for _ in range(2):  # dark counts of channel A, then of channel B
-        n_dark = jitter_rng.poisson(detector.dark_rate_per_ms * duration
-                                    / PS_PER_MS)
-        darks.append(jitter_rng.integers(0, duration + 1, n_dark)
-                     if n_dark else None)
-
-    def channel(args) -> TimestampStream:
-        ch, dark = args
+    def route(times: np.ndarray) -> None:
+        to_a = _below(split_rng.random, times.size, detector.splitter_ratio)
+        kept = _below(kept_rng.random, times.size, detector.efficiency)
         # Indices first: a gather by index beats a boolean-mask gather.
-        ch_times = times[np.flatnonzero((to_a if ch == CHANNEL_A else ~to_a) & kept)]
-        if dark is not None:
-            ch_times = np.concatenate((ch_times, dark))
-        ch_times.sort(kind="stable")
-        ch_times = ch_times[np.searchsorted(ch_times, 0, side="left"):
-                            np.searchsorted(ch_times, duration, side="right")]
-        return TimestampStream(
-            ch, _dead_time_filter(ch_times, detector.dead_time_ps), duration)
+        parts[CHANNEL_A].append(times[np.flatnonzero(to_a & kept)])
+        parts[CHANNEL_B].append(times[np.flatnonzero(kept & ~to_a)])
 
-    streams = _map_workers(channel, zip((CHANNEL_A, CHANNEL_B), darks),
-                           workers)
+    def channel(ch: int) -> TimestampStream:
+        times = _joined(parts[ch])
+        times.sort(kind="stable")
+        lo = np.searchsorted(times, 0, side="left")
+        hi = np.searchsorted(times, duration, side="right")
+        if lo:  # move the events from 0 on to the front
+            times[:hi - lo] = times[lo:hi]
+        times.resize(hi - lo, refcheck=False)
+        return TimestampStream(
+            ch, _dead_time_filter(times, detector.dead_time_ps), duration)
+
+    with _Pool(workers, 2) as pool:  # one pool for every step
+        # Segment r's jitter is drawn while segment r - 1 is routed.
+        routing = None
+        for lo in (*range(0, n, step), None):
+            tasks = [] if lo is None else [lambda lo=lo: jittered(lo)]
+            if routing is not None:
+                tasks.append(lambda seg=routing: route(seg))
+            done = pool.map(lambda task: task(), tasks)
+            routing = None if lo is None else done[0]
+        for ch in (CHANNEL_A, CHANNEL_B):  # dark counts, after the jitter
+            n_dark = jitter_rng.poisson(detector.dark_rate_per_ms * duration
+                                        / PS_PER_MS)
+            if n_dark:
+                parts[ch].append(jitter_rng.integers(0, duration + 1, n_dark))
+        streams = pool.map(channel, (CHANNEL_A, CHANNEL_B))
 
     if emission.excitation is not None and emission.excitation.mode == "pulsed":
         period = emission.excitation.pulse_period_ps

@@ -210,6 +210,29 @@ class TestDurationSampleChecks:
             estimator(durations)
 
 
+class TestNanCutoffs:
+    """A NaN dwell cut-off compares false with every duration; it is
+    refused by name, not read as a cut that keeps no dwell."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("estimator", [
+        pk.fit_power_law_mle, pk.compare_dwell_models, pk.alpha_distribution])
+    def test_tau_min_refused(self, estimator):
+        d = stats.pareto.rvs(0.5, size=50,
+                             random_state=np.random.default_rng(4))
+        with pytest.raises(ValueError,
+                           match="^tau_min_ms must be a number, got nan"):
+            estimator(d, tau_min_ms=self.NAN)
+
+    @pytest.mark.parametrize("key", ["min_dwell_ms", "tau_min_ms"])
+    def test_analyze_blinking_refuses(self, key):
+        # Too few dwells to fit: tau_min_ms is refused before any fit.
+        trace = trace_of([100, 0, 100, 100, 0, 0, 100])
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            pk.analyze_blinking(trace, 50.0, **{key: self.NAN})
+
+
 class TestAnalyzeBlinking:
     def test_boundary_segments_are_censored(self):
         result = pk.analyze_blinking(trace_of([100, 100, 0, 0, 0, 100]),

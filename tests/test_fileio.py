@@ -632,6 +632,54 @@ class TestWriteReadWorkers:
             assert err.value.code == cls.code
 
 
+class TestWriteChunks:
+    """The writer sorts its records a chunk at a time, cutting at every
+    ``_BLOCK``-th event of each stream on a tick; at any block size the
+    bytes must be those of the whole-file lexsort."""
+
+    BLOCKS = (1, 7, 64)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @given(streams=stream_sets(), resolution=st.sampled_from([1, 1000]))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_the_reference(self, tmp_path_factory, block,
+                                       streams, resolution):
+        path = tmp_path_factory.mktemp("chunks") / "x.ptst"
+        with mock.patch.object(fileio, "_BLOCK", block):
+            write_timestamps(streams, path, resolution)
+        assert path.read_bytes() == reference_write(streams, resolution)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_one_tick_across_a_cut(self, tmp_path, block):
+        """Channel 0's cut event falls in tick 7 after two channel-1
+        events of that tick (in ps), so a cut taken in ps would write
+        those two first; in ticks, channel 0 leads its tick."""
+        ch0 = stream(np.r_[np.arange(block) * 7000 // block, 7500, 7600],
+                     channel=0)
+        ch1 = stream([7100, 7200, 7900], channel=1)
+        path = tmp_path / "x.ptst"
+        with mock.patch.object(fileio, "_BLOCK", block):
+            write_timestamps([ch1, ch0], path, resolution=1000)
+        raw = path.read_bytes()
+        assert raw == reference_write([ch1, ch0], 1000)
+        records = np.frombuffer(raw[HEADER.size:], dtype=RECORD_DTYPE)
+        tick7 = records["ch"][records["t"] == 7]
+        np.testing.assert_array_equal(tick7, [0, 0, 1, 1, 1])
+
+    def test_large_streams_at_small_blocks(self, tmp_path):
+        rng = np.random.default_rng(29)
+        streams = [stream(np.sort(rng.integers(0, 10**6, 5_000)), channel=c)
+                   for c in (3, 0, 1)]
+        path = tmp_path / "x.ptst"
+        for resolution in (1, 1000):
+            want = reference_write(streams, resolution)
+            for block in self.BLOCKS:
+                with mock.patch.object(fileio, "_BLOCK", block):
+                    write_timestamps(streams, path, resolution, workers=2,
+                                     hasher=hashlib.sha256())
+                assert path.read_bytes() == want
+
+
 class TestReadBlocks:
     """The reader checks and gathers the records block by block; at any
     block size and worker count the streams, the digest and the first

@@ -255,6 +255,9 @@ class TestPulsedDriver:
         hist = synth_pw_histogram(np.random.default_rng(20))
         with pytest.raises(ValueError):
             pk.fit_g2_pw(hist, period_ns=0.0)
+        with pytest.raises(ValueError,
+                           match="^period_ns must be a number, got nan"):
+            pk.fit_g2_pw(hist, period_ns=float("nan"))
         with pytest.raises(ValueError):
             pk.fit_g2_pw(hist, period_ns=100.0, n_side=0)
         with pytest.raises(ValueError, match="^n_side must be a whole number"):

@@ -490,6 +490,31 @@ class TestBlockedDraws:
         np.testing.assert_array_equal(ch1.events, want1)
 
 
+class TestDetectSegments:
+    """``detect_hbt`` draws the jitter of one segment of ``_SEGMENT``
+    blocks while it routes the one before it. With a block small enough
+    that an emission spans many segments, and a last one cut short, it
+    must still equal the plain sequential draw at every worker count, and
+    its streams must own their arrays."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1000, 4099])
+    @pytest.mark.parametrize("det_name", ["default", "lossy", "no_jitter"])
+    @pytest.mark.parametrize("source", ["cw", "pulsed", "raw_stream"])
+    def test_matches_sequential_draws(self, monkeypatch, emissions, source,
+                                      det_name, block, workers):
+        emission = emissions[source]
+        segment = pk.sim._SEGMENT * block
+        assert len(emission) > 4 * segment and len(emission) % segment
+        det = DETECTORS[det_name]
+        monkeypatch.setattr(pk.sim, "_BLOCK", block)
+        ch0, ch1, _ = pk.detect_hbt(emission, det, seed=34, workers=workers)
+        want0, want1 = sequential_detect(emission, det, seed=34)
+        np.testing.assert_array_equal(ch0.events, want0)
+        np.testing.assert_array_equal(ch1.events, want1)
+        assert ch0.events.base is None and ch1.events.base is None
+
+
 class TestCwQuantumYield:
     """A CW piece thins its renewal photons by the quantum yield with one
     uniform per photon, drawn after the renewal times from the same
