@@ -25,19 +25,22 @@ mapping and unmaps it before it returns; the streams it returns are its
 own arrays. A file truncated by another process while it is being read
 can kill the reading process with SIGBUS. Given a ``hashlib`` object
 the writer and the reader feed it the file's bytes in file order, so the
-caller has the file's digest without reading the file again. Given
-``workers`` > 1 they hash on one thread of the package's pool
-(``core._Pool``) while another writes the file or checks the records.
+caller has the file's digest without reading the file again.
 The writer merges the streams into records a chunk at a time: a chunk
 ends at every ``core._BLOCK``-th event of each stream, and the cuts fall
-between ticks, so each chunk is sorted on its own. The sorted chunks
-gather in a buffer of ``_BATCH`` blocks of records, which is written and
-hashed each time it fills, so the writer never holds the whole file.
-The reader checks the record order and counts the channels once per
-block of ``core._BLOCK`` records, then gathers every channel from each
-block while that block is in cache; its tasks take contiguous runs of
-blocks and write at offsets taken from the per-block counts. Neither the
-bytes nor the streams depend on ``workers`` or the block size.
+between ticks, so each chunk is sorted on its own. Consecutive sorted
+chunks make a batch of at most ``_BATCH // 2`` blocks of records (or
+one chunk, if that is larger), sorted into two buffers in turn, so the
+writer never holds the whole file. Given ``workers`` > 1, a thread of
+the package's pool (``core._Pool``) hashes and writes each batch while
+the next one is sorted. The reader checks the record order and counts
+the channels once per block of ``core._BLOCK`` records, then gathers
+every channel from each block while that block is in cache; its tasks
+take contiguous runs of blocks and write at offsets taken from the
+per-block counts. Given ``workers`` > 1 and a hasher, it hashes the
+mapping on one thread for the whole call, beside the checks and the
+gather. Neither the bytes nor the streams depend on ``workers`` or the
+block size.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ PERIODIC_TAG = b"PSYN"
 _TABLE_HEAD = struct.Struct("<4sB")
 _TABLE_ENTRY = struct.Struct("<BQQQ")
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_BATCH = 16  # blocks of ``_BLOCK`` records the writer sends out at once
+_BATCH = 16  # blocks of ``_BLOCK`` records in the writer's two buffers
 
 
 class TimestampFileError(Exception):
@@ -163,12 +166,13 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
     entry and adds no records; any other one is written pulse by pulse,
     quantized like every record.
 
-    The records are sorted a chunk at a time and go out in batches of at
-    most ``_BATCH`` blocks of ``core._BLOCK`` records, so beyond its
-    input the writer holds about one batch. ``workers`` > 1 writes each
-    batch and feeds it to ``hasher`` on two threads; the bytes do not
-    depend on it. ``hasher`` (a :mod:`hashlib` object) is fed every byte
-    of the file in file order.
+    The records are sorted a chunk at a time into two buffers of at most
+    ``_BATCH // 2`` blocks of ``core._BLOCK`` records (or one chunk, if
+    that is larger), used in turn, so beyond its input the writer holds
+    about ``_BATCH`` blocks. ``hasher`` (a :mod:`hashlib` object) is fed
+    every byte of the file in file order. ``workers`` > 1 hashes and
+    writes one buffer on a second thread while the other fills; a file
+    of one batch starts no thread. The bytes do not depend on it.
 
     Raises
     ------
@@ -211,24 +215,27 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
         row[-1] = ev.size
     sizes = np.diff(edges, axis=1).sum(axis=0)  # records per chunk
     n_records = int(sizes.sum())
-    # Sorted chunks gather in one buffer, which goes to the sinks whenever
-    # the next chunk would not fit.
-    buffer = np.zeros(min(max(_BATCH * _BLOCK, sizes.max(initial=0)),
-                          n_records), dtype=RECORD_DTYPE)
-    sinks = [] if hasher is None else [hasher.update]
-    with open(path, "wb") as f, _Pool(workers, len(sinks) + 1) as pool:
-        sinks.append(f.write)
+    # Consecutive chunks make a batch of at most half of ``_BATCH`` blocks
+    # (or one chunk, if that is larger). Batches are sorted into two
+    # buffers in turn: while one fills, a pool task hashes and writes the
+    # other.
+    half = max(_BATCH // 2 * _BLOCK, sizes.max(initial=0))
+    batches, held = [[]], 0
+    for j, size in enumerate(sizes):
+        if held + size > half:
+            batches.append([])
+            held = 0
+        batches[-1].append(j)
+        held += size
+    batch_sizes = [int(sizes[batch].sum()) for batch in batches]
+    buffers = [np.zeros(max(batch_sizes[k::2], default=0), RECORD_DTYPE)
+               for k in range(min(len(batches), 2))]
 
-        def feed(data) -> None:
-            pool.map(lambda sink: sink(data), sinks)
-
-        feed(_HEADER.pack(MAGIC, FORMAT_VERSION, len(streams), resolution,
-                          n_records))
+    def fill(k: int) -> np.ndarray:
+        """Batch k's sorted records, in one of the two buffers."""
+        out = buffers[k % 2][:batch_sizes[k]]
         at = 0
-        for j, size in enumerate(sizes):
-            if at + size > buffer.size:
-                feed(buffer[:at].view(np.uint8))
-                at = 0
+        for j in batches[k]:
             lo, hi = edges[:, j], edges[:, j + 1]
             t = np.concatenate(
                 [ev[a:b] for (_, ev), a, b in zip(parts, lo, hi)]
@@ -236,13 +243,31 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
             if resolution != 1:
                 t //= resolution
             order = np.argsort(t, kind="stable")
-            out = buffer[at:at + size]
-            out["t"] = t[order]
-            out["ch"] = np.repeat(channels, hi - lo)[order]
-            at += size
-        feed(buffer[:at].view(np.uint8))
+            chunk = out[at:at + t.size]
+            chunk["t"] = t[order]
+            chunk["ch"] = np.repeat(channels, hi - lo)[order]
+            at += t.size
+        return out.view(np.uint8)
+
+    with open(path, "wb") as f, _Pool(workers, min(len(batches), 2)) as pool:
+
+        def flush(data) -> None:
+            if hasher is not None:
+                hasher.update(data)
+            f.write(data)
+
+        flush(_HEADER.pack(MAGIC, FORMAT_VERSION, len(streams), resolution,
+                           n_records))
+        # Batch k is sorted while batch k - 1 goes out.
+        filled = None
+        for k in (*range(len(batches)), None):
+            tasks = [] if k is None else [lambda k=k: fill(k)]
+            if filled is not None:
+                tasks.append(lambda data=filled: flush(data))
+            done = pool.map(lambda task: task(), tasks)
+            filled = None if k is None else done[0]
         if table:
-            feed(_TABLE_HEAD.pack(PERIODIC_TAG, len(table)) + b"".join(
+            flush(_TABLE_HEAD.pack(PERIODIC_TAG, len(table)) + b"".join(
                 _TABLE_ENTRY.pack(*entry) for entry in sorted(table)))
     return n_records
 
@@ -290,9 +315,11 @@ def read_timestamps(path, duration: int | None = None, workers: int = 1,
     is unmapped before this returns. If another process truncates the file
     during the read, this process can die with SIGBUS. ``hasher`` (a
     :mod:`hashlib` object) is fed all of the file's bytes in file order.
-    ``workers`` > 1 hashes while the records are checked, and then splits
-    the blocks of records into that many contiguous runs, each gathering
-    every channel on its own thread; the streams do not depend on it.
+    ``workers`` > 1 hashes on one thread for the whole call while the
+    records are checked and then gathered in that many contiguous runs
+    of blocks, each gathering every channel on its own thread; the
+    streams do not depend on it. An error in the records is raised once
+    the hashing has ended.
 
     Raises
     ------
@@ -341,32 +368,35 @@ def _read_mapped(data: np.ndarray, duration, workers: int, hasher) -> dict:
         data[end:end + _TABLE_HEAD.size + 255 * _TABLE_ENTRY.size + 1]
         .tobytes(), fmt_version, n_records)
 
+    # The digest needs only the bytes, so it is taken beside the whole
+    # reading of the records.
+    tasks = [lambda: _streams(records, table, resolution, duration, workers)]
+    if hasher is not None:
+        tasks.append(lambda: hasher.update(data))
+    return _map_workers(lambda task: task(), tasks, workers)[0]
+
+
+def _streams(records: np.ndarray, table: list, resolution: int, duration,
+             workers: int) -> dict:
+    """The streams of a file's ``records`` (a view of the mapping) and its
+    periodic ``table``, after the order, range and table checks; they
+    hold no view of ``records``."""
     t = records["t"]
     ch = records["ch"]
     blocks = range(0, t.size, _BLOCK)
-
-    def check_records() -> np.ndarray:
-        """Each block's count of records per channel id, after the order
-        and range checks."""
-        per_block = np.empty((len(blocks), 256), np.int64)
-        for j, lo in enumerate(blocks):
-            # One record back, so the pair across the cut is compared too.
-            first = max(lo - 1, 0)
-            part = t[first:lo + _BLOCK]
-            if not bool(np.all(part[1:] >= part[:-1])):
-                bad = first + int(np.nonzero(part[1:] < part[:-1])[0][0]) + 1
-                raise UnsortedRecordsError(
-                    f"record {bad} goes backwards in time")
-            per_block[j] = np.bincount(ch[lo:lo + _BLOCK], minlength=256)
-        if t.size and int(t[-1]) * resolution > _INT64_MAX:
-            raise TimestampOverflowError(
-                "timestamps overflow the signed 64-bit ps range")
-        return per_block
-
-    tasks = [check_records]
-    if hasher is not None:
-        tasks.append(lambda: hasher.update(data))
-    per_block = _map_workers(lambda task: task(), tasks, workers)[0]
+    # Each block's count of records per channel id, after the order check.
+    per_block = np.empty((len(blocks), 256), np.int64)
+    for j, lo in enumerate(blocks):
+        # One record back, so the pair across the cut is compared too.
+        first = max(lo - 1, 0)
+        part = t[first:lo + _BLOCK]
+        if not bool(np.all(part[1:] >= part[:-1])):
+            bad = first + int(np.nonzero(part[1:] < part[:-1])[0][0]) + 1
+            raise UnsortedRecordsError(f"record {bad} goes backwards in time")
+        per_block[j] = np.bincount(ch[lo:lo + _BLOCK], minlength=256)
+    if t.size and int(t[-1]) * resolution > _INT64_MAX:
+        raise TimestampOverflowError(
+            "timestamps overflow the signed 64-bit ps range")
     counts = per_block.sum(axis=0)
     record_channels = np.flatnonzero(counts).tolist()
     seen = set(record_channels)

@@ -197,10 +197,10 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
     excitation = _build(ExcitationConfig, config.get("excitation"),
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
-    # The emission record is not kept: it is freed before the file is
-    # written. This stage peaks in detection, which holds the record and
-    # both detector streams at once, or in the writer, which holds the
-    # streams and the file's 16-byte records.
+    # The emission record is not kept here, so detection frees it once
+    # its photons are routed, before the channel pass. This stage peaks
+    # while emission joins its pieces, or while detection routes them,
+    # holding the record and the routed photons at once.
     ch0, ch1, sync = detect_hbt(
         generate_emission(emitter, excitation, duration, seed, workers),
         detector, seed, workers)

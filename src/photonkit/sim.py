@@ -24,7 +24,10 @@ whole emission. Pulsed pieces start their draws at known offsets too (see
 blocks of ``core._BLOCK`` values through one reused buffer; a CW piece
 draws its waits whole and casts its times to int64 in place. The pieces,
 and a channel's segments, are joined into one array grown from the first
-(``_joined``) and sorted in place.
+(``_joined``) and sorted in place. The background is drawn before the
+pieces, so a lone piece is drawn with room for it and is never grown.
+Detection drops the emission record once its photons are routed, so a
+record that its caller does not keep is freed before the channel pass.
 """
 
 from __future__ import annotations
@@ -303,6 +306,17 @@ def _joined(parts: list) -> np.ndarray:
     return out
 
 
+def _thinned(part: np.ndarray, keep: np.ndarray, room: int) -> np.ndarray:
+    """``part``, an array that owns its data, cut in place to those of its
+    first ``keep.size`` items where ``keep`` is set, followed by ``room``
+    free slots. It only shrinks unless the room is more than the items
+    dropped: growing moves the data (see ``_joined``)."""
+    index = np.flatnonzero(keep)
+    part[:index.size] = part[index]
+    part.resize(index.size + room, refcheck=False)
+    return part
+
+
 def _truncated_pareto_ms(rng, alpha: float, lo: float, hi: float, size: int) -> np.ndarray:
     """Inverse-CDF draw from p(t) ~ t**-(1+alpha) on [lo, hi]."""
     u = rng.random(size)
@@ -362,9 +376,9 @@ def _signal_pieces(segments, duration: int):
 
 
 def _cw_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
-              emitter: EmitterModel) -> np.ndarray:
+              emitter: EmitterModel, room: int = 0) -> np.ndarray:
     """Renewal-process emission on [lo, hi) as int64 ps: wait Exp(1/rate),
-    decay Exp(tau)."""
+    decay Exp(tau). The array ends in ``room`` free slots."""
     rng = _rng(seed, _TAG_SIGNAL, i)
     rate_per_ps = exc.cw_rate_per_s / PS_PER_S
     tau_x_ps = emitter.lifetime_ns * PS_PER_NS
@@ -388,20 +402,24 @@ def _cw_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
         for j in range(0, k, _BLOCK):
             times[j:j + _BLOCK] = np.rint(emits[j:j + _BLOCK])
         del emits
-        times.resize(k, refcheck=False)
+        # The last buffer's slack holds the room, so this only shrinks it.
+        times.resize(k + (room if t >= hi else 0), refcheck=False)
         out.append(times)
     if emitter.quantum_yield < 1.0:
-        out = [p[_below(rng.random, p.size, emitter.quantum_yield)]
-               for p in out]
+        rooms = [0] * (len(out) - 1) + [room]
+        out = [_thinned(p, _below(rng.random, p.size - r,
+                                  emitter.quantum_yield), r)
+               for p, r in zip(out, rooms)]
     return _joined(out)
 
 
 def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
-                  emitter: EmitterModel) -> np.ndarray:
+                  emitter: EmitterModel, room: int = 0) -> np.ndarray:
     """Per-pulse emission on [lo, hi) as int64 ps: at most one exciton
     photon per pulse, optionally preceded by a biexciton photon from the
     same excitation. Its K excitation uniforms (if p < 1), n absorption
-    uniforms and decays (then quantum yield, biexciton) start at 0, K, K+n."""
+    uniforms and decays (then quantum yield, biexciton) start at 0, K, K+n.
+    The array ends in ``room`` free slots."""
     period = exc.pulse_period_ps
     k0 = -(-lo // period)  # first pulse at or after lo
     k1 = -(-hi // period)  # first pulse at or after hi (excluded)
@@ -411,7 +429,7 @@ def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
         excited = _below(_rng(seed, _TAG_SIGNAL, i).random, n_uniform, p)
         # Not one flatnonzero, whose result is a view: this array owns its
         # data, so that ``_joined`` can grow it in place.
-        out = np.empty(np.count_nonzero(excited), np.int64)
+        out = np.empty(np.count_nonzero(excited) + room, np.int64)
         at = 0
         for j in range(0, n_uniform, _BLOCK):
             index = np.flatnonzero(excited[j:j + _BLOCK])
@@ -419,9 +437,9 @@ def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
             at += index.size
         del excited
     else:
-        out = np.arange(k0, k1, dtype=np.int64)
-    n = out.size
-    out *= period
+        out = np.arange(k0, k1 + room, dtype=np.int64)
+    n = out.size - room
+    out[:n] *= period
     decay_rng = _rng(seed, _TAG_SIGNAL, i, skip=n_uniform + n)
     absorb = np.empty(n) if emitter.biexciton_probability > 0.0 else None
     for (b, u), (_, e) in zip(
@@ -436,14 +454,15 @@ def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
         out[b] = np.rint(e, out=e)
     qy = emitter.quantum_yield
     if qy < 1.0:
-        out = out[np.flatnonzero(_below(decay_rng.random, n, qy))]
+        out = _thinned(out, _below(decay_rng.random, n, qy), room)
     if absorb is not None:
         xx = absorb[_below(decay_rng.random, n, emitter.biexciton_probability)]
         xx += decay_rng.exponential(emitter.biexciton_lifetime_ns * PS_PER_NS,
                                     xx.size)
         if qy < 1.0:
             xx = xx[_below(decay_rng.random, xx.size, qy)]
-        out = np.concatenate((out, np.rint(xx).astype(np.int64)))
+        m = out.size - room  # the room stays at the end
+        out = np.concatenate((out[:m], np.rint(xx).astype(np.int64), out[m:]))
     return out
 
 
@@ -477,11 +496,6 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
     law = emitter.blinking
     segments = _blinking_segments(law, duration, seed)
     pieces = _signal_pieces(segments, duration)
-
-    def gen_signal(i: int) -> np.ndarray:
-        piece = _cw_piece if excitation.mode == "cw" else _pulsed_piece
-        return piece(seed, i, *pieces[i], excitation, emitter)
-
     bg_rate = law.off_emission_rate_per_ms  # counts per ms, whole trace
     n_blocks = -(-duration // _BLOCK_PS)
 
@@ -493,12 +507,24 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
         times = lo + rng.random(n) * (hi - lo)
         return np.rint(times, out=times).astype(np.int64)
 
-    parts = _map_workers(gen_signal, range(len(pieces)), workers)
+    # The background first, so that a lone piece (there is at least one)
+    # is drawn with room for it and is never grown.
     bg = np.concatenate(_map_workers(gen_background, range(n_blocks), workers)
                         if bg_rate > 0 else [np.empty(0, np.int64)])
     bg.sort()
-    parts.append(bg)  # not first: there is at least one piece
-    times = _joined(parts)
+    room = bg.size if len(pieces) == 1 else 0
+
+    def gen_signal(i: int) -> np.ndarray:
+        piece = _cw_piece if excitation.mode == "cw" else _pulsed_piece
+        return piece(seed, i, *pieces[i], excitation, emitter, room)
+
+    parts = _map_workers(gen_signal, range(len(pieces)), workers)
+    if room:
+        times = parts.pop()
+        times[times.size - room:] = bg
+    else:
+        parts.append(bg)
+        times = _joined(parts)
     # One stable sort merges the runs: the pieces are in order and nearly
     # sorted, and the sorted background is the last run.
     times.sort(kind="stable")
@@ -569,6 +595,11 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     known offset in that stream on its own generator and goes on from
     segment to segment. The returned streams own their arrays.
 
+    Once its photons are routed it drops its reference to ``emission``,
+    so a record the caller keeps no reference to (as in
+    ``detect_hbt(generate_emission(...), ...)``) is freed before the two
+    channels are joined, sorted and dead-time filtered.
+
     Returns
     -------
     (ch0, ch1, sync) : TimestampStream, TimestampStream, sync stream
@@ -630,6 +661,12 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
                 tasks.append(lambda seg=routing: route(seg))
             done = pool.map(lambda task: task(), tasks)
             routing = None if lo is None else done[0]
+        # The record is read no more. Dropping every reference to it here
+        # (the argument, the cell ``jittered`` reads and the last task,
+        # which can hold a view of it) frees it before the channel pass
+        # when the caller keeps none.
+        excitation = emission.excitation
+        del emission, t, tasks
         for ch in (CHANNEL_A, CHANNEL_B):  # dark counts, after the jitter
             n_dark = jitter_rng.poisson(detector.dark_rate_per_ms * duration
                                         / PS_PER_MS)
@@ -637,8 +674,8 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
                 parts[ch].append(jitter_rng.integers(0, duration + 1, n_dark))
         streams = pool.map(channel, (CHANNEL_A, CHANNEL_B))
 
-    if emission.excitation is not None and emission.excitation.mode == "pulsed":
-        period = emission.excitation.pulse_period_ps
+    if excitation is not None and excitation.mode == "pulsed":
+        period = excitation.pulse_period_ps
         sync = PeriodicStream(SYNC_CHANNEL, 0, period, -(-duration // period),
                               duration)
     else:

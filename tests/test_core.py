@@ -1,16 +1,18 @@
 """Unit conversions, stream validation, and the shared dataclasses."""
 
 import dataclasses
+import hashlib
 import math
 import re
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import photonkit as pk
-from photonkit import core
+from photonkit import core, fileio
 from photonkit.core import _span, ns_to_ps, ps_to_ns
 from photonkit.correlator import cross_correlate
 from photonkit.fileio import read_timestamps, write_timestamps
@@ -461,3 +463,21 @@ class TestWorkerBound:
         got = read_timestamps(path, 2 * n, workers=self.WORKERS)
         assert pools == [(5, 5)]  # 2n records fill five blocks
         assert got == read_timestamps(path, 2 * n)
+
+    def test_write_pool_bounded_by_batches(self, pools, tmp_path):
+        n = 2 * core._BLOCK + 1
+        streams = [pk.TimestampStream(c, np.arange(c, 2 * n, 2), 2 * n)
+                   for c in (0, 1)]
+        path = tmp_path / "x.ptst"
+        write_timestamps(streams, path, workers=self.WORKERS,
+                         hasher=hashlib.sha256())
+        assert pools == []  # 2n records are one batch: no thread
+        want = path.read_bytes()
+        # Half a batch is one block, less than a chunk, so each of the
+        # three chunks (two blocks, two blocks, two records) is a batch.
+        # Batch k is sorted while batch k - 1 goes out: two tasks at most.
+        with mock.patch.object(fileio, "_BATCH", 2):
+            write_timestamps(streams, path, workers=self.WORKERS,
+                             hasher=hashlib.sha256())
+        assert pools == [(2, 1), (2, 2), (2, 2), (2, 1)]
+        assert path.read_bytes() == want

@@ -236,6 +236,34 @@ class TestPeriodicSyncOracle:
                                     bin_width=200)
 
 
+class TestGridDelays:
+    """``correlator._grid_delays`` takes the pulse by floor division and
+    subtracts it, which must equal the remainder ``%``, and past the last
+    pulse the delay since that pulse."""
+
+    @given(data=st.data(), offset=st.integers(0, 2**40),
+           period=st.integers(1, 10**6),
+           count=st.one_of(st.none(), st.integers(1, 40)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_remainder(self, data, offset, period, count):
+        # Times on exact pulse multiples, between pulses and past the
+        # last pulse, none before the offset.
+        pulses = data.draw(st.lists(st.integers(0, 60), max_size=50))
+        phases = data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(0, period - 1)),
+            min_size=len(pulses), max_size=len(pulses)))
+        t = np.sort(np.array([offset + k * period + phase
+                              for k, phase in zip(pulses, phases)], np.int64))
+        last = None if count is None else offset + (count - 1) * period
+        want = [x - last if last is not None and x >= last
+                else (x - offset) % period for x in t.tolist()]
+        kept = t.copy()
+        got = pk.correlator._grid_delays(t, offset, period, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        np.testing.assert_array_equal(t, kept)
+
+
 class TestIntensityTraceBinning:
     def test_conservation_and_shape(self):
         rng = np.random.default_rng(23)

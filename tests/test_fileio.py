@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import struct
+import threading
 import time
 from datetime import datetime
 from pathlib import Path
@@ -680,6 +681,64 @@ class TestWriteChunks:
                 assert path.read_bytes() == want
 
 
+class TestWriteBatches:
+    """The writer sorts batches of chunks into two buffers in turn and
+    hashes and writes one while it fills the other. At any batch size,
+    odd ones too, the bytes and the digest must be those of the
+    whole-file lexsort, at every worker count."""
+
+    @staticmethod
+    def write_all_ways(streams, path, resolution):
+        """The file's bytes and digest at each batch size, small block and
+        worker count."""
+        out = []
+        for batch in (2, 3):
+            for block in (1, 7):
+                with mock.patch.object(fileio, "_BATCH", batch), \
+                        mock.patch.object(fileio, "_BLOCK", block):
+                    for workers in (1, 2, 3):
+                        hasher = hashlib.sha256()
+                        write_timestamps(streams, path, resolution,
+                                         workers=workers, hasher=hasher)
+                        out.append(((batch, block, workers),
+                                    path.read_bytes(), hasher.hexdigest()))
+        return out
+
+    @given(streams=stream_sets(), resolution=st.sampled_from([1, 1000]))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_and_digest_match_the_reference(self, tmp_path_factory,
+                                                  streams, resolution):
+        path = tmp_path_factory.mktemp("batches") / "x.ptst"
+        want = reference_write(streams, resolution)
+        digest = hashlib.sha256(want).hexdigest()
+        for how, raw, got in self.write_all_ways(streams, path, resolution):
+            assert raw == want, how
+            assert got == digest, how
+
+    def test_chunk_larger_than_half_a_batch(self, tmp_path):
+        """Five tied streams make chunks of up to five blocks, more than
+        the one block of half a batch."""
+        rng = np.random.default_rng(31)
+        streams = [stream(np.sort(rng.integers(0, 300, 60)), channel=c)
+                   for c in (4, 0, 3, 1, 2)]
+        path = tmp_path / "x.ptst"
+        want = reference_write(streams)
+        for how, raw, got in self.write_all_ways(streams, path, 1):
+            assert raw == want, how
+            assert got == hashlib.sha256(want).hexdigest(), how
+
+    def test_one_batch_file(self, tmp_path):
+        streams = [stream([3, 9], channel=0), stream([5], channel=1),
+                   PeriodicStream(255, 0, 4, 3, 9)]
+        path = tmp_path / "x.ptst"
+        want = reference_write(streams)
+        for workers in (1, 2, 3):
+            hasher = hashlib.sha256()
+            write_timestamps(streams, path, workers=workers, hasher=hasher)
+            assert path.read_bytes() == want
+            assert hasher.hexdigest() == hashlib.sha256(want).hexdigest()
+
+
 class TestReadBlocks:
     """The reader checks and gathers the records block by block; at any
     block size and worker count the streams, the digest and the first
@@ -745,6 +804,48 @@ class TestReadBlocks:
                         read_timestamps(path, workers=workers,
                                         hasher=hashlib.sha256())
                     assert str(err.value) == message, (block, workers)
+
+
+class TestReadDigestTask:
+    """Given a hasher and workers >= 2, the reader hashes the mapping as
+    one task beside the whole reading of the records. The streams and the
+    digest must not depend on it, and a bad record must fail as it does
+    serially, with the hashing thread ended before the error is seen."""
+
+    def test_streams_and_digest(self, tmp_path):
+        rng = np.random.default_rng(43)
+        streams = [stream(np.sort(rng.integers(0, 10**6, 4000)), channel=c)
+                   for c in (0, 1)]
+        streams.append(PeriodicStream(255, 0, 1000, 1000, 10**6))
+        path = tmp_path / "x.ptst"
+        write_timestamps(streams, path)
+        raw = path.read_bytes()
+        for block in (fileio._BLOCK, 7):
+            with mock.patch.object(fileio, "_BLOCK", block):
+                for workers in (1, 2, 3):
+                    hasher = hashlib.sha256()
+                    got = read_timestamps(path, workers=workers,
+                                          hasher=hasher)
+                    assert got == reference_read(raw), (block, workers)
+                    assert (hasher.hexdigest()
+                            == hashlib.sha256(raw).hexdigest())
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_backwards_record_mid_file(self, tmp_path, workers):
+        t = np.arange(1, 3001) * 10
+        t[1700] = t[1699] - 1
+        path = tmp_path / "unsorted.ptst"
+        write_raw(path, records=[(int(x), i % 2) for i, x in enumerate(t)])
+        threads = threading.active_count()
+        for block in (fileio._BLOCK, 64):
+            with mock.patch.object(fileio, "_BLOCK", block):
+                with pytest.raises(UnsortedRecordsError) as err:
+                    read_timestamps(path, workers=workers,
+                                    hasher=hashlib.sha256())
+            assert type(err.value) is UnsortedRecordsError
+            assert err.value.code == "unsorted_records"
+            assert str(err.value) == "record 1700 goes backwards in time"
+            assert threading.active_count() == threads
 
 
 class TestMappedRead:
