@@ -464,6 +464,23 @@ class TestWorkerBound:
         assert pools == [(5, 5)]  # 2n records fill five blocks
         assert got == read_timestamps(path, 2 * n)
 
+    def test_read_runs_beside_the_hash(self, pools, tmp_path):
+        """The digest has a thread of its own, and beside it the records
+        are read in one map over no more runs than workers or blocks."""
+        n = 2 * core._BLOCK + 1
+        streams = [pk.TimestampStream(c, np.arange(c, 2 * n, 2), 2 * n)
+                   for c in (0, 1)]
+        path = tmp_path / "x.ptst"
+        write_timestamps(streams, path)
+        want = read_timestamps(path, 2 * n)
+        for workers, runs in ((2, [(2, 2)]), (3, [(3, 3)]),
+                              (self.WORKERS, [(5, 5)])):
+            pools.clear()
+            got = read_timestamps(path, 2 * n, workers=workers,
+                                  hasher=hashlib.sha256())
+            assert pools == [(2, 2), *runs], workers
+            assert got == want
+
     def test_write_pool_bounded_by_batches(self, pools, tmp_path):
         n = 2 * core._BLOCK + 1
         streams = [pk.TimestampStream(c, np.arange(c, 2 * n, 2), 2 * n)

@@ -526,6 +526,26 @@ class TestBlockedCorrelate:
         yield ("ties", stream(ties, 8000),
                stream(np.sort(np.concatenate((ties, ties + 2000))), 8000, 1),
                2000)
+        # b at 1/16, 1 and 16 times a's rate: a block's slice of b is
+        # merged with its starts at the lower ratios, searched at 16:1.
+        for n_a, n_b in ((80, 5), (40, 40), (5, 80)):
+            a, b = random_pair(rng, n_a, n_b, 20_000)
+            yield f"rates_{n_a}_{n_b}", a, b, 3000
+        # Every start a - 1000 is a b event (twice over for every third),
+        # so a block's first and last starts are too at blocks of 1, 3
+        # and 7 events; those pairs are counted, at the -window edge.
+        a = np.arange(1, 22) * 1000
+        b = np.sort(np.concatenate((a - 1000, a[::3] - 1000)))
+        yield "starts_on_b", stream(a, 22_000), stream(b, 22_000, 1), 1000
+        # The same beside 16 times as many other b events: searched.
+        b = np.sort(np.concatenate((b, rng.integers(0, 22_000, 16 * a.size))))
+        yield ("starts_on_dense_b", stream(a, 22_000),
+               stream(b, 22_000, 1), 1000)
+        # No b event lies between any block's first and last start, so
+        # every slice is empty; their partners are all further on.
+        a = 10_000 + np.arange(7) * 100
+        yield ("empty_slice", stream(a, 20_000),
+               stream([5000, 10_300, 20_000], 20_000, 1), 1000)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 7])
@@ -540,6 +560,23 @@ class TestBlockedCorrelate:
                 np.testing.assert_array_equal(got.counts, want.counts,
                                               err_msg=name)
                 assert got.counts.sum() > 0, name
+
+    @pytest.mark.parametrize("rank", [2, 10**6])
+    @pytest.mark.parametrize("merge", [0, 10**9])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_each_ranking_alone_matches_oracle(self, monkeypatch, block,
+                                               merge, rank):
+        """At ``_MERGE`` 0 every slice of b but an empty one is searched,
+        at 10**9 every one is merged; at ``_RANK`` 2 a block's starts are
+        ranked two at a time."""
+        monkeypatch.setattr(pk.correlator, "_BLOCK", block)
+        monkeypatch.setattr(pk.correlator, "_MERGE", merge)
+        monkeypatch.setattr(pk.correlator, "_RANK", rank)
+        for name, a, b, window in self.cases():
+            want = pk.brute_force_correlate(a, b, window, 500)
+            got = pk.cross_correlate(a, b, window, 500, workers=2)
+            np.testing.assert_array_equal(got.counts, want.counts,
+                                          err_msg=name)
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_backwards_pair_across_a_block_cut_is_refused(self, monkeypatch,

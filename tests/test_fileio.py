@@ -748,7 +748,8 @@ class TestReadBlocks:
 
     def read_all_ways(self, path):
         """``read_timestamps``'s streams and digest at every block size
-        and worker count, after those at the default block size."""
+        and worker count, after those at the default block size. Each
+        stream's events own exactly their data."""
         out = []
         for block in (fileio._BLOCK, *self.BLOCKS):
             with mock.patch.object(fileio, "_BLOCK", block):
@@ -756,6 +757,10 @@ class TestReadBlocks:
                     hasher = hashlib.sha256()
                     streams = read_timestamps(path, workers=workers,
                                               hasher=hasher)
+                    for s in streams.values():
+                        if isinstance(s, TimestampStream):
+                            assert s.events.base is None
+                            assert s.events.nbytes == 8 * len(s)
                     out.append((block, workers, streams,
                                 hasher.hexdigest()))
         return out
@@ -785,6 +790,23 @@ class TestReadBlocks:
             expected = reference_read(raw)
             for block, workers, got, _ in self.read_all_ways(path):
                 assert got == expected, (block, workers, resolution)
+
+    @pytest.mark.parametrize("resolution", [1, 1000])
+    def test_channels_seen_in_few_blocks(self, tmp_path, resolution):
+        """Channels 0 and 1 alternate over 200 records with ties. Channel
+        7 holds records 100-102 only, one middle block at block sizes 7
+        and 64; channel 255 holds the last record only, so it is first
+        seen in the last block at every block size."""
+        ch = np.arange(200) % 2
+        ch[100:103] = 7
+        ch[-1] = 255
+        t = np.arange(200) // 2 * 3
+        path = tmp_path / "few.ptst"
+        write_raw(path, resolution=resolution, records=list(zip(t, ch)))
+        expected = reference_read(path.read_bytes())
+        assert sorted(expected) == [0, 1, 7, 255]
+        for block, workers, got, _ in self.read_all_ways(path):
+            assert got == expected, (block, workers)
 
     # 63 and 64 are first records of a block at block sizes 7 and 64 (and
     # mid-block at the other); 100 is mid-block at 7 and 64.
