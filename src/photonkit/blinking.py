@@ -168,7 +168,10 @@ def alpha_distribution(durations_ms, n_boot: int = 200, seed: int = 0,
 
     Resamples the durations with replacement ``n_boot`` times and runs the
     likelihood estimator on each. The spread of the result checks the
-    analytic alpha / sqrt(n) error in a model-free way.
+    analytic alpha / sqrt(n) error in a model-free way. A resample the
+    estimator would refuse, with fewer than 2 durations at or above
+    ``tau_min_ms`` or none above it (as when every dwell drawn is the
+    shortest, whole-bin one), gives NaN; durations it refuses raise.
     """
     d = _positive_durations(durations_ms)
     if d.size < 2:
@@ -176,11 +179,17 @@ def alpha_distribution(durations_ms, n_boot: int = 200, seed: int = 0,
     n_boot = _whole(n_boot, "n_boot", low=1)
     if tau_min_ms is not None:
         tau_min_ms = _number(tau_min_ms, "tau_min_ms")
+    fit_power_law_mle(d, tau_min_ms)  # raises on durations it refuses
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(n_boot)
     for i in range(n_boot):
         sample = rng.choice(d, size=d.size, replace=True)
-        out[i] = fit_power_law_mle(sample, tau_min_ms).value
+        lo = sample.min() if tau_min_ms is None else tau_min_ms
+        # The estimator's sum of log(t / lo) is > 0 iff some t / lo > 1.
+        if np.count_nonzero(sample >= lo) < 2 or sample.max() / lo <= 1.0:
+            out[i] = np.nan
+        else:
+            out[i] = fit_power_law_mle(sample, tau_min_ms).value
     return out
 
 

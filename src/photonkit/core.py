@@ -142,6 +142,17 @@ class _Pool:
             return [fn(x) for x in items]
         return list(self._pool.map(fn, items))
 
+    def overlap(self, make, use, keys) -> None:
+        """``use(make(k))`` for each of ``keys`` in order, where ``make`` of
+        key k runs beside ``use`` of key k - 1: one ``map`` of at most two
+        tasks per step. No task or product outlives the call."""
+        made = []  # the product that waits for ``use``: none or one
+        for k in keys:
+            tasks = [lambda k=k: make(k)] + [lambda p=p: use(p) for p in made]
+            made = self.map(lambda task: task(), tasks)[:1]
+        if made:
+            self.map(use, made)
+
 
 def _map_workers(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, on up to ``workers`` threads but no

@@ -32,17 +32,17 @@ between ticks, so each chunk is sorted on its own. Consecutive sorted
 chunks make a batch of at most ``_BATCH // 2`` blocks of records (or
 one chunk, if that is larger), sorted into two buffers in turn, so the
 writer never holds the whole file. Given ``workers`` > 1, a thread of
-the package's pool (``core._Pool``) hashes and writes each batch while
-the next one is sorted. The reader counts each block of ``core._BLOCK``
-records per channel from the channel ids alone, which sizes every
-stream exactly. Its tasks then take contiguous runs of blocks: a task
-copies each block's times and ids out of the mapping once, checks the
-order on that aligned copy (the previous block's last time carries
-across the cut), and splits it into the streams at offsets taken from
-the counts. Given ``workers`` > 1 and a hasher, it hashes the mapping
-on one thread for the whole call, beside the counts and the runs.
-Neither the bytes nor the streams depend on ``workers`` or the block
-size.
+the package's pool hashes and writes each batch while the next one is
+sorted, by the pool's two-stage rule (``core._Pool.overlap``). The
+reader counts each block of ``core._BLOCK`` records per channel from
+the channel ids alone, which sizes every stream exactly. Its tasks then
+take contiguous runs of blocks: a task copies each block's times and
+ids out of the mapping once, checks the order on that aligned copy (the
+previous block's last time carries across the cut), and splits it into
+the streams at offsets taken from the counts. Given ``workers`` > 1 and
+a hasher, it hashes the mapping on one thread for the whole call,
+beside the counts and the runs. Neither the bytes nor the streams
+depend on ``workers`` or the block size.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
     that is larger), used in turn, so beyond its input the writer holds
     about ``_BATCH`` blocks. ``hasher`` (a :mod:`hashlib` object) is fed
     every byte of the file in file order. ``workers`` > 1 hashes and
-    writes one buffer on a second thread while the other fills; a file
-    of one batch starts no thread. The bytes do not depend on it.
+    writes one buffer on a second thread while the other fills
+    (``core._Pool.overlap``); a file of one batch starts no thread. The
+    bytes do not depend on it.
 
     Raises
     ------
@@ -261,13 +262,7 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
         flush(_HEADER.pack(MAGIC, FORMAT_VERSION, len(streams), resolution,
                            n_records))
         # Batch k is sorted while batch k - 1 goes out.
-        filled = None
-        for k in (*range(len(batches)), None):
-            tasks = [] if k is None else [lambda k=k: fill(k)]
-            if filled is not None:
-                tasks.append(lambda data=filled: flush(data))
-            done = pool.map(lambda task: task(), tasks)
-            filled = None if k is None else done[0]
+        pool.overlap(fill, flush, range(len(batches)))
         if table:
             flush(_TABLE_HEAD.pack(PERIODIC_TAG, len(table)) + b"".join(
                 _TABLE_ENTRY.pack(*entry) for entry in sorted(table)))

@@ -136,10 +136,24 @@ def _build(cls, cfg, label: str):
     return cls(**cfg)
 
 
-def _export_csv(out: dict, histogram, stage_cfg: dict, base: str) -> None:
-    """Write ``histogram`` to the stage's ``csv`` path, if it names one."""
-    if stage_cfg["csv"]:
-        path = os.path.join(base, stage_cfg["csv"])
+def _out_path(base: str, path: str | None, key: str) -> str | None:
+    """``path`` joined to ``base``, or None if unset. A directory that does
+    not exist is refused by ``key``, before the stage's work."""
+    if path is not None:
+        path = os.path.join(base, path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{key}: directory of {path!r} does not exist")
+    return path
+
+
+def _csv_path(config: dict, name: str, base: str) -> str | None:
+    """Section ``name``'s ``csv`` by :func:`_out_path`."""
+    return _out_path(base, _section(config, name)["csv"], f"{name}.csv")
+
+
+def _export_csv(out: dict, histogram, path: str | None) -> None:
+    """Write ``histogram`` to ``path``, if there is one."""
+    if path:
         export_histogram_csv(histogram, path)
         out["csv"] = path
 
@@ -197,6 +211,7 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
     excitation = _build(ExcitationConfig, config.get("excitation"),
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
+    path = _out_path(base, job["output"], "output")
     # The emission record is not kept here, so detection frees it once
     # its photons are routed, before the channel pass. This stage peaks
     # while emission joins its pieces, or while detection routes them,
@@ -204,7 +219,6 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
     ch0, ch1, sync = detect_hbt(
         generate_emission(emitter, excitation, duration, seed, workers),
         detector, seed, workers)
-    path = os.path.join(base, job["output"])
     streams = [ch0, ch1] + ([sync] if len(sync) else [])
     hasher = hashlib.sha256()
     n = write_timestamps(streams, path, workers=workers, hasher=hasher)
@@ -264,7 +278,7 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
         "g2_at_dip": g2,
         "verdict": fit.single_photon_verdict(g2),
     }
-    _export_csv(out, normalized, corr, base)
+    _export_csv(out, normalized, _csv_path(config, "correlation", base))
     return out
 
 
@@ -288,7 +302,7 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
         "tau_avg_ns": fit.average_lifetime(res),
         "discarded": histogram.discarded,
     }
-    _export_csv(out, histogram, life, base)
+    _export_csv(out, histogram, _csv_path(config, "lifetime", base))
     return out
 
 
@@ -317,14 +331,17 @@ def run_blinking(trace: IntensityTrace, config: dict) -> dict:
 
 
 def _analyze(name: str, streams: dict, config: dict, base: str) -> dict:
+    # A csv path is refused before its histogram is built.
     if name in _G2_ANALYSES:
+        csv = _csv_path(config, "correlation", base)
         hist = run_correlate(streams, config)
         if name != "g2":
             return run_g2_fit(name, hist, streams, config, base)
         out = {"n_pairs": int(hist.counts.sum()), "n_bins": hist.n_bins}
-        _export_csv(out, hist, _section(config, "correlation"), base)
+        _export_csv(out, hist, csv)
         return out
     if name == "lifetime":
+        _csv_path(config, "lifetime", base)
         return run_lifetime(run_decay_histogram(streams, config), config,
                             base)
     if name == "blinking":

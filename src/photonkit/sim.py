@@ -18,21 +18,21 @@ offset in one seeded stream on its own generator, and its two channels are
 mapped, so its output does not depend on ``workers`` either. It walks the
 photons in segments of ``_SEGMENT`` blocks: while one task draws the jitter
 of the next segment, another draws the splitter and efficiency uniforms of
-this one and keeps its photons per channel, so no draw or mask spans the
-whole emission. Pulsed pieces start their draws at known offsets too (see
-``_pulsed_piece``). All these draws, and a CW piece's decay times, run in
-blocks of ``core._BLOCK`` values through one reused buffer; a CW piece
-draws its waits whole and casts its times to int64 in place. The pieces,
-and a channel's segments, are joined into one array grown from the first
-(``_joined``) and sorted in place. The background is drawn before the
-pieces, so a lone piece is drawn with room for it and is never grown.
+this one and keeps its photons per channel (``core._Pool.overlap``), so
+no draw or mask spans the whole emission. Pulsed pieces start their draws
+at known offsets too (see ``_pulsed_piece``). All these draws, and a CW
+piece's decay times, run in blocks of ``core._BLOCK`` values through one
+reused buffer; a CW piece draws its waits whole and casts its times to
+int64 in place. The pieces and the background, and a channel's segments
+and dark counts, are assembled by one rule (``_assembled``): copied into
+one array, unless there is one part, then sorted and cut in place. The
+background is drawn first, so a lone piece is drawn with room for it.
 Detection drops the emission record once its photons are routed, so a
 record that its caller does not keep is freed before the channel pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,30 +275,14 @@ def _below(draw, n: int, p: float) -> np.ndarray:
 
 
 def _joined(parts: list) -> np.ndarray:
-    """The int64 arrays in ``parts`` end to end.
-
-    The first part is grown in place when it owns its data and holds at
-    least half of the items, so it is never held twice; a smaller one is
-    copied, which is quicker than growing it. The others are copied after
-    it, and the list is emptied as they are, so each part is freed once
-    copied.
-
-    Growing moves the data, so no view of the part may be alive. Every
-    ``resize`` in this module resizes such an array and skips numpy's
-    reference check, which also counts the references a profiler holds.
-    """
-    if not parts:
-        return np.empty(0, np.int64)
+    """The int64 arrays in ``parts`` end to end. A lone part that owns its
+    data is returned as it is; other parts are copied into one new array,
+    and the list is emptied as they are, so each is freed once copied."""
+    if len(parts) == 1 and parts[0].base is None:
+        return parts.pop()
+    out = np.empty(sum(p.size for p in parts), np.int64)
+    at = 0
     parts.reverse()
-    out = parts.pop()
-    at = out.size
-    total = at + sum(p.size for p in parts)
-    if out.base is None and 2 * at >= total:
-        out.resize(total, refcheck=False)
-    else:
-        head, out = out, np.empty(total, np.int64)
-        out[:at] = head
-        del head
     while parts:
         part = parts.pop()
         out[at:at + part.size] = part
@@ -306,11 +290,26 @@ def _joined(parts: list) -> np.ndarray:
     return out
 
 
+def _assembled(parts: list, duration: int) -> np.ndarray:
+    """``parts`` joined (``_joined``), stably sorted in place, and cut in
+    place to [0, duration]. Every ``resize`` in this module resizes an
+    array that owns its data, of which no view is alive, and skips numpy's
+    reference check, which also counts the references a profiler holds."""
+    times = _joined(parts)
+    times.sort(kind="stable")
+    lo = np.searchsorted(times, 0, side="left")
+    hi = np.searchsorted(times, duration, side="right")
+    if lo:  # move the times from 0 on to the front
+        times[:hi - lo] = times[lo:hi]
+    times.resize(hi - lo, refcheck=False)
+    return times
+
+
 def _thinned(part: np.ndarray, keep: np.ndarray, room: int) -> np.ndarray:
     """``part``, an array that owns its data, cut in place to those of its
     first ``keep.size`` items where ``keep`` is set, followed by ``room``
     free slots. It only shrinks unless the room is more than the items
-    dropped: growing moves the data (see ``_joined``)."""
+    dropped, since growing moves the data."""
     index = np.flatnonzero(keep)
     part[:index.size] = part[index]
     part.resize(index.size + room, refcheck=False)
@@ -428,7 +427,7 @@ def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
     if n_uniform:  # index the excited pulses, never the whole pulse grid
         excited = _below(_rng(seed, _TAG_SIGNAL, i).random, n_uniform, p)
         # Not one flatnonzero, whose result is a view: this array owns its
-        # data, so that ``_joined`` can grow it in place.
+        # data, so that it can be cut and filled in place.
         out = np.empty(np.count_nonzero(excited) + room, np.int64)
         at = 0
         for j in range(0, n_uniform, _BLOCK):
@@ -508,7 +507,7 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
         return np.rint(times, out=times).astype(np.int64)
 
     # The background first, so that a lone piece (there is at least one)
-    # is drawn with room for it and is never grown.
+    # is drawn with room for it and is never copied.
     bg = np.concatenate(_map_workers(gen_background, range(n_blocks), workers)
                         if bg_rate > 0 else [np.empty(0, np.int64)])
     bg.sort()
@@ -520,18 +519,12 @@ def generate_emission(emitter: EmitterModel, excitation: ExcitationConfig,
 
     parts = _map_workers(gen_signal, range(len(pieces)), workers)
     if room:
-        times = parts.pop()
-        times[times.size - room:] = bg
-    else:
+        parts[0][-room:] = bg
+    elif bg.size:
         parts.append(bg)
-        times = _joined(parts)
-    # One stable sort merges the runs: the pieces are in order and nearly
-    # sorted, and the sorted background is the last run.
-    times.sort(kind="stable")
-    # Every draw is added to a piece start >= 0, so only a decay past the
-    # end of the trace can fall outside it.
-    times.resize(np.searchsorted(times, duration, side="right"),
-                 refcheck=False)
+    # Every draw is added to a piece start >= 0, so the cut drops only
+    # decays past the end of the trace.
+    times = _assembled(parts, duration)
     # Ties: signal goes first. Background photon j of the sorted ``bg``
     # follows every signal photon at or before its time and the j
     # background photons before it.
@@ -579,26 +572,29 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
                           TimestampStream | PeriodicStream]:
     """Route an emission record through the splitter and both detectors.
 
-    Each photon goes to arm 0 with probability ``splitter_ratio``, survives
-    with probability ``efficiency``, gets Gaussian timing jitter, and then
-    competes with dark counts for the detector; events closer than the dead
-    time to the previously registered one on the same channel are dropped.
+    A raw :class:`TimestampStream` is routed as a record of its events
+    with no excitation. Each photon goes to arm 0 with probability
+    ``splitter_ratio``, survives with probability ``efficiency``, gets
+    Gaussian timing jitter, and then competes with dark counts for the
+    detector; events closer than the dead time to the previously
+    registered one on the same channel are dropped.
 
     The photons are taken in segments of ``_SEGMENT`` blocks of
     ``core._BLOCK``. ``workers`` threads draw the jitter of one segment
     while they route the one before it (its splitter and efficiency
-    uniforms, then its kept photons per channel), and then run the two
-    channels. Any value yields bit-identical output: the draws are one
-    seeded stream in a fixed order (splitter and efficiency uniforms,
-    jitter normals, then each channel's dark counts), and a uniform takes
-    exactly one 64-bit output per photon, so each draw starts at its
-    known offset in that stream on its own generator and goes on from
-    segment to segment. The returned streams own their arrays.
+    uniforms, then its kept photons per channel; ``core._Pool.overlap``),
+    and then assemble (``_assembled``) and filter the two channels. Any
+    value yields bit-identical output: the draws are one seeded stream in
+    a fixed order (splitter and efficiency uniforms, jitter normals, then
+    each channel's dark counts), and a uniform takes exactly one 64-bit
+    output per photon, so each draw starts at its known offset in that
+    stream on its own generator and goes on from segment to segment. The
+    returned streams own their arrays.
 
     Once its photons are routed it drops its reference to ``emission``,
     so a record the caller keeps no reference to (as in
     ``detect_hbt(generate_emission(...), ...)``) is freed before the two
-    channels are joined, sorted and dead-time filtered.
+    channels are assembled and dead-time filtered.
 
     Returns
     -------
@@ -609,10 +605,9 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
         sync is an empty :class:`TimestampStream`.
     """
     if isinstance(emission, TimestampStream):
-        emission = EmissionRecord(
-            emission.events, np.ones(len(emission), bool),
-            (Segment(True, 0, emission.duration),), emission.duration, None)
-    t = emission.times
+        t, excitation = emission.events, None
+    else:
+        t, excitation = emission.times, emission.excitation
     n = t.size
     duration = emission.duration
     # Each task draws from its own generator, started at its draw's offset.
@@ -642,31 +637,17 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
         parts[CHANNEL_B].append(times[np.flatnonzero(kept & ~to_a)])
 
     def channel(ch: int) -> TimestampStream:
-        times = _joined(parts[ch])
-        times.sort(kind="stable")
-        lo = np.searchsorted(times, 0, side="left")
-        hi = np.searchsorted(times, duration, side="right")
-        if lo:  # move the events from 0 on to the front
-            times[:hi - lo] = times[lo:hi]
-        times.resize(hi - lo, refcheck=False)
+        times = _assembled(parts[ch], duration)
         return TimestampStream(
             ch, _dead_time_filter(times, detector.dead_time_ps), duration)
 
     with _Pool(workers, 2) as pool:  # one pool for every step
         # Segment r's jitter is drawn while segment r - 1 is routed.
-        routing = None
-        for lo in (*range(0, n, step), None):
-            tasks = [] if lo is None else [lambda lo=lo: jittered(lo)]
-            if routing is not None:
-                tasks.append(lambda seg=routing: route(seg))
-            done = pool.map(lambda task: task(), tasks)
-            routing = None if lo is None else done[0]
-        # The record is read no more. Dropping every reference to it here
-        # (the argument, the cell ``jittered`` reads and the last task,
-        # which can hold a view of it) frees it before the channel pass
-        # when the caller keeps none.
-        excitation = emission.excitation
-        del emission, t, tasks
+        pool.overlap(jittered, route, range(0, n, step))
+        # The record is read no more. Dropping the argument and the cell
+        # ``jittered`` reads frees it before the channel pass when the
+        # caller keeps no reference to it.
+        del emission, t
         for ch in (CHANNEL_A, CHANNEL_B):  # dark counts, after the jitter
             n_dark = jitter_rng.poisson(detector.dark_rate_per_ms * duration
                                         / PS_PER_MS)

@@ -192,6 +192,60 @@ class TestAlphaDistribution:
             pk.alpha_distribution([1.0, 2.0], n_boot=2.5)
 
 
+class TestDegenerateResamples:
+    """A resample the estimator would refuse is NaN instead of the end of
+    the bootstrap. Thresholded dwells are whole bins, so a small sample
+    often resamples to its shortest dwell alone; the sample itself is
+    fitted and would be characterized."""
+
+    D = np.array([1, 1, 1, 1, 1, 1, 2, 5], float)
+
+    def resamples(self, seed, n_boot=200):
+        """The resamples ``alpha_distribution`` draws, drawn again."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return [rng.choice(self.D, size=self.D.size, replace=True)
+                for _ in range(n_boot)]
+
+    def test_sample_is_fitted(self):
+        assert pk.fit_power_law_mle(self.D).value == pytest.approx(3.474,
+                                                                   abs=1e-3)
+
+    def test_nan_exactly_on_all_equal_resamples(self):
+        boot = pk.alpha_distribution(self.D, n_boot=200, seed=0)
+        samples = self.resamples(0)
+        equal = np.array([np.all(s == s[0]) for s in samples])
+        assert 0 < equal.sum() < equal.size
+        np.testing.assert_array_equal(np.isnan(boot), equal)
+        for value, sample in zip(boot, samples):
+            if not np.isnan(value):
+                assert value == pk.fit_power_law_mle(sample).value
+
+    def test_nan_on_each_refusal_at_a_given_tau_min(self):
+        tau = 2.0
+        boot = pk.alpha_distribution(self.D, n_boot=200, seed=1,
+                                     tau_min_ms=tau)
+        few = flat = 0
+        for value, sample in zip(boot, self.resamples(1)):
+            above = sample[sample >= tau]
+            few += above.size < 2
+            flat += above.size >= 2 and np.all(above == tau)
+            if above.size < 2 or np.all(above == tau):
+                assert np.isnan(value)
+            else:
+                assert value == pk.fit_power_law_mle(sample, tau).value
+        assert few and flat and np.isfinite(boot).any()
+
+    @pytest.mark.parametrize("durations, tau, message", [
+        ([2.0, 2.0, 2.0], None, "no spread above tau_min"),
+        ([1.0, 1.0, 2.0, 2.0], 2.0, "no spread above tau_min"),
+        ([1.0, 1.0, 1.0, 5.0], 2.0, "need at least 2 durations above"),
+        ([1.0, 2.0], 0.0, "tau_min_ms must be positive"),
+    ])
+    def test_refused_sample_still_raises(self, durations, tau, message):
+        with pytest.raises(ValueError, match=message):
+            pk.alpha_distribution(durations, tau_min_ms=tau)
+
+
 class TestDurationSampleChecks:
     """The exponential fit, the model comparison and the bootstrap refuse
     the same bad duration samples as the power-law fit, before any

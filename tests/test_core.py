@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -498,3 +499,69 @@ class TestWorkerBound:
                              hasher=hashlib.sha256())
         assert pools == [(2, 1), (2, 2), (2, 2), (2, 1)]
         assert path.read_bytes() == want
+
+
+class TestPoolOverlap:
+    """``_Pool.overlap`` runs ``use(make(k))`` for each key in order, with
+    ``make`` of one key beside ``use`` of the one before: one map of at
+    most two tasks per step. The writer and detection share it."""
+
+    pools = TestWorkerBound.pools
+
+    def test_maps_of_at_most_two_tasks(self, pools):
+        used = []
+        with core._Pool(2, 2) as pool:
+            pool.overlap(lambda k: 10 * k, used.append, range(4))
+        assert pools == [(2, 1), (2, 2), (2, 2), (2, 2), (2, 1)]
+        assert used == [0, 10, 20, 30]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_use_gets_each_product_in_key_order(self, monkeypatch, workers):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
+        used = []
+        with core._Pool(workers, 2) as pool:
+            pool.overlap(lambda k: k * 2, used.append, "abcde")
+        assert used == ["aa", "bb", "cc", "dd", "ee"]
+
+    def test_no_keys_calls_neither(self, pools):
+        called = []
+        with core._Pool(2, 2) as pool:
+            pool.overlap(called.append, called.append, [])
+        assert called == []
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fails", ["make", "use"])
+    def test_an_exception_propagates(self, monkeypatch, workers, fails):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
+        threads = threading.active_count()
+
+        def make(k):
+            if fails == "make" and k == 2:
+                raise RuntimeError("make 2")
+            return k
+
+        def use(k):
+            if fails == "use" and k == 1:
+                raise RuntimeError("use 1")
+
+        with pytest.raises(RuntimeError, match=f"^{fails} "):
+            with core._Pool(workers, 2) as pool:
+                pool.overlap(make, use, range(4))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_product_outlives_the_call(self, monkeypatch, workers):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
+        made = []
+
+        def make(k):
+            product = np.full(4, k)
+            made.append(weakref.ref(product))
+            return product
+
+        used = []
+        with core._Pool(workers, 2) as pool:
+            pool.overlap(make, lambda p: used.append(int(p[0])), range(3))
+            assert [ref() for ref in made] == [None, None, None]
+        assert used == [0, 1, 2]

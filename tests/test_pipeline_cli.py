@@ -1333,6 +1333,53 @@ class TestPathJobKeys:
             ("input", "ValueError", "input must not be empty")]
 
 
+class TestMissingOutputDirectory:
+    """An ``output``, ``correlation.csv`` or ``lifetime.csv`` whose
+    directory does not exist is refused by its key before its stage
+    simulates or builds its histogram, not found after the work."""
+
+    def test_output_refused_before_simulating(self, tmp_path, monkeypatch):
+        simulated = []
+        monkeypatch.setattr(pipeline, "generate_emission",
+                            lambda *args: simulated.append(args))
+        doc = run_pipeline(cw_config(duration_s=0.01, output="missing/x.ptst"),
+                           base_dir=str(tmp_path))
+        [entry] = doc.errors
+        assert (entry["stage"], entry["type"]) == ("simulate", "ValueError")
+        assert entry["message"].startswith("output: directory of ")
+        assert simulated == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("analysis, section, build", [
+        ("g2", "correlation", "cross_correlate"),
+        ("g2cw", "correlation", "cross_correlate"),
+        ("lifetime", "lifetime", "sync_decay_histogram")])
+    def test_csv_refused_before_its_histogram(self, pulsed_path, tmp_path,
+                                              monkeypatch, analysis, section,
+                                              build):
+        built = []
+        monkeypatch.setattr(pipeline, build,
+                            lambda *args, **kw: built.append(args))
+        doc = run_pipeline({"mode": "analyze", "input": str(pulsed_path),
+                            "analyses": [analysis],
+                            section: {"csv": "missing/h.csv"}},
+                           base_dir=str(tmp_path))
+        [entry] = doc.errors
+        assert (entry["stage"], entry["type"]) == (analysis, "ValueError")
+        assert entry["message"].startswith(f"{section}.csv: directory of ")
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_names_output(self, tmp_path, capsys):
+        assert cli_main(["simulate", "--duration-s", "0.01", "--outdir",
+                         str(tmp_path), "-o", "missing/x.ptst"]) == 1
+        captured = capsys.readouterr()
+        path = os.path.join(str(tmp_path), "missing", "x.ptst")
+        assert captured.err == (
+            f"error: output: directory of {path!r} does not exist\n")
+        assert captured.out == ""
+
+
 class TestSubcommandErrorCodes:
     """A file error keeps its stable code on every subcommand, as it does
     in the pipeline's ``error[stage:code]`` lines."""
