@@ -5,7 +5,9 @@ threshold (default 50 counts/ms for the usual 1 ms binning). Each state's
 dwell durations get a maximum-likelihood power-law exponent, taken on the
 raw durations rather than on a binned histogram, and a likelihood
 comparison against an exponential dwell model on the same durations
-decides which family describes the state.
+decides which family describes the state. The power-law fit, the model
+comparison and the bootstrap read the durations at or above one cut-off,
+``tau_min_ms``, by default the sample minimum (``_dwell_sample``).
 
 Durations are in milliseconds throughout; the power-law exponent alpha
 follows the survival-function convention P(t > T) ~ T^-alpha, so the
@@ -25,6 +27,7 @@ from .core import (
     Measurement,
     Segment,
     _number,
+    _seed,
     _whole,
 )
 
@@ -93,6 +96,21 @@ def _positive_durations(durations_ms) -> np.ndarray:
     return d
 
 
+def _dwell_sample(durations_ms, tau_min_ms) -> tuple[np.ndarray, float]:
+    """The durations at or above the cut-off ``tau_min_ms``, and the
+    cut-off: the sample minimum when it is None, else a positive number.
+    The one rule by which the power-law estimators read their sample."""
+    d = _positive_durations(durations_ms)
+    if tau_min_ms is None:
+        if d.size == 0:
+            raise ValueError("cannot fit an empty duration sample")
+        return d, float(d.min())
+    tau_min_ms = _number(tau_min_ms, "tau_min_ms")
+    if tau_min_ms <= 0:
+        raise ValueError(f"tau_min_ms must be positive, got {tau_min_ms}")
+    return d[d >= tau_min_ms], tau_min_ms
+
+
 def fit_power_law_mle(durations_ms, tau_min_ms: float | None = None) -> Measurement:
     """Maximum-likelihood power-law exponent of dwell durations.
 
@@ -102,17 +120,7 @@ def fit_power_law_mle(durations_ms, tau_min_ms: float | None = None) -> Measurem
     excluded; when it is omitted the sample minimum is used, which biases
     alpha slightly high for small samples.
     """
-    d = _positive_durations(durations_ms)
-    if tau_min_ms is None:
-        if d.size == 0:
-            raise ValueError("cannot fit an empty duration sample")
-        tau_min_ms = float(d.min())
-    else:
-        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
-        if tau_min_ms <= 0:
-            raise ValueError(
-                f"tau_min_ms must be positive, got {tau_min_ms}")
-    d = d[d >= tau_min_ms]
+    d, tau_min_ms = _dwell_sample(durations_ms, tau_min_ms)
     n = d.size
     if n < 2:
         raise ValueError(f"need at least 2 durations above tau_min, got {n}")
@@ -144,14 +152,7 @@ def compare_dwell_models(durations_ms,
     alpha * tau_min^alpha * t^-(1+alpha); the exponential is
     lambda * exp(-lambda t).
     """
-    d = _positive_durations(durations_ms)
-    if tau_min_ms is None:
-        if d.size == 0:
-            raise ValueError("cannot compare models on an empty sample")
-        tau_min_ms = float(d.min())
-    else:
-        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
-    d = d[d >= tau_min_ms]
+    d, tau_min_ms = _dwell_sample(durations_ms, tau_min_ms)
     alpha = fit_power_law_mle(d, tau_min_ms)
     rate = fit_exponential_dwell(d)
     n = d.size
@@ -169,27 +170,23 @@ def alpha_distribution(durations_ms, n_boot: int = 200, seed: int = 0,
     Resamples the durations with replacement ``n_boot`` times and runs the
     likelihood estimator on each. The spread of the result checks the
     analytic alpha / sqrt(n) error in a model-free way. A resample the
-    estimator would refuse, with fewer than 2 durations at or above
+    estimator refuses, with fewer than 2 durations at or above
     ``tau_min_ms`` or none above it (as when every dwell drawn is the
-    shortest, whole-bin one), gives NaN; durations it refuses raise.
+    shortest, whole-bin one), gives NaN. Durations or a cut-off that the
+    estimator refuses, and a negative ``seed``, raise before any resample
+    is drawn.
     """
     d = _positive_durations(durations_ms)
-    if d.size < 2:
-        raise ValueError(f"need at least 2 durations, got {d.size}")
     n_boot = _whole(n_boot, "n_boot", low=1)
-    if tau_min_ms is not None:
-        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
-    fit_power_law_mle(d, tau_min_ms)  # raises on durations it refuses
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_seed(seed)))
+    fit_power_law_mle(d, tau_min_ms)  # raises on a sample it refuses
     out = np.empty(n_boot)
     for i in range(n_boot):
         sample = rng.choice(d, size=d.size, replace=True)
-        lo = sample.min() if tau_min_ms is None else tau_min_ms
-        # The estimator's sum of log(t / lo) is > 0 iff some t / lo > 1.
-        if np.count_nonzero(sample >= lo) < 2 or sample.max() / lo <= 1.0:
-            out[i] = np.nan
-        else:
+        try:
             out[i] = fit_power_law_mle(sample, tau_min_ms).value
+        except ValueError:  # the estimator refused this resample
+            out[i] = np.nan
     return out
 
 

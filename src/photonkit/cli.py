@@ -20,7 +20,8 @@ import sys
 
 from .core import PS_PER_NS, DecayHistogram, Measurement, _path, _span
 from .fileio import TimestampFileError, histogram_from_csv
-from .pipeline import _section, run_g2_fit, run_lifetime, run_pipeline
+from .pipeline import (_out_path, _section, run_g2_fit, run_lifetime,
+                       run_pipeline)
 
 __all__ = ["main", "build_parser"]
 
@@ -213,8 +214,11 @@ def cmd_pipeline(args) -> int:
     config = _read_json(args.job, "job file")
     if not isinstance(config, dict):
         raise ValueError(f"job file {args.job} must hold a JSON object")
-    doc = run_pipeline(config, base_dir=_outdir(args))
-    path = os.path.join(_outdir(args), output)
+    # Refused after a bad job file, which leaves no outdir behind, and
+    # before the job runs.
+    outdir = _outdir(args)
+    path = _out_path(outdir, output, "-o")
+    doc = run_pipeline(config, base_dir=outdir)
     doc.write(path)
     print(f"report written to {path}")
     _print_errors(doc.errors, ("stage", "code"))

@@ -243,6 +243,12 @@ def _whole(value, name: str, unit: str = "", low: float = -math.inf) -> int:
     return int(value)
 
 
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as a random seed: a whole number >= 0 by :func:`_whole`'s
+    rule, so a negative one is refused by ``name``, not by numpy."""
+    return _whole(value, name, low=0)
+
+
 def _whole_ps(value, name: str, low: float = -math.inf) -> int:
     """``value`` as whole picoseconds >= ``low``, by :func:`_whole`'s rule."""
     return _whole(value, name, "ps", low)
@@ -254,9 +260,10 @@ def _array(dtype):
         np.asarray(value, dtype=dtype))})
 
 
-def _ps(**kw):
-    """Declare an :class:`_ArrayRecord` field as whole picoseconds."""
-    return field(metadata={"convert": _whole_ps}, **kw)
+def _ps(low: float = -math.inf, **kw):
+    """Declare an :class:`_ArrayRecord` field as whole ps >= ``low``."""
+    convert = functools.partial(_whole_ps, low=low)
+    return field(metadata={"convert": convert}, **kw)
 
 
 def _real(finite: bool = True, **kw):
@@ -312,12 +319,12 @@ class TimestampStream(_ArrayRecord):
         ``ValueError``). An owned int64 array is frozen in place; pass a
         copy to keep writing.
     duration : int
-        Observation span in ps.
+        Observation span in ps, >= 0.
     """
 
     channel: int = field(metadata={"convert": _whole})
     events: np.ndarray = _array(np.int64)
-    duration: int = _ps()
+    duration: int = _ps(low=0)
 
     def validate(self) -> None:
         ev, name = self.events, f"channel {self.channel}"

@@ -194,11 +194,13 @@ def brute_force_correlate(a: TimestampStream, b: TimestampStream, window: int,
     return CoincidenceHistogram(bin_width, window, counts)
 
 
-def _sync_period(sync: TimestampStream | PeriodicStream) -> float:
-    """Sync period in ps: a grid's period, else the median pulse spacing."""
+def _sync_period(sync: TimestampStream | PeriodicStream) -> int:
+    """Sync period in whole ps: a grid's period, else the median pulse
+    spacing truncated to whole ps. The decay fold and the pulsed g2 fit
+    both read this one value."""
     if isinstance(sync, PeriodicStream):
-        return float(sync.period)
-    return float(np.median(np.diff(sync.events)))
+        return sync.period
+    return int(np.median(np.diff(sync.events)))
 
 
 def _grid_delays(t: np.ndarray, offset: int, period: int,
@@ -244,8 +246,8 @@ def sync_decay_histogram(photons: TimestampStream | Sequence[TimestampStream],
     photons : TimestampStream, or a sequence of them
         All counted against the one sync, and in ``discarded``.
     sync : TimestampStream or PeriodicStream, optional
-        Sync pulses. For an explicit stream the period is inferred from
-        the median spacing.
+        Sync pulses. For an explicit stream the period is the median
+        spacing in whole ps, by ``_sync_period``.
     period : int, optional
         Sync period in ps.
     bin_width : int
@@ -263,7 +265,7 @@ def sync_decay_histogram(photons: TimestampStream | Sequence[TimestampStream],
         if sync.events.size < 2:
             raise ValueError(
                 "need at least two sync pulses to infer the period")
-        s, period = sync.events, int(_sync_period(sync))
+        s, period = sync.events, _sync_period(sync)
         offset = int(s[0])
     else:
         raise ValueError("either a sync stream or a period is required")

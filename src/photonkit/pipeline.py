@@ -42,6 +42,7 @@ from .core import (
     TimestampStream,
     _number,
     _path,
+    _seed,
     _span,
     _whole,
     _whole_ps,
@@ -72,7 +73,7 @@ _G2_ANALYSES = ("g2", "g2cw", "g2pw")
 # Every scalar job key by section ("" is the top level): its rule, which
 # gives a span in whole ps, and default; null is unset only if that is None.
 _KEYS = {
-    "": {"seed": (_whole, 0), "duration_s": (_span(PS_PER_S), 1.0),
+    "": {"seed": (_seed, 0), "duration_s": (_span(PS_PER_S), 1.0),
          "workers": (_whole, 1), "output": (_path, "timestamps.ptst"),
          "input": (_path, None), "duration_ps": (_whole_ps, None)},
     "correlation": {"window_ns": (_span(PS_PER_NS), 1000.0),
@@ -146,11 +147,6 @@ def _out_path(base: str, path: str | None, key: str) -> str | None:
     return path
 
 
-def _csv_path(config: dict, name: str, base: str) -> str | None:
-    """Section ``name``'s ``csv`` by :func:`_out_path`."""
-    return _out_path(base, _section(config, name)["csv"], f"{name}.csv")
-
-
 def _export_csv(out: dict, histogram, path: str | None) -> None:
     """Write ``histogram`` to ``path``, if there is one."""
     if path:
@@ -181,9 +177,9 @@ def _detector_channels(streams: dict) -> list[TimestampStream]:
     return parts
 
 
-def _period_ps(streams: dict, stage_cfg: dict) -> float:
-    """Pulse period in ps from the sync channel (``correlator._sync_period``),
-    else ``period_ns`` from the stage's :func:`_section`, in whole ps."""
+def _period_ps(streams: dict, stage_cfg: dict) -> int:
+    """Pulse period in whole ps from the sync channel (``_sync_period``),
+    else ``period_ns`` from the stage's :func:`_section`."""
     sync = _sync(streams)
     period = (_sync_period(sync) if sync is not None
               else stage_cfg.get("period_ns"))
@@ -195,7 +191,7 @@ def _period_ps(streams: dict, stage_cfg: dict) -> float:
 
 
 def resolved_period_ns(streams: dict, stage_cfg: dict) -> float:
-    """The pulse period of :func:`_period_ps` in ns."""
+    """The whole-ps pulse period of :func:`_period_ps` in ns."""
     return _period_ps(streams, stage_cfg) / PS_PER_NS
 
 
@@ -262,8 +258,9 @@ def run_correlate(streams: dict, config: dict) -> CoincidenceHistogram:
 
 
 def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
-               config: dict, base: str = ".") -> dict:
-    """Fit the CW ("g2cw") or pulsed ("g2pw") g2 model and normalize."""
+               config: dict, csv: str | None = None) -> dict:
+    """Fit the CW ("g2cw") or pulsed ("g2pw") g2 model and normalize;
+    export to ``csv``, a resolved path, unless it is None."""
     corr = _section(config, "correlation")
     if kind == "g2cw":
         res = fit.fit_g2_cw(histogram)
@@ -278,7 +275,7 @@ def run_g2_fit(kind: str, histogram: CoincidenceHistogram, streams: dict,
         "g2_at_dip": g2,
         "verdict": fit.single_photon_verdict(g2),
     }
-    _export_csv(out, normalized, _csv_path(config, "correlation", base))
+    _export_csv(out, normalized, csv)
     return out
 
 
@@ -293,8 +290,9 @@ def run_decay_histogram(streams: dict, config: dict) -> DecayHistogram:
 
 
 def run_lifetime(histogram: DecayHistogram, config: dict,
-                 base: str = ".") -> dict:
-    """Multi-exponential fit of a decay histogram."""
+                 csv: str | None = None) -> dict:
+    """Multi-exponential fit of a decay histogram; export the histogram
+    to ``csv``, a resolved path, unless it is None."""
     life = _section(config, "lifetime")
     res = fit.fit_multiexp(histogram, life["n_components"])
     out = {
@@ -302,7 +300,7 @@ def run_lifetime(histogram: DecayHistogram, config: dict,
         "tau_avg_ns": fit.average_lifetime(res),
         "discarded": histogram.discarded,
     }
-    _export_csv(out, histogram, _csv_path(config, "lifetime", base))
+    _export_csv(out, histogram, csv)
     return out
 
 
@@ -331,23 +329,22 @@ def run_blinking(trace: IntensityTrace, config: dict) -> dict:
 
 
 def _analyze(name: str, streams: dict, config: dict, base: str) -> dict:
-    # A csv path is refused before its histogram is built.
-    if name in _G2_ANALYSES:
-        csv = _csv_path(config, "correlation", base)
-        hist = run_correlate(streams, config)
-        if name != "g2":
-            return run_g2_fit(name, hist, streams, config, base)
-        out = {"n_pairs": int(hist.counts.sum()), "n_bins": hist.n_bins}
-        _export_csv(out, hist, csv)
-        return out
-    if name == "lifetime":
-        _csv_path(config, "lifetime", base)
-        return run_lifetime(run_decay_histogram(streams, config), config,
-                            base)
+    if name not in KNOWN_ANALYSES:
+        raise ValueError(f"unknown analysis {name!r}; expected one of "
+                         f"{', '.join(KNOWN_ANALYSES)}")
     if name == "blinking":
         return run_blinking(run_intensity_trace(streams, config), config)
-    raise ValueError(f"unknown analysis {name!r}; expected one of "
-                     f"{', '.join(KNOWN_ANALYSES)}")
+    # The csv path is resolved once, and refused before the histogram.
+    section = "lifetime" if name == "lifetime" else "correlation"
+    csv = _out_path(base, _section(config, section)["csv"], f"{section}.csv")
+    if name == "lifetime":
+        return run_lifetime(run_decay_histogram(streams, config), config, csv)
+    hist = run_correlate(streams, config)
+    if name != "g2":
+        return run_g2_fit(name, hist, streams, config, csv)
+    out = {"n_pairs": int(hist.counts.sum()), "n_bins": hist.n_bins}
+    _export_csv(out, hist, csv)
+    return out
 
 
 def run_pipeline(config: dict, base_dir: str | None = None) -> ReportDocument:

@@ -57,6 +57,7 @@ from .core import (
     _number,
     _ps,
     _real,
+    _seed,
     _whole_ps,
 )
 
@@ -252,8 +253,8 @@ class EmissionRecord(_ArrayRecord):
 
 def _rng(seed: int, *key: int, skip: int = 0) -> np.random.Generator:
     """The stream for (seed, *key), advanced past its first ``skip``
-    64-bit outputs."""
-    bits = np.random.PCG64(np.random.SeedSequence([int(seed), *key]))
+    64-bit outputs; ``seed`` by :func:`core._seed`'s rule."""
+    bits = np.random.PCG64(np.random.SeedSequence([_seed(seed), *key]))
     return np.random.Generator(bits.advance(skip))
 
 

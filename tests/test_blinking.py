@@ -190,6 +190,8 @@ class TestAlphaDistribution:
             pk.alpha_distribution([1.0, 2.0], n_boot=0)
         with pytest.raises(ValueError, match="^n_boot must be a whole number"):
             pk.alpha_distribution([1.0, 2.0], n_boot=2.5)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            pk.alpha_distribution([1.0, 2.0], seed=-1)
 
 
 class TestDegenerateResamples:

@@ -123,6 +123,7 @@ class TestTimestampStream:
          "channel 3 events must lie within [0, 100] ps, got -5 to 20"),
         ({"duration": 25},
          "channel 3 events must lie within [0, 25] ps, got 10 to 30"),
+        ({"events": [], "duration": -5}, "duration must be >= 0, got -5"),
     ]
 
     @pytest.mark.parametrize("bad, message", INVALID)

@@ -910,19 +910,32 @@ class TestWholePicosecondJobs:
             assert entry["message"].startswith(
                 f"{section}.bin_width_ps must be a whole")
 
+    @pytest.mark.parametrize("spacings, period_ps", [
+        ((), 12_346), ((99_999, 100_000), 99_999)],
+        ids=["period_ns", "half_ps_median_sync"])
     def test_g2pw_and_lifetime_share_one_whole_ps_period(
-            self, cw_run, tmp_path, monkeypatch):
-        """Without a sync channel the pulsed fit's period in ns is the
-        lifetime fold's whole ps period, divided once."""
+            self, cw_run, tmp_path, monkeypatch, spacings, period_ps):
+        """The pulsed fit's period in ns is the lifetime fold's whole ps
+        period, divided once: ``period_ns`` without a sync channel, else
+        the sync's median spacing, truncated to whole ps when it falls on
+        a half ps."""
         _, path = cw_run
+        if spacings:
+            streams = read_timestamps(path)
+            # 1000 spacings, half of each: the median is a half ps.
+            pulses = np.cumsum(np.resize(spacings, 1001))
+            path = tmp_path / "sync.ptst"
+            write_timestamps([streams[0], streams[1], TimestampStream(
+                SYNC_CHANNEL, pulses, streams[0].duration)], path)
         seen = {}
+        fold = pipeline.sync_decay_histogram
 
         def g2pw(histogram, period_ns, n_side):
             seen["g2pw"] = period_ns
             raise _StageReached
 
-        def decay(channels, sync=None, period=None, bin_width=500):
-            seen["lifetime"] = period
+        def decay(*args, **kwargs):
+            seen["lifetime"] = fold(*args, **kwargs).period
             raise _StageReached
 
         monkeypatch.setattr(fitmod, "fit_g2_pw", g2pw)
@@ -933,7 +946,7 @@ class TestWholePicosecondJobs:
             "correlation": {"window_ns": 300, "period_ns": 12.3456},
             "lifetime": {"period_ns": 12.3456}}, base_dir=str(tmp_path))
         assert [e["type"] for e in doc.errors] == ["_StageReached"] * 2
-        assert seen == {"g2pw": 12.346, "lifetime": 12_346}
+        assert seen == {"g2pw": period_ps / PS_PER_NS, "lifetime": period_ps}
         assert type(seen["lifetime"]) is int
 
 
@@ -962,6 +975,12 @@ class TestWholeNumberJobs:
     def test_simulate_count_is_a_simulate_error(self, tmp_path, key, value):
         doc = run_pipeline({**self.JOB, key: value}, base_dir=str(tmp_path))
         self.only_error(doc, "simulate", key)
+        assert not (tmp_path / "pulsed.ptst").exists()
+
+    def test_negative_seed_is_a_simulate_error(self, tmp_path):
+        doc = run_pipeline({**self.JOB, "seed": -1}, base_dir=str(tmp_path))
+        assert doc.errors == [{"stage": "simulate", "type": "ValueError",
+                               "message": "seed must be >= 0, got -1"}]
         assert not (tmp_path / "pulsed.ptst").exists()
 
     def test_integral_float_counts_write_the_same_file(self, tmp_path):
@@ -1369,6 +1388,24 @@ class TestMissingOutputDirectory:
         assert entry["message"].startswith(f"{section}.csv: directory of ")
         assert built == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_pipeline_report_refused_before_the_job(self, tmp_path, capsys,
+                                                    monkeypatch):
+        simulated = []
+        monkeypatch.setattr(pipeline, "generate_emission",
+                            lambda *args: simulated.append(args))
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(cw_config(duration_s=0.01)))
+        outdir = tmp_path / "out"
+        assert cli_main(["pipeline", str(job), "--outdir", str(outdir),
+                         "-o", "missing/r.json"]) == 1
+        captured = capsys.readouterr()
+        path = os.path.join(str(outdir), "missing", "r.json")
+        assert captured.err == (
+            f"error: -o: directory of {path!r} does not exist\n")
+        assert captured.out == ""
+        assert simulated == []
+        assert list(outdir.iterdir()) == []
 
     def test_cli_names_output(self, tmp_path, capsys):
         assert cli_main(["simulate", "--duration-s", "0.01", "--outdir",

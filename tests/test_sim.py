@@ -557,6 +557,8 @@ class TestPoissonian:
             pk.simulate_poissonian(0.0, PS_S, seed=0)
         with pytest.raises(ValueError):
             pk.simulate_poissonian(1e6, 0, seed=0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            pk.simulate_poissonian(1e6, PS_S, seed=-1)
         for rate in (np.nan, np.inf):
             with pytest.raises(ValueError, match=(
                     f"^rate_per_s must be a number, got {rate}")):
