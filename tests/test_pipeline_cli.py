@@ -927,19 +927,30 @@ class TestWholePicosecondJobs:
             path = tmp_path / "sync.ptst"
             write_timestamps([streams[0], streams[1], TimestampStream(
                 SYNC_CHANNEL, pulses, streams[0].duration)], path)
-        seen = {}
-        fold = pipeline.sync_decay_histogram
+        seen, inferred = {}, []
+        fold, median = pipeline.sync_decay_histogram, correlator._sync_period
 
         def g2pw(histogram, period_ns, n_side):
             seen["g2pw"] = period_ns
             raise _StageReached
 
         def decay(*args, **kwargs):
-            seen["lifetime"] = fold(*args, **kwargs).period
+            # The period the pipeline passes, else the one the fold infers
+            # from the sync.
+            seen["lifetime"] = (kwargs["period"]
+                                if kwargs.get("period") is not None
+                                else fold(*args, **kwargs).period)
             raise _StageReached
+
+        def sync_period(sync):
+            inferred.append(median(sync))
+            return inferred[-1]
 
         monkeypatch.setattr(fitmod, "fit_g2_pw", g2pw)
         monkeypatch.setattr(pipeline, "sync_decay_histogram", decay)
+        # The fit reads pipeline's binding, the fold correlator's.
+        monkeypatch.setattr(pipeline, "_sync_period", sync_period)
+        monkeypatch.setattr(correlator, "_sync_period", sync_period)
         doc = run_pipeline({
             "mode": "analyze", "input": str(path),
             "analyses": ["g2pw", "lifetime"],
@@ -948,6 +959,8 @@ class TestWholePicosecondJobs:
         assert [e["type"] for e in doc.errors] == ["_StageReached"] * 2
         assert seen == {"g2pw": period_ps / PS_PER_NS, "lifetime": period_ps}
         assert type(seen["lifetime"]) is int
+        assert inferred == ([period_ps] * 2 if spacings else [])
+        assert all(type(p) is int for p in inferred)
 
 
 
