@@ -96,18 +96,27 @@ def _positive_durations(durations_ms) -> np.ndarray:
     return d
 
 
+def _cutoff(tau_min_ms) -> float | None:
+    """The cut-off ``tau_min_ms``: None (the sample minimum) or a positive
+    number, else an error naming it."""
+    if tau_min_ms is None:
+        return None
+    tau_min_ms = _number(tau_min_ms, "tau_min_ms")
+    if tau_min_ms <= 0:
+        raise ValueError(f"tau_min_ms must be positive, got {tau_min_ms}")
+    return tau_min_ms
+
+
 def _dwell_sample(durations_ms, tau_min_ms) -> tuple[np.ndarray, float]:
     """The durations at or above the cut-off ``tau_min_ms``, and the
-    cut-off: the sample minimum when it is None, else a positive number.
+    cut-off: the sample minimum when it is None, else by :func:`_cutoff`.
     The one rule by which the power-law estimators read their sample."""
     d = _positive_durations(durations_ms)
+    tau_min_ms = _cutoff(tau_min_ms)
     if tau_min_ms is None:
         if d.size == 0:
             raise ValueError("cannot fit an empty duration sample")
         return d, float(d.min())
-    tau_min_ms = _number(tau_min_ms, "tau_min_ms")
-    if tau_min_ms <= 0:
-        raise ValueError(f"tau_min_ms must be positive, got {tau_min_ms}")
     return d[d >= tau_min_ms], tau_min_ms
 
 
@@ -200,15 +209,19 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
     only two that the trace's ends cut short. Dwells shorter than
     ``min_dwell_ms`` are also dropped, which suppresses the bias from
     single-bin quantization near the threshold. Each state with at least
-    ``_MIN_FIT_SEGMENTS`` (8) surviving dwells gets a power-law exponent
-    and a model verdict; sparser states report None.
+    ``_MIN_FIT_SEGMENTS`` (8) surviving dwells at or above the cut-off
+    ``tau_min_ms`` (``_dwell_sample``) gets a power-law exponent and a
+    model verdict. A sparser state reports None, and so does a state
+    whose sample the estimator refuses (as when every dwell in it is as
+    long as the cut-off); the other state is fitted all the same. A
+    ``tau_min_ms`` that is not a positive number is refused before
+    either state is fitted.
 
     Mean ON/OFF rates are computed over all bins of that state, not just
     the surviving segments.
     """
     min_dwell_ms = _number(min_dwell_ms, "min_dwell_ms")
-    if tau_min_ms is not None:
-        tau_min_ms = _number(tau_min_ms, "tau_min_ms")
+    tau_min_ms = _cutoff(tau_min_ms)
     segments = segment_trace(trace, threshold_per_ms)
     rates = trace.rates_per_ms
     on_bins = rates >= threshold_per_ms
@@ -227,9 +240,15 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
                       if not s.on and s.duration_ms >= min_dwell_ms])
 
     def characterize(durations):
-        if durations.size < _MIN_FIT_SEGMENTS:
+        if durations.size == 0:
             return None, None
-        comp = compare_dwell_models(durations, tau_min_ms)
+        sample, cutoff = _dwell_sample(durations, tau_min_ms)
+        if sample.size < _MIN_FIT_SEGMENTS:
+            return None, None
+        try:
+            comp = compare_dwell_models(sample, cutoff)
+        except ValueError:  # the estimator refused this sample
+            return None, None
         return comp.alpha, comp.verdict
 
     alpha_on, model_on = characterize(on_d)

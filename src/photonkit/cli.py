@@ -1,8 +1,10 @@
 """Command-line interface.
 
-``simulate``, ``correlate``, ``lifetime`` and ``blink`` each map their
-flags onto job-config keys (an unset flag takes the job's default) and
-run that one job with ``pipeline.run_pipeline``; ``fit`` refits what
+``simulate``, ``correlate``, ``lifetime`` and ``blink`` each run one job
+with ``pipeline.run_pipeline``. Each of their flags is one row of
+``_FLAGS``: its names, its argparse options and the job-config keys it
+sets, so a new flag is one row there (and one row in the README's flag
+table). A flag left unset takes the job's default. ``fit`` refits what
 ``fileio.histogram_from_csv`` reads back; ``pipeline`` runs a JSON job.
 
 Option precedence is defaults, then command-line flags, then values from
@@ -20,10 +22,89 @@ import sys
 
 from .core import PS_PER_NS, DecayHistogram, Measurement, _path, _span
 from .fileio import TimestampFileError, histogram_from_csv
-from .pipeline import (_out_path, _section, run_g2_fit, run_lifetime,
+from .pipeline import (_KEYS, _out_path, _section, run_g2_fit, run_lifetime,
                        run_pipeline)
 
 __all__ = ["main", "build_parser"]
+
+# The one-job subcommands: their help, and the job each runs, "simulate"
+# or an analysis; ``correlate`` runs the analysis of its ``--fit``.
+_JOBS = {
+    "simulate": ("generate a synthetic timestamp file", "simulate"),
+    "correlate": ("cross-correlate the two detector channels", None),
+    "lifetime": ("sync-referenced decay histogram and fit", "lifetime"),
+    "blink": ("intensity thresholding and dwell statistics", "blinking"),
+}
+# The analysis of each g2 fit, as ``correlate --fit`` and ``fit --model``
+# name it.
+_G2_FITS = {"none": "g2", "cw": "g2cw", "pulsed": "g2pw"}
+
+
+def _period_flag(ns):
+    """``--period`` (ns) in whole ps, refused by the flag's name, or None."""
+    return None if ns is None else _span(PS_PER_NS)(ns, "--period")
+
+
+# Each flag of the one-job subcommands, in help order: the subcommands
+# that take it, its names, the job keys it sets (by path; ``--fit`` sets
+# none), its argparse options and, for simulate's ``--period``, what turns
+# its value into the key's.
+_FLAGS = (
+    ("simulate", "--mode", "excitation.mode", dict(choices=["cw", "pulsed"])),
+    ("simulate", "--duration-s", "duration_s", dict(type=float)),
+    ("simulate", "--seed", "seed", dict(type=int)),
+    ("simulate", "--lifetime-ns", "emitter.lifetime_ns", dict(type=float)),
+    ("simulate", "--rate-per-s", "excitation.cw_rate_per_s",
+     dict(type=float, help="CW excitation rate (1/s)")),
+    ("simulate", "--period", "excitation.pulse_period_ps",
+     dict(type=float, help="pulse period in ns (pulsed mode)"), _period_flag),
+    ("simulate", "--excitation-probability",
+     "excitation.excitation_probability", dict(type=float)),
+    ("simulate", "--efficiency", "detector.efficiency", dict(type=float)),
+    ("simulate", "--dark-rate-per-ms", "detector.dark_rate_per_ms",
+     dict(type=float)),
+    ("simulate", "--jitter-ps", "detector.jitter_sigma_ps", dict(type=float)),
+    ("simulate", "--dead-time-ps", "detector.dead_time_ps", dict(type=int)),
+    ("simulate", "--blinking", "emitter.blinking.kind",
+     dict(choices=["none", "power_law", "two_state_exponential"])),
+    ("simulate", "--alpha",
+     "emitter.blinking.alpha_on emitter.blinking.alpha_off",
+     dict(type=float, help="power-law exponent for both states")),
+    ("simulate", "--background-per-ms",
+     "emitter.blinking.off_emission_rate_per_ms",
+     dict(type=float, help="uncorrelated background in counts/ms")),
+    ("correlate lifetime blink", "input", "input",
+     dict(help="binary timestamp file")),
+    ("correlate lifetime blink", "--duration-ps", "duration_ps",
+     dict(type=int)),
+    ("simulate correlate lifetime blink", "--workers", "workers",
+     dict(type=int)),
+    ("simulate", "-o --output", "output", {}),
+    ("correlate", "--window", "correlation.window_ns",
+     dict(type=float, help="half-window in ns")),
+    ("correlate", "--bin-width", "correlation.bin_width_ps",
+     dict(type=int, help="bin width in ps")),
+    ("correlate", "--fit", "", dict(choices=list(_G2_FITS), default="none")),
+    ("correlate", "--period", "correlation.period_ns",
+     dict(type=float,
+          help="pulse period in ns when the file has no sync channel")),
+    ("correlate", "--n-side", "correlation.n_side",
+     dict(type=int, help="side peaks per side in the pulsed fit")),
+    ("correlate", "-o --output", "correlation.csv", dict(default="g2.csv")),
+    ("lifetime", "--bin-width", "lifetime.bin_width_ps",
+     dict(type=int, help="bin width in ps")),
+    ("lifetime", "--period", "lifetime.period_ns",
+     dict(type=float,
+          help="pulse period in ns when the file has no sync channel")),
+    ("lifetime", "--components", "lifetime.n_components", dict(type=int)),
+    ("lifetime", "-o --output", "lifetime.csv", dict(default="decay.csv")),
+    ("blink", "--threshold", "blinking.threshold_per_ms",
+     dict(type=float, help="ON/OFF threshold in counts/ms")),
+    ("blink", "--bin-ms", "blinking.bin_width_ms",
+     dict(type=float, help="intensity bin width in ms")),
+    ("blink", "--min-dwell-ms", "blinking.min_dwell_ms", dict(type=float)),
+    ("blink", "--tau-min-ms", "blinking.tau_min_ms", dict(type=float)),
+)
 
 
 def _outdir(args) -> str:
@@ -127,17 +208,28 @@ def _print_result(name: str, res: dict) -> None:
         print(f"histogram written to {res['csv']}")
 
 
-def _run_job(args, name: str, **keys) -> int:
-    """Run the source or analysis ``name`` alone, as a job of ``keys`` and
-    of an analysis's reader flags; print its result or its error."""
-    if name == "simulate":
-        config = {"mode": "simulate", **keys}
-    else:
-        config = _given(mode="analyze", analyses=[name], input=args.input,
-                        duration_ps=args.duration_ps, workers=args.workers,
-                        **keys)
-        for section in keys:  # refused before any file is read
-            _section(config, section)
+def _run_job(args) -> int:
+    """Run a one-job subcommand's job: each flag that was set gives its
+    value to the job keys of its ``_FLAGS`` row, and an unset one (None)
+    leaves them to the job's default. Print the job's result or error."""
+    name = args.job or _G2_FITS[args.fit]
+    config = ({"mode": "simulate"} if name == "simulate"
+              else {"mode": "analyze", "analyses": [name]})
+    for commands, names, keys, _, *to_job in _FLAGS:
+        if args.command not in commands.split():
+            continue
+        # argparse's dest: the last name, without dashes
+        value = getattr(args, names.split()[-1].lstrip("-").replace("-", "_"))
+        if value is not None:
+            value = to_job[0](value) if to_job else value
+            for key in keys.split():
+                *parents, last = key.split(".")
+                node = config
+                for part in parents:
+                    node = node.setdefault(part, {})
+                node[last] = value
+    for section in config.keys() & _KEYS.keys():
+        _section(config, section)  # refused before any file is read
     doc = run_pipeline(config, base_dir=_outdir(args))
     _print_errors(doc.errors)
     if doc.ok:
@@ -145,52 +237,10 @@ def _run_job(args, name: str, **keys) -> int:
     return 0 if doc.ok else 1
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-def cmd_simulate(args) -> int:
-    period_ps = (None if args.period is None
-                 else _span(PS_PER_NS)(args.period, "--period"))
-    blinking = _given(kind=args.blinking, alpha_on=args.alpha,
-                      alpha_off=args.alpha,
-                      off_emission_rate_per_ms=args.background_per_ms)
-    return _run_job(args, "simulate", **_given(
-        seed=args.seed, duration_s=args.duration_s,
-        workers=args.workers, output=args.output,
-        emitter=_given(lifetime_ns=args.lifetime_ns, blinking=blinking),
-        excitation=_given(
-            mode=args.mode, cw_rate_per_s=args.rate_per_s,
-            pulse_period_ps=period_ps,
-            excitation_probability=args.excitation_probability),
-        detector=_given(
-            efficiency=args.efficiency, dark_rate_per_ms=args.dark_rate_per_ms,
-            jitter_sigma_ps=args.jitter_ps, dead_time_ps=args.dead_time_ps)))
-
-
-def cmd_correlate(args) -> int:
-    name = {"none": "g2", "cw": "g2cw", "pulsed": "g2pw"}[args.fit]
-    return _run_job(args, name, correlation=_given(
-        window_ns=args.window, bin_width_ps=args.bin_width,
-        period_ns=args.period, n_side=args.n_side, csv=args.output))
-
-
-def cmd_lifetime(args) -> int:
-    return _run_job(args, "lifetime", lifetime=_given(
-        bin_width_ps=args.bin_width, period_ns=args.period,
-        n_components=args.components, csv=args.output))
-
-
-def cmd_blink(args) -> int:
-    return _run_job(args, "blinking", blinking=_given(
-        threshold_per_ms=args.threshold, bin_width_ms=args.bin_ms,
-        min_dwell_ms=args.min_dwell_ms, tau_min_ms=args.tau_min_ms))
-
-
 def cmd_fit(args) -> int:
     # Read by the flag's name for every model, then refused, not ignored,
     # where the model does not read it.
-    period_ps = (None if args.period is None
-                 else _span(PS_PER_NS)(args.period, "--period"))
+    period_ps = _period_flag(args.period)
     for dest in {"cw": ("period", "n_side", "components"),
                  "pulsed": ("components",), "decay": ("n_side",)}[args.model]:
         if getattr(args, dest) is not None:
@@ -204,8 +254,7 @@ def cmd_fit(args) -> int:
     config = {"correlation": _given(period_ns=args.period, n_side=args.n_side),
               "lifetime": _given(n_components=args.components)}
     _print_fit(run_lifetime(hist, config) if args.model == "decay" else
-               run_g2_fit({"cw": "g2cw", "pulsed": "g2pw"}[args.model],
-                          hist, {}, config))
+               run_g2_fit(_G2_FITS[args.model], hist, {}, config))
     return 0
 
 
@@ -237,71 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     overridable.add_argument(
         "--config", default=None, metavar="JSON",
         help="JSON file whose values override command-line flags")
-    reader = argparse.ArgumentParser(add_help=False)
-    reader.add_argument("input", help="binary timestamp file")
-    reader.add_argument("--duration-ps", type=int)
-    reader.add_argument("--workers", type=int)
 
     parser = argparse.ArgumentParser(
         prog="photonkit",
         description="Photon correlation analysis for single-emitter "
                     "characterization")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common, overridable],
-                       help="generate a synthetic timestamp file")
-    p.add_argument("--mode", choices=["cw", "pulsed"])
-    p.add_argument("--duration-s", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lifetime-ns", type=float)
-    p.add_argument("--rate-per-s", type=float,
-                   help="CW excitation rate (1/s)")
-    p.add_argument("--period", type=float,
-                   help="pulse period in ns (pulsed mode)")
-    p.add_argument("--excitation-probability", type=float)
-    p.add_argument("--efficiency", type=float)
-    p.add_argument("--dark-rate-per-ms", type=float)
-    p.add_argument("--jitter-ps", type=float)
-    p.add_argument("--dead-time-ps", type=int)
-    p.add_argument("--blinking",
-                   choices=["none", "power_law", "two_state_exponential"])
-    p.add_argument("--alpha", type=float,
-                   help="power-law exponent for both states")
-    p.add_argument("--background-per-ms", type=float,
-                   help="uncorrelated background in counts/ms")
-    p.add_argument("--workers", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_simulate, parser=p)
-
-    p = sub.add_parser("correlate", parents=[common, overridable, reader],
-                       help="cross-correlate the two detector channels")
-    p.add_argument("--window", type=float, help="half-window in ns")
-    p.add_argument("--bin-width", type=int, help="bin width in ps")
-    p.add_argument("--fit", choices=["none", "cw", "pulsed"], default="none")
-    p.add_argument("--period", type=float,
-                   help="pulse period in ns when the file has no sync channel")
-    p.add_argument("--n-side", type=int,
-                   help="side peaks per side in the pulsed fit")
-    p.add_argument("-o", "--output", default="g2.csv")
-    p.set_defaults(func=cmd_correlate, parser=p)
-
-    p = sub.add_parser("lifetime", parents=[common, overridable, reader],
-                       help="sync-referenced decay histogram and fit")
-    p.add_argument("--bin-width", type=int, help="bin width in ps")
-    p.add_argument("--period", type=float,
-                   help="pulse period in ns when the file has no sync channel")
-    p.add_argument("--components", type=int)
-    p.add_argument("-o", "--output", default="decay.csv")
-    p.set_defaults(func=cmd_lifetime, parser=p)
-
-    p = sub.add_parser("blink", parents=[common, overridable, reader],
-                       help="intensity thresholding and dwell statistics")
-    p.add_argument("--threshold", type=float,
-                   help="ON/OFF threshold in counts/ms")
-    p.add_argument("--bin-ms", type=float, help="intensity bin width in ms")
-    p.add_argument("--min-dwell-ms", type=float)
-    p.add_argument("--tau-min-ms", type=float)
-    p.set_defaults(func=cmd_blink, parser=p)
+    for command, (summary, job) in _JOBS.items():
+        p = sub.add_parser(command, parents=[common, overridable],
+                           help=summary)
+        for commands, names, _, options, *_ in _FLAGS:
+            if command in commands.split():
+                p.add_argument(*names.split(), **options)
+        p.set_defaults(func=_run_job, parser=p, job=job)
 
     p = sub.add_parser("fit", parents=[common, overridable],
                        help="refit an exported histogram CSV")

@@ -515,7 +515,8 @@ class DecayHistogram(_ArrayRecord):
     bin_width: int = _ps()
     period: int = _ps()
     counts: np.ndarray = _array(np.int64)
-    discarded: int = field(metadata={"convert": _whole}, default=0)
+    discarded: int = field(
+        metadata={"convert": functools.partial(_whole, low=0)}, default=0)
 
     def validate(self) -> None:
         bw, t = self.bin_width, self.period
@@ -540,12 +541,13 @@ class IntensityTrace(_ArrayRecord):
     """Binned count rate versus time, the raw material of blinking analysis.
 
     The default bin width of 1e9 ps (1 ms) matches the usual blinking
-    threshold units of counts per millisecond.
+    threshold units of counts per millisecond. A ``duration`` of 0, the
+    default, is the bins' span.
     """
 
     counts: np.ndarray = _array(np.int64)
     bin_width: int = _ps(default=PS_PER_MS)
-    duration: int = _ps(default=0)
+    duration: int = _ps(low=0, default=0)
 
     def __post_init__(self):
         super().__post_init__()

@@ -281,12 +281,16 @@ class TestNanCutoffs:
                            match="^tau_min_ms must be a number, got nan"):
             estimator(d, tau_min_ms=self.NAN)
 
-    @pytest.mark.parametrize("key", ["min_dwell_ms", "tau_min_ms"])
-    def test_analyze_blinking_refuses(self, key):
+    @pytest.mark.parametrize("key, value, message", [
+        ("min_dwell_ms", NAN, "must be a number"),
+        ("tau_min_ms", NAN, "must be a number"),
+        ("tau_min_ms", -1, "must be positive")],
+        ids=["min_dwell_ms", "tau_min_ms", "tau_min_ms_negative"])
+    def test_analyze_blinking_refuses(self, key, value, message):
         # Too few dwells to fit: tau_min_ms is refused before any fit.
         trace = trace_of([100, 0, 100, 100, 0, 0, 100])
-        with pytest.raises(ValueError, match=f"^{key} must be a number"):
-            pk.analyze_blinking(trace, 50.0, **{key: self.NAN})
+        with pytest.raises(ValueError, match=f"^{key} {message}"):
+            pk.analyze_blinking(trace, 50.0, **{key: value})
 
 
 class TestAnalyzeBlinking:
@@ -338,3 +342,23 @@ class TestAnalyzeBlinking:
         assert result.alpha_on is None
         assert result.on_durations_ms.size == 0
         assert result.mean_on_rate_per_ms == pytest.approx(100.0)
+
+    # ON and OFF run lengths in 1 ms bins. (a): one ON dwell at or above
+    # tau_min_ms = 5. (b): every ON dwell is as long as the cut-off, the
+    # sample minimum, so the estimator refuses the ON sample.
+    REFUSED_ON = {
+        "one_above_cutoff": ([10 if k == 10 else 1 + k % 4 for k in range(20)],
+                             [5 + k % 5 for k in range(20)], 5.0),
+        "no_spread": ([1] * 30, [1 + k % 5 for k in range(30)], None),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSED_ON))
+    def test_refused_state_reports_none(self, case):
+        on, off, tau_min_ms = self.REFUSED_ON[case]
+        counts = [c for a, b in zip(on, off) for c in [100] * a + [0] * b]
+        result = pk.analyze_blinking(trace_of(counts), 50.0,
+                                     tau_min_ms=tau_min_ms)
+        assert result.alpha_on is None and result.model_on is None
+        assert result.alpha_off is not None and result.model_off is not None
+        assert result.mean_on_rate_per_ms == pytest.approx(100.0)
+        assert result.mean_off_rate_per_ms == pytest.approx(0.0)

@@ -250,6 +250,8 @@ class TestDecayHistogram:
         assert h.discarded == 7 and type(h.discarded) is int
         with pytest.raises(ValueError, match="discarded"):
             pk.DecayHistogram(500, 1000, [1, 2], 0.5)
+        with pytest.raises(ValueError, match="^discarded must be >= 0"):
+            pk.DecayHistogram(100, 1000, np.zeros(10, np.int64), -3)
 
     def test_bin_wider_than_period_rejected(self):
         with pytest.raises(ValueError, match="must not exceed period"):
@@ -271,6 +273,8 @@ class TestIntensityTrace:
     def test_mismatched_duration_rejected(self):
         with pytest.raises(ValueError, match="expected"):
             pk.IntensityTrace([1, 2, 3], bin_width=100, duration=150)
+        with pytest.raises(ValueError, match="^duration must be >= 0, got -5"):
+            pk.IntensityTrace(np.zeros(0, np.int64), 1000, -5)
 
 
 class TestSegment:
