@@ -208,10 +208,10 @@ def run_simulate(config: dict, base: str = ".") -> tuple[dict, dict]:
                         "excitation")
     detector = _build(DetectorModel, config.get("detector"), "detector")
     path = _out_path(base, job["output"], "output")
-    # The emission record is not kept here, so detection frees it once
-    # its photons are routed, before the channel pass. This stage peaks
-    # while emission joins its pieces, or while detection routes them,
-    # holding the record and the routed photons at once.
+    # The emission record is not kept here, so detection writes the
+    # routed photons back into the record's own times (``detect_hbt``).
+    # This stage peaks while emission joins its pieces, or while
+    # detection routes them into the record.
     ch0, ch1, sync = detect_hbt(
         generate_emission(emitter, excitation, duration, seed, workers),
         detector, seed, workers)
@@ -237,8 +237,15 @@ def run_load(config: dict, hasher=None) -> tuple[dict, dict]:
     job = _section(config)
     if not job["input"]:
         raise ValueError("analyze mode needs an 'input' file")
-    streams = read_timestamps(job["input"], job["duration_ps"],
-                              workers=job["workers"], hasher=hasher)
+    try:
+        streams = read_timestamps(job["input"], job["duration_ps"],
+                                  workers=job["workers"], hasher=hasher)
+    except ValueError as e:
+        # Every other input was checked under its job key above, so the
+        # reader refused the duration, under its own argument name.
+        if job["duration_ps"] is None:
+            raise
+        raise ValueError(f"duration_ps: {e}") from None
     return {
         "channels": sorted(streams),
         "counts": {str(c): len(s) for c, s in sorted(streams.items())},

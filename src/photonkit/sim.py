@@ -17,9 +17,10 @@ Detection takes ``workers`` too: each of its draws starts at its known
 offset in one seeded stream on its own generator, and its two channels are
 mapped, so its output does not depend on ``workers`` either. It walks the
 photons in segments of ``_SEGMENT`` blocks: while one task draws the jitter
-of the next segment, another draws the splitter and efficiency uniforms of
-this one and keeps its photons per channel (``core._Pool.overlap``), so
-no draw or mask spans the whole emission. Pulsed pieces start their draws
+normals of the next segment into one of two reused buffers, another draws
+the splitter and efficiency uniforms of this one and keeps its photons per
+channel, jittering only those (``core._Pool.overlap``), so no draw or mask
+spans the whole emission. Pulsed pieces start their draws
 at known offsets too (see ``_pulsed_piece``). All these draws, and a CW
 piece's decay times, run in blocks of ``core._BLOCK`` values through one
 reused buffer; a CW piece draws its waits whole and casts its times to
@@ -27,12 +28,18 @@ int64 in place. The pieces and the background, and a channel's segments
 and dark counts, are assembled by one rule (``_assembled``): copied into
 one array, unless there is one part, then sorted and cut in place. The
 background is drawn first, so a lone piece is drawn with room for it.
-Detection drops the emission record once its photons are routed, so a
-record that its caller does not keep is freed before the channel pass.
+Detection drops the emission record before it routes a photon. When that
+leaves it the only holder of the record's times (``_unshared``, numpy's
+own test before a resize), it writes the kept photons back into them and
+makes them channel 0's array; otherwise, as always under Python 3.10,
+whose calling frame holds the record, the record is never written and is
+freed, if no one else holds it, before the channel pass.
 """
 
 from __future__ import annotations
 
+import sys
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -543,28 +550,74 @@ def _dead_time_filter(times: np.ndarray, dead: int) -> np.ndarray:
 
     Events whose raw gap to their predecessor already satisfies the dead
     time are provably kept (dropping events only moves the last-kept time
-    earlier), so only the others, the contested events, need a sequential
-    pass. That pass reads just the contested events and their
-    predecessors, so beyond a few vector passes over ``times`` the cost
-    scales with the number of contested events, not the stream length.
+    earlier); call the others contested. The first contested event of a
+    run of consecutive ones follows a kept event by less than the dead
+    time, so it is dropped. Only the later events of a run need a
+    sequential pass, which starts each run from the kept event before it,
+    so beyond a few vector passes over ``times`` the cost scales with the
+    number of those events, not the stream length.
     """
     if dead <= 0 or times.size < 2:
         return times
-    uncertain = np.concatenate([  # the gaps, a block at a time
+    contested = np.concatenate([  # the gaps, a block at a time
         np.flatnonzero(np.diff(times[lo:lo + _BLOCK + 1]) < dead) + (lo + 1)
         for lo in range(0, times.size - 1, _BLOCK)])
-    if uncertain.size == 0:
+    if contested.size == 0:
         return times
     keep = np.ones(times.size, dtype=bool)
-    kept = memoryview(keep)  # Python-speed item access in the loop
-    for idx, t_prev, t in zip(uncertain.tolist(),
-                              times[uncertain - 1].tolist(),
-                              times[uncertain].tolist()):
-        if kept[idx - 1]:
-            last_kept_time = t_prev
-        if t - last_kept_time < dead:
-            kept[idx] = False
+    keep[contested] = False
+    in_run = np.diff(contested) == 1  # contested[k + 1] follows contested[k]
+    later = contested[1:][in_run]
+    if later.size:
+        # A run's pass starts at its second event, from the kept event
+        # before its first.
+        second = np.concatenate(([True], ~in_run[:-1]))[in_run]
+        kept = []
+        for idx, starts, t_before, t in zip(later.tolist(), second.tolist(),
+                                            times[later - 2].tolist(),
+                                            times[later].tolist()):
+            if starts:
+                last = t_before
+            if t - last >= dead:
+                last = t
+                kept.append(idx)
+        keep[kept] = True
     return times[keep]
+
+
+def _unshared(box: list) -> bool:
+    """Whether the array that ``box``, a one-item list, holds may be
+    written in place: it owns its data, no weak reference points to it,
+    and ``box`` holds the only reference to it. This is numpy's test
+    before a ``resize`` with ``refcheck=True``, which a resize to the same
+    size skips."""
+    return (sys.getrefcount(box[0]) == 2 and box[0].base is None
+            and weakref.getweakrefcount(box[0]) == 0)
+
+
+def _parted(t: np.ndarray, written: list, parts: tuple) -> None:
+    """Make each channel's ``parts`` one array, from the routed photons at
+    the front of ``t`` (segment by segment, channel 0's then channel 1's;
+    ``written`` holds their counts) and the parts already there: channel
+    1's are copied out to a new array, then channel 0's are moved to the
+    front of ``t``, which is cut to them and their parts and kept."""
+    ones, at = [], 0
+    for a, b in written:
+        ones.append(t[at + a:at + a + b])
+        at += a + b
+    ones += parts[CHANNEL_B]
+    parts[CHANNEL_B][:] = [_joined(ones)]  # which empties ``ones``
+    at = start = 0
+    for a, b in written:
+        t[at:at + a] = t[start:start + a]
+        at += a
+        start += a + b
+    rest = parts[CHANNEL_A]
+    t.resize(at + sum(part.size for part in rest), refcheck=False)
+    for part in rest:
+        t[at:at + part.size] = part
+        at += part.size
+    parts[CHANNEL_A][:] = [t]
 
 
 def detect_hbt(emission: EmissionRecord | TimestampStream,
@@ -581,21 +634,29 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     registered one on the same channel are dropped.
 
     The photons are taken in segments of ``_SEGMENT`` blocks of
-    ``core._BLOCK``. ``workers`` threads draw the jitter of one segment
-    while they route the one before it (its splitter and efficiency
-    uniforms, then its kept photons per channel; ``core._Pool.overlap``),
-    and then assemble (``_assembled``) and filter the two channels. Any
-    value yields bit-identical output: the draws are one seeded stream in
-    a fixed order (splitter and efficiency uniforms, jitter normals, then
+    ``core._BLOCK``. ``workers`` threads draw the jitter normals of one
+    segment, into one of two reused buffers, while they route the one
+    before it: its splitter and efficiency uniforms, then its kept
+    photons per channel, jittered (``core._Pool.overlap``). They then
+    assemble (``_assembled``) and filter the two channels. Any value
+    yields bit-identical output: the draws are one seeded stream in a
+    fixed order (splitter and efficiency uniforms, jitter normals, then
     each channel's dark counts), and a uniform takes exactly one 64-bit
     output per photon, so each draw starts at its known offset in that
     stream on its own generator and goes on from segment to segment. The
     returned streams own their arrays.
 
-    Once its photons are routed it drops its reference to ``emission``,
-    so a record the caller keeps no reference to (as in
-    ``detect_hbt(generate_emission(...), ...)``) is freed before the two
-    channels are assembled and dead-time filtered.
+    It drops its reference to ``emission`` before it routes a photon, so
+    a record the caller keeps no reference to (as in
+    ``detect_hbt(generate_emission(...), ...)``) is freed then. If that
+    leaves this call the only holder of the record's times (``_unshared``:
+    they own their data, have no weak reference and no other reference),
+    each segment's kept photons are written back into that array, just
+    behind the segment being read, and it becomes channel 0's array
+    (``_parted``). Otherwise (the caller, a wrapper or a weak reference
+    still holds the record or its times, as a calling frame always does
+    under Python 3.10), the record is never written, and each segment's
+    photons go to arrays of their own.
 
     Returns
     -------
@@ -606,36 +667,61 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
         sync is an empty :class:`TimestampStream`.
     """
     if isinstance(emission, TimestampStream):
-        t, excitation = emission.events, None
+        box, excitation = [emission.events], None
     else:
-        t, excitation = emission.times, emission.excitation
-    n = t.size
+        box, excitation = [emission.times], emission.excitation
     duration = emission.duration
+    del emission
+    in_place = _unshared(box)
+    t = box.pop()
+    if in_place:
+        t.flags.writeable = True
+    n = t.size
     # Each task draws from its own generator, started at its draw's offset.
     split_rng = _rng(seed, _TAG_DETECT)
     kept_rng = _rng(seed, _TAG_DETECT, skip=n)
     jitter_rng = _rng(seed, _TAG_DETECT, skip=2 * n)
     step = _SEGMENT * _BLOCK
+    sigma = detector.jitter_sigma_ps
+    # One segment's normals are drawn into one buffer while the segment
+    # before it reads the other.
+    normals = [np.empty(min(n, step)) for _ in range(2 if sigma > 0 else 0)]
     parts = ([], [])  # by channel id: kept photons, an array per segment
+    written = []  # in place: each segment's photons by channel, in ``t``
 
-    def jittered(lo: int) -> np.ndarray:
+    def drawn(lo: int) -> tuple:
+        """Segment ``lo``'s start and jitter normals (None without)."""
+        if not normals:
+            return lo, None
+        z = normals[lo // step % 2][:min(step, n - lo)]
+        return lo, jitter_rng.standard_normal(out=z)
+
+    def route(segment: tuple) -> None:
+        lo, z = segment
         seg = t[lo:lo + step]
-        if detector.jitter_sigma_ps <= 0:
-            return seg
-        # normal(0, s) is 0 + s * z, bit for bit
-        out = np.empty(seg.size, np.int64)
-        for b, z in _drawn(jitter_rng.standard_normal, seg.size):
-            z *= detector.jitter_sigma_ps
-            out[b] = np.rint(z, out=z)
-            out[b] += seg[b]
-        return out
-
-    def route(times: np.ndarray) -> None:
-        to_a = _below(split_rng.random, times.size, detector.splitter_ratio)
-        kept = _below(kept_rng.random, times.size, detector.efficiency)
-        # Indices first: a gather by index beats a boolean-mask gather.
-        parts[CHANNEL_A].append(times[np.flatnonzero(to_a & kept)])
-        parts[CHANNEL_B].append(times[np.flatnonzero(kept & ~to_a)])
+        to_a = _below(split_rng.random, seg.size, detector.splitter_ratio)
+        kept = _below(kept_rng.random, seg.size, detector.efficiency)
+        # Both channels are gathered before either is written back: the
+        # writes can reach into ``seg``. Indices first: a gather by index
+        # beats a boolean-mask gather.
+        picked = []
+        for index in (np.flatnonzero(to_a & kept),
+                      np.flatnonzero(kept & ~to_a)):
+            times = seg[index]
+            if z is not None:  # normal(0, s) is 0 + s * z, bit for bit
+                jitter = z[index]
+                jitter *= sigma
+                times += np.rint(jitter, out=jitter).astype(np.int64)
+            picked.append(times)
+        if not in_place:
+            for ch, times in zip((CHANNEL_A, CHANNEL_B), picked):
+                parts[ch].append(times)
+            return
+        at = sum(map(sum, written))
+        for times in picked:
+            t[at:at + times.size] = times
+            at += times.size
+        written.append([times.size for times in picked])
 
     def channel(ch: int) -> TimestampStream:
         times = _assembled(parts[ch], duration)
@@ -644,16 +730,19 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
 
     with _Pool(workers, 2) as pool:  # one pool for every step
         # Segment r's jitter is drawn while segment r - 1 is routed.
-        pool.overlap(jittered, route, range(0, n, step))
-        # The record is read no more. Dropping the argument and the cell
-        # ``jittered`` reads frees it before the channel pass when the
-        # caller keeps no reference to it.
-        del emission, t
+        pool.overlap(drawn, route, range(0, n, step))
+        normals.clear()
         for ch in (CHANNEL_A, CHANNEL_B):  # dark counts, after the jitter
             n_dark = jitter_rng.poisson(detector.dark_rate_per_ms * duration
                                         / PS_PER_MS)
             if n_dark:
                 parts[ch].append(jitter_rng.integers(0, duration + 1, n_dark))
+        if in_place:
+            _parted(t, written, parts)
+        # The record's times are read no more: dropping them (and the cell
+        # the tasks read) frees them before the channel pass, unless they
+        # are channel 0's array or someone else holds them.
+        del t
         streams = pool.map(channel, (CHANNEL_A, CHANNEL_B))
 
     if excitation is not None and excitation.mode == "pulsed":

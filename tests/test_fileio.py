@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import struct
+import sys
 import threading
 import time
 from datetime import datetime
@@ -868,6 +869,70 @@ class TestReadDigestTask:
             assert err.value.code == "unsorted_records"
             assert str(err.value) == "record 1700 goes backwards in time"
             assert threading.active_count() == threads
+
+
+class CountingHasher:
+    """A SHA-256 that counts the bytes it has been fed."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.fed = 0
+
+    def update(self, data):
+        self.sha.update(data)
+        self.fed += memoryview(data).nbytes
+
+    def hexdigest(self):
+        return self.sha.hexdigest()
+
+
+class TestReadRelease:
+    """The reader releases each block of records from the mapping
+    (``fileio._release``) once its channel ids are counted and again once
+    it is split and hashed, so the whole mapping is never resident. Every
+    block must be released twice, the second time after the hasher has
+    been fed through its end, and the streams and the digest must not
+    change. The hashing thread and the splitting threads count down each
+    block's readers under a lock; a lost update would leave a block
+    unreleased, so threads are switched as often as the interpreter
+    allows."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 7, 64, fileio._BLOCK])
+    def test_every_block_released_once_hashed(self, tmp_path, monkeypatch,
+                                              block, workers):
+        rng = np.random.default_rng(44)
+        streams = [stream(np.sort(rng.integers(0, 10**6, 500)), channel=c)
+                   for c in (0, 1)]
+        streams.append(PeriodicStream(255, 0, 1000, 1000, 10**6))
+        path = tmp_path / "x.ptst"
+        write_timestamps(streams, path)
+        raw = path.read_bytes()
+        hasher = CountingHasher()
+        released = []
+        release = fileio._release
+
+        def spy(mapped, lo, hi):
+            released.append((lo, hi, hasher.fed))
+            release(mapped, lo, hi)
+
+        monkeypatch.setattr(fileio, "_release", spy)
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = read_timestamps(path, workers=workers, hasher=hasher)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == reference_read(raw)
+        assert hasher.hexdigest() == hashlib.sha256(raw).hexdigest()
+        size = RECORD_DTYPE.itemsize
+        spans = [(HEADER.size + lo * size, HEADER.size + min(lo + block, 1000)
+                  * size) for lo in range(0, 1000, block)]
+        assert sorted({(lo, hi) for lo, hi, _ in released}) == spans
+        for lo, hi in spans:
+            fed = [n for a, b, n in released if (a, b) == (lo, hi)]
+            assert len(fed) == 2 and fed[1] >= hi, (lo, hi)
 
 
 class TestMappedRead:

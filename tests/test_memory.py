@@ -126,3 +126,31 @@ class TestRecordRelease:
         # the channel pass took 3.4 (workers 1) to 5.8 bytes per photon.
         returned = ch0.events.nbytes + ch1.events.nbytes
         assert (peak - start - returned) / n <= 2.5
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the calling frame holds the "
+                           "arguments of a call until it returns")
+class TestInPlaceDetection:
+    """Handed a record no one else holds, as the simulate stage hands it,
+    detection writes the kept photons back into the record's times and
+    makes them channel 0's array, so beyond the record it holds one
+    segment's draws and then channel 1's photons."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_above_the_record(self, workers):
+        with tracing():
+            args = [pk.generate_emission(
+                pk.EmitterModel(), pk.ExcitationConfig(
+                    "pulsed", excitation_probability=0.5), 2 * PS_S // 5,
+                seed=51)]
+            n = len(args[0])
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            pk.detect_hbt(args.pop(), pk.DetectorModel(efficiency=0.6),
+                          seed=53, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        # 3.2 bytes per photon; routing to arrays of its own, as for a
+        # record the caller keeps, took 6.9. On pulsed_sync's 5.0M photons
+        # the traced peak with the record was 52.9 MB against 73.9 MB.
+        assert (peak - start) / n <= 4.5

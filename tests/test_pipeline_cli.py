@@ -1111,6 +1111,9 @@ class TestFloatJobKeys:
          "correlation.bin_width_ps must be a number of ps, got None"),
         ("analyze", "input", {"duration_ps": "abc"},
          "duration_ps must be a number of ps, got 'abc'"),
+        ("analyze", "input", {"duration_ps": 1000},
+         "duration_ps: duration 1000 is before the last event "
+         "249999924715"),
         ("simulate", "simulate", {"duration_s": -1},
          "duration_s must be positive, got -1"),
         ("analyze", "blinking", {"blinking": {"bin_width_ms": -1}},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +222,39 @@ class TestDeadTimeFilter:
         out = _dead_time_filter(times, dead)
         np.testing.assert_array_equal(out, greedy_dead_time(times.tolist(), dead))
         assert out.size < times.size // 3
+
+
+@st.composite
+def contested_runs(draw):
+    """Sorted times made of 1-6 runs: each run is one event at least
+    ``dead`` after its predecessor, then 1-50 events closer than ``dead``
+    to theirs (ties and gaps of ``dead - 1`` among them); and ``dead``,
+    1 (where only ties are contested) or more."""
+    dead = draw(st.sampled_from([1, 2, 5, 22, 1000]))
+    close = st.one_of(st.sampled_from([0, dead - 1]), st.integers(0, dead - 1))
+    gaps = []
+    for _ in range(draw(st.integers(1, 6))):
+        gaps.append(draw(st.sampled_from([dead, dead + 1, 2 * dead,
+                                          10 * dead])))
+        gaps += draw(st.lists(close, min_size=1, max_size=50))
+    times = draw(st.integers(0, 100)) + np.cumsum(gaps)
+    return times.astype(np.int64), dead
+
+
+class TestDeadTimeRuns:
+    """The filter drops the first contested event of each run without
+    its loop, and starts the loop over the run's later events from the
+    kept event before the run; it must equal a plain greedy loop."""
+
+    @given(contested_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_greedy_loop(self, case):
+        times, dead = case
+        kept = []
+        for t in times.tolist():
+            if not kept or t - kept[-1] >= dead:
+                kept.append(t)
+        np.testing.assert_array_equal(_dead_time_filter(times, dead), kept)
 
 
 class TestDetectHbt:
@@ -513,6 +547,116 @@ class TestDetectSegments:
         np.testing.assert_array_equal(ch0.events, want0)
         np.testing.assert_array_equal(ch1.events, want1)
         assert ch0.events.base is None and ch1.events.base is None
+
+
+def in_place_calls(monkeypatch) -> list:
+    """What ``sim._unshared``, the test that lets detection write the
+    record's times in place, returns at each call, in order."""
+    seen = []
+    unshared = pk.sim._unshared
+
+    def spy(box):
+        seen.append(unshared(box))
+        return seen[-1]
+
+    monkeypatch.setattr(pk.sim, "_unshared", spy)
+    return seen
+
+
+# The in-place path is never taken before 3.11.
+frame_drops_arguments = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 the calling frame holds the arguments of a call "
+           "until it returns")
+
+
+class TestDetectInPlace:
+    """Handed a record no one else holds, as the simulate stage hands it
+    (``detect_hbt(generate_emission(...), ...)``), detection writes each
+    segment's kept photons back into the record's times, which become
+    channel 0's array. Its streams must equal those of the same call on a
+    record the caller keeps, which is never written, and the simulate
+    stage must write the same file either way."""
+
+    SOURCES = {
+        "pulsed": ({"blinking": {"off_emission_rate_per_ms": 20.0}},
+                   {"mode": "pulsed", "excitation_probability": 0.5}, 0.01),
+        "power_law_cw": ({"blinking": {"kind": "power_law",
+                                       "max_dwell_ms": 5.0}},
+                         {"mode": "cw", "cw_rate_per_s": 2e6}, 0.02),
+    }
+    DETECTORS = [
+        dict(jitter_sigma_ps=j, efficiency=e, splitter_ratio=r,
+             dead_time_ps=d, dark_rate_per_ms=k)
+        for j in (0.0, 600.0) for e in (1.0, 0.6) for r in (0.0, 0.4, 1.0)
+        for d in (0, 22_000) for k in (0.0, 5.0)]
+
+    def emission(self, source, workers):
+        emitter, excitation, duration_s = self.SOURCES[source]
+        return pk.generate_emission(
+            pipeline._build(pk.EmitterModel, emitter, "emitter"),
+            pk.ExcitationConfig(**excitation), int(duration_s * PS_S),
+            seed=61, workers=workers)
+
+    @frame_drops_arguments
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("det", DETECTORS, ids=lambda d: "-".join(
+        f"{v:g}" for v in d.values()))
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_equals_the_kept_record_path(self, monkeypatch, source, det,
+                                         workers):
+        # Many segments, the last one cut short.
+        monkeypatch.setattr(pk.sim, "_BLOCK", 1000)
+        det = pk.DetectorModel(**det)
+        seen = in_place_calls(monkeypatch)
+        kept = self.emission(source, workers)
+        assert len(kept) > 4 * pk.sim._SEGMENT * 1000
+        want = pk.detect_hbt(kept, det, seed=62, workers=workers)
+        got = pk.detect_hbt(self.emission(source, workers), det, seed=62,
+                            workers=workers)
+        assert seen == [False, True]
+        assert got == want
+        for s in got[:2]:
+            assert s.events.base is None and not s.events.flags.writeable
+
+    @pytest.mark.parametrize("source", ["record", "raw_stream"])
+    @pytest.mark.parametrize("jitter", [0.0, 600.0])
+    def test_kept_record_is_not_written(self, monkeypatch, source, jitter):
+        monkeypatch.setattr(pk.sim, "_BLOCK", 1000)
+        seen = in_place_calls(monkeypatch)
+        rec = (self.emission("pulsed", 1) if source == "record" else
+               pk.simulate_poissonian(5e6, PS_S // 100, seed=63))
+        times = rec.times if source == "record" else rec.events
+        before = times.copy()
+        pk.detect_hbt(rec, pk.DetectorModel(jitter_sigma_ps=jitter),
+                      seed=64)
+        assert seen == [False]
+        np.testing.assert_array_equal(times, before)
+        assert not times.flags.writeable
+
+    @frame_drops_arguments
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_simulate_stage_writes_the_same_file(self, monkeypatch, tmp_path,
+                                                 source, workers):
+        monkeypatch.setattr(pk.sim, "_BLOCK", 1000)
+        emitter, excitation, duration_s = self.SOURCES[source]
+        job = {"mode": "simulate", "seed": 65, "duration_s": duration_s,
+               "emitter": emitter, "excitation": excitation,
+               "detector": {"efficiency": 0.6, "splitter_ratio": 0.4,
+                            "dark_rate_per_ms": 5.0}, "workers": workers}
+        seen = in_place_calls(monkeypatch)
+        in_place, _ = pipeline.run_simulate({**job, "output": "a.ptst"},
+                                            str(tmp_path))
+        # A wrapper holds the record, as a tracer's or a spy's would.
+        monkeypatch.setattr(pipeline, "detect_hbt",
+                            lambda *args: pk.detect_hbt(*args))
+        kept, _ = pipeline.run_simulate({**job, "output": "b.ptst"},
+                                        str(tmp_path))
+        assert seen == [True, False]
+        assert in_place["sha256"] == kept["sha256"]
+        assert ((tmp_path / "a.ptst").read_bytes()
+                == (tmp_path / "b.ptst").read_bytes())
 
 
 class TestCwQuantumYield:
