@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _MIN_FIT_SEGMENTS = 8  # fewest surviving dwells for which a state is fitted
+_TOO_FEW_DWELLS = "too few dwells to characterize"  # a sparse state's reason
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,9 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
     ``tau_min_ms`` (``_dwell_sample``) gets a power-law exponent and a
     model verdict. A sparser state reports None, and so does a state
     whose sample the estimator refuses (as when every dwell in it is as
-    long as the cut-off); the other state is fitted all the same. A
+    long as the cut-off); the other state is fitted all the same. The
+    result's ``reason_on``/``reason_off`` say which: "too few dwells to
+    characterize", or the estimator's refusal. A
     ``tau_min_ms`` that is not a positive number is refused before
     either state is fitted.
 
@@ -240,19 +243,20 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
                       if not s.on and s.duration_ms >= min_dwell_ms])
 
     def characterize(durations):
+        """The state's exponent, verdict and, if unfitted, the reason."""
         if durations.size == 0:
-            return None, None
+            return None, None, _TOO_FEW_DWELLS
         sample, cutoff = _dwell_sample(durations, tau_min_ms)
         if sample.size < _MIN_FIT_SEGMENTS:
-            return None, None
+            return None, None, _TOO_FEW_DWELLS
         try:
             comp = compare_dwell_models(sample, cutoff)
-        except ValueError:  # the estimator refused this sample
-            return None, None
-        return comp.alpha, comp.verdict
+        except ValueError as exc:  # the estimator refused this sample
+            return None, None, f"estimator refused the dwells: {exc}"
+        return comp.alpha, comp.verdict, None
 
-    alpha_on, model_on = characterize(on_d)
-    alpha_off, model_off = characterize(off_d)
+    alpha_on, model_on, reason_on = characterize(on_d)
+    alpha_off, model_off, reason_off = characterize(off_d)
     return BlinkingResult(
         threshold=float(threshold_per_ms),
         on_durations_ms=on_d,
@@ -263,4 +267,6 @@ def analyze_blinking(trace: IntensityTrace, threshold_per_ms: float = 50.0,
         model_off=model_off,
         mean_on_rate_per_ms=mean_rate(on_bins),
         mean_off_rate_per_ms=mean_rate(~on_bins),
+        reason_on=reason_on,
+        reason_off=reason_off,
     )

@@ -193,8 +193,8 @@ def _print_result(name: str, res: dict) -> None:
               f"off dwells = {res['n_off_dwells']}")
         for state in ("on", "off"):
             alpha = res[f"alpha_{state}"]
-            if alpha is None:
-                print(f"{state}: too few dwells to characterize")
+            if alpha is None:  # too few dwells, or the estimator refused
+                print(f"{state}: {res[f'reason_{state}']}")
             else:
                 print(f"{state}: alpha = {alpha}, "
                       f"model = {res[f'model_{state}']}")

@@ -126,6 +126,9 @@ class _Pool:
         threads = min(workers, most, os.cpu_count() or 1)
         self._pool = (ThreadPoolExecutor(max_workers=threads)
                       if threads > 1 else None)
+        # Products of ``overlap`` alive at once, so buffers a caller reuses
+        # across its steps: one for ``use`` and, threaded, one being made.
+        self.products = 1 if self._pool is None else 2
 
     def __enter__(self) -> "_Pool":
         if self._pool is not None:
@@ -143,9 +146,15 @@ class _Pool:
         return list(self._pool.map(fn, items))
 
     def overlap(self, make, use, keys) -> None:
-        """``use(make(k))`` for each of ``keys`` in order, where ``make`` of
-        key k runs beside ``use`` of key k - 1: one ``map`` of at most two
-        tasks per step. No task or product outlives the call."""
+        """``use(make(k))`` for each of ``keys`` in order. Threaded, ``make``
+        of key k runs beside ``use`` of key k - 1: one ``map`` of at most
+        two tasks per step, so two products are alive at once. With one
+        thread it runs key by key and holds one (``products``). No task
+        or product outlives the call."""
+        if self._pool is None:
+            for k in keys:
+                use(make(k))
+            return
         made = []  # the product that waits for ``use``: none or one
         for k in keys:
             tasks = [lambda k=k: make(k)] + [lambda p=p: use(p) for p in made]
@@ -763,7 +772,8 @@ class BlinkingResult(_ArrayRecord):
     Dwell durations are in milliseconds. ``alpha_on``/``alpha_off`` are the
     power-law exponents of the dwell distributions with one-sigma errors;
     ``model_on``/``model_off`` name the better dwell model ("power_law" or
-    "exponential") per state.
+    "exponential") per state. ``reason_on``/``reason_off`` say why a state
+    has no exponent, and are None for a fitted state.
     """
 
     threshold: float
@@ -775,3 +785,5 @@ class BlinkingResult(_ArrayRecord):
     model_off: str | None
     mean_on_rate_per_ms: float
     mean_off_rate_per_ms: float
+    reason_on: str | None = None
+    reason_off: str | None = None

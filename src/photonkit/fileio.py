@@ -30,10 +30,11 @@ The writer merges the streams into records a chunk at a time: a chunk
 ends at every ``core._BLOCK``-th event of each stream, and the cuts fall
 between ticks, so each chunk is sorted on its own. Consecutive sorted
 chunks make a batch of at most ``_BATCH // 2`` blocks of records (or
-one chunk, if that is larger), sorted into two buffers in turn, so the
-writer never holds the whole file. Given ``workers`` > 1, a thread of
-the package's pool hashes and writes each batch while the next one is
-sorted, by the pool's two-stage rule (``core._Pool.overlap``). The
+one chunk, if that is larger), sorted into one buffer, so the writer
+never holds the whole file. Given ``workers`` > 1, a thread of the
+package's pool hashes and writes each batch while the next one is sorted
+into a second buffer, by the pool's two-stage rule
+(``core._Pool.overlap``). The
 reader counts each block of ``core._BLOCK`` records per channel from
 the channel ids alone, which sizes every stream exactly. Its tasks then
 take contiguous runs of blocks: a task copies each block's times and
@@ -115,7 +116,7 @@ PERIODIC_TAG = b"PSYN"
 _TABLE_HEAD = struct.Struct("<4sB")
 _TABLE_ENTRY = struct.Struct("<BQQQ")
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_BATCH = 16  # blocks of ``_BLOCK`` records in the writer's two buffers
+_BATCH = 16  # blocks of ``_BLOCK`` records in two of the writer's batches
 # Blocks of records per update on the reader's hashing thread: each update
 # hands the GIL back, and one update a block cost cw_blinking's 70 MB
 # read 8 ms on 2 cores.
@@ -177,14 +178,14 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
     entry and adds no records; any other one is written pulse by pulse,
     quantized like every record.
 
-    The records are sorted a chunk at a time into two buffers of at most
+    The records are sorted a chunk at a time into buffers of at most
     ``_BATCH // 2`` blocks of ``core._BLOCK`` records (or one chunk, if
     that is larger), used in turn, so beyond its input the writer holds
-    about ``_BATCH`` blocks. ``hasher`` (a :mod:`hashlib` object) is fed
-    every byte of the file in file order. ``workers`` > 1 hashes and
-    writes one buffer on a second thread while the other fills
-    (``core._Pool.overlap``); a file of one batch starts no thread. The
-    bytes do not depend on it.
+    about ``_BATCH // 2`` blocks, or ``_BATCH`` given a second thread.
+    ``hasher`` (a :mod:`hashlib` object) is fed every byte of the file in
+    file order. ``workers`` > 1 hashes and writes one buffer on a second
+    thread while the other fills (``core._Pool.overlap``); a file of one
+    batch starts no thread. The bytes do not depend on it.
 
     Raises
     ------
@@ -228,9 +229,9 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
     sizes = np.diff(edges, axis=1).sum(axis=0)  # records per chunk
     n_records = int(sizes.sum())
     # Consecutive chunks make a batch of at most half of ``_BATCH`` blocks
-    # (or one chunk, if that is larger). Batches are sorted into two
-    # buffers in turn: while one fills, a pool task hashes and writes the
-    # other.
+    # (or one chunk, if that is larger). Batches are sorted into the
+    # buffers in turn: threaded, while one fills, a pool task hashes and
+    # writes the other.
     half = max(_BATCH // 2 * _BLOCK, sizes.max(initial=0))
     batches, held = [[]], 0
     for j, size in enumerate(sizes):
@@ -240,12 +241,10 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
         batches[-1].append(j)
         held += size
     batch_sizes = [int(sizes[batch].sum()) for batch in batches]
-    buffers = [np.zeros(max(batch_sizes[k::2], default=0), RECORD_DTYPE)
-               for k in range(min(len(batches), 2))]
 
     def fill(k: int) -> np.ndarray:
-        """Batch k's sorted records, in one of the two buffers."""
-        out = buffers[k % 2][:batch_sizes[k]]
+        """Batch k's sorted records, in one of the buffers, in turn."""
+        out = buffers[k % len(buffers)][:batch_sizes[k]]
         at = 0
         for j in batches[k]:
             lo, hi = edges[:, j], edges[:, j + 1]
@@ -262,6 +261,10 @@ def write_timestamps(streams, path, resolution: int = 1, workers: int = 1,
         return out.view(np.uint8)
 
     with open(path, "wb") as f, _Pool(workers, min(len(batches), 2)) as pool:
+        # As many buffers as the pool keeps batches alive: one serially.
+        m = pool.products
+        buffers = [np.zeros(max(batch_sizes[j::m]), RECORD_DTYPE)
+                   for j in range(m)]
 
         def flush(data) -> None:
             if hasher is not None:

@@ -330,6 +330,8 @@ def run_blinking(trace: IntensityTrace, config: dict) -> dict:
         "alpha_off": res.alpha_off,
         "model_on": res.model_on,
         "model_off": res.model_off,
+        "reason_on": res.reason_on,
+        "reason_off": res.reason_off,
         "mean_on_rate_per_ms": res.mean_on_rate_per_ms,
         "mean_off_rate_per_ms": res.mean_off_rate_per_ms,
     }

@@ -16,12 +16,15 @@ output is bit-identical for any ``workers`` value.
 Detection takes ``workers`` too: each of its draws starts at its known
 offset in one seeded stream on its own generator, and its two channels are
 mapped, so its output does not depend on ``workers`` either. It walks the
-photons in segments of ``_SEGMENT`` blocks: while one task draws the jitter
-normals of the next segment into one of two reused buffers, another draws
-the splitter and efficiency uniforms of this one and keeps its photons per
-channel, jittering only those (``core._Pool.overlap``), so no draw or mask
-spans the whole emission. Pulsed pieces start their draws
-at known offsets too (see ``_pulsed_piece``). All these draws, and a CW
+photons in segments of ``_SEGMENT`` blocks: a task draws the jitter normals
+of a segment into a reused buffer, and another draws the splitter and
+efficiency uniforms of the one before and keeps its photons per channel,
+jittering only those (``core._Pool.overlap``: threaded, the two run side
+by side on two buffers; serially, segment by segment on one), so no draw
+or mask spans the whole emission. Pulsed pieces start their draws at
+known offsets too, and hold their excitation flags packed, a bit per
+pulse (see ``_pulsed_piece``), so a piece peaks at the photons it
+returns, not at its pulse grid. All these draws, and a CW
 piece's decay times, run in blocks of ``core._BLOCK`` values through one
 reused buffer; a CW piece draws its waits whole and casts its times to
 int64 in place. The pieces and the background, and a channel's segments
@@ -30,10 +33,11 @@ one array, unless there is one part, then sorted and cut in place. The
 background is drawn first, so a lone piece is drawn with room for it.
 Detection drops the emission record before it routes a photon. When that
 leaves it the only holder of the record's times (``_unshared``, numpy's
-own test before a resize), it writes the kept photons back into them and
-makes them channel 0's array; otherwise, as always under Python 3.10,
-whose calling frame holds the record, the record is never written and is
-freed, if no one else holds it, before the channel pass.
+own test before a resize), it writes the kept photons back into them,
+cuts them to the kept photons before it copies channel 1 out, and makes
+them channel 0's array (``_parted``); otherwise, as always under Python
+3.10, whose calling frame holds the record, the record is never written
+and is freed, if no one else holds it, before the channel pass.
 """
 
 from __future__ import annotations
@@ -282,6 +286,29 @@ def _below(draw, n: int, p: float) -> np.ndarray:
     return mask
 
 
+def _excited(draw, n: int, p: float, k0: int, room: int) -> np.ndarray:
+    """The pulses k0 + j of the n uniforms from ``draw`` below p, in an
+    array that owns its data and ends in ``room`` free slots. The flags
+    are counted as they are drawn and kept packed, a bit per pulse in a
+    slot of ``_BLOCK`` bits per block, so the pulse grid is never held at
+    a byte per pulse."""
+    packed = np.empty((-(-n // _BLOCK), -(-_BLOCK // 8)), np.uint8)
+    count = 0
+    for (_, u), slot in zip(_drawn(draw, n), packed):
+        flags = u < p
+        count += np.count_nonzero(flags)
+        bits = np.packbits(flags)
+        slot[:bits.size] = bits
+    out = np.empty(count + room, np.int64)
+    at = 0
+    for j, slot in zip(range(0, n, _BLOCK), packed):
+        bits = np.unpackbits(slot, count=min(_BLOCK, n - j))
+        index = np.flatnonzero(bits.view(bool))  # bool's fast path
+        np.add(index, k0 + j, out=out[at:at + index.size])
+        at += index.size
+    return out
+
+
 def _joined(parts: list) -> np.ndarray:
     """The int64 arrays in ``parts`` end to end. A lone part that owns its
     data is returned as it is; other parts are copied into one new array,
@@ -426,23 +453,17 @@ def _pulsed_piece(seed: int, i: int, lo: int, hi: int, exc: ExcitationConfig,
     photon per pulse, optionally preceded by a biexciton photon from the
     same excitation. Its K excitation uniforms (if p < 1), n absorption
     uniforms and decays (then quantum yield, biexciton) start at 0, K, K+n.
-    The array ends in ``room`` free slots."""
+    The K flags are held packed and counted as drawn (``_excited``), so the
+    n excited pulses are indexed straight into the exact-size array. The
+    array ends in ``room`` free slots."""
     period = exc.pulse_period_ps
     k0 = -(-lo // period)  # first pulse at or after lo
     k1 = -(-hi // period)  # first pulse at or after hi (excluded)
     p = exc.excitation_probability
     n_uniform = max(k1 - k0, 0) if p < 1.0 else 0
     if n_uniform:  # index the excited pulses, never the whole pulse grid
-        excited = _below(_rng(seed, _TAG_SIGNAL, i).random, n_uniform, p)
-        # Not one flatnonzero, whose result is a view: this array owns its
-        # data, so that it can be cut and filled in place.
-        out = np.empty(np.count_nonzero(excited) + room, np.int64)
-        at = 0
-        for j in range(0, n_uniform, _BLOCK):
-            index = np.flatnonzero(excited[j:j + _BLOCK])
-            np.add(index, k0 + j, out=out[at:at + index.size])
-            at += index.size
-        del excited
+        out = _excited(_rng(seed, _TAG_SIGNAL, i).random, n_uniform, p, k0,
+                       room)
     else:
         out = np.arange(k0, k1 + room, dtype=np.int64)
     n = out.size - room
@@ -598,9 +619,12 @@ def _unshared(box: list) -> bool:
 def _parted(t: np.ndarray, written: list, parts: tuple) -> None:
     """Make each channel's ``parts`` one array, from the routed photons at
     the front of ``t`` (segment by segment, channel 0's then channel 1's;
-    ``written`` holds their counts) and the parts already there: channel
-    1's are copied out to a new array, then channel 0's are moved to the
-    front of ``t``, which is cut to them and their parts and kept."""
+    ``written`` holds their counts) and the parts already there: ``t`` is
+    cut to the routed photons first, so that the photons no channel kept
+    are freed before channel 1's are copied out to a new array; then
+    channel 0's are moved to the front of ``t``, which is cut to them and
+    their parts and kept."""
+    t.resize(sum(map(sum, written)), refcheck=False)  # before any view
     ones, at = [], 0
     for a, b in written:
         ones.append(t[at + a:at + a + b])
@@ -637,7 +661,8 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     ``core._BLOCK``. ``workers`` threads draw the jitter normals of one
     segment, into one of two reused buffers, while they route the one
     before it: its splitter and efficiency uniforms, then its kept
-    photons per channel, jittered (``core._Pool.overlap``). They then
+    photons per channel, jittered (``core._Pool.overlap``); one thread
+    draws and routes segment by segment with one buffer. They then
     assemble (``_assembled``) and filter the two channels. Any value
     yields bit-identical output: the draws are one seeded stream in a
     fixed order (splitter and efficiency uniforms, jitter normals, then
@@ -652,7 +677,8 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     leaves this call the only holder of the record's times (``_unshared``:
     they own their data, have no weak reference and no other reference),
     each segment's kept photons are written back into that array, just
-    behind the segment being read, and it becomes channel 0's array
+    behind the segment being read; the array is cut to them before
+    channel 1's are copied out, and becomes channel 0's array
     (``_parted``). Otherwise (the caller, a wrapper or a weak reference
     still holds the record or its times, as a calling frame always does
     under Python 3.10), the record is never written, and each segment's
@@ -683,9 +709,7 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
     jitter_rng = _rng(seed, _TAG_DETECT, skip=2 * n)
     step = _SEGMENT * _BLOCK
     sigma = detector.jitter_sigma_ps
-    # One segment's normals are drawn into one buffer while the segment
-    # before it reads the other.
-    normals = [np.empty(min(n, step)) for _ in range(2 if sigma > 0 else 0)]
+    normals = []  # jitter normals, a buffer per product of the overlap
     parts = ([], [])  # by channel id: kept photons, an array per segment
     written = []  # in place: each segment's photons by channel, in ``t``
 
@@ -693,7 +717,7 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
         """Segment ``lo``'s start and jitter normals (None without)."""
         if not normals:
             return lo, None
-        z = normals[lo // step % 2][:min(step, n - lo)]
+        z = normals[lo // step % len(normals)][:min(step, n - lo)]
         return lo, jitter_rng.standard_normal(out=z)
 
     def route(segment: tuple) -> None:
@@ -729,7 +753,10 @@ def detect_hbt(emission: EmissionRecord | TimestampStream,
             ch, _dead_time_filter(times, detector.dead_time_ps), duration)
 
     with _Pool(workers, 2) as pool:  # one pool for every step
-        # Segment r's jitter is drawn while segment r - 1 is routed.
+        # Threaded, segment r's jitter is drawn into one buffer while
+        # segment r - 1 reads the other; serially one buffer serves.
+        if sigma > 0:
+            normals += [np.empty(min(n, step)) for _ in range(pool.products)]
         pool.overlap(drawn, route, range(0, n, step))
         normals.clear()
         for ch in (CHANNEL_A, CHANNEL_B):  # dark counts, after the jitter

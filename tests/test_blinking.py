@@ -340,6 +340,7 @@ class TestAnalyzeBlinking:
     def test_sparse_state_reports_none(self):
         result = pk.analyze_blinking(trace_of([100] * 10), 50.0)
         assert result.alpha_on is None
+        assert result.reason_on == "too few dwells to characterize"
         assert result.on_durations_ms.size == 0
         assert result.mean_on_rate_per_ms == pytest.approx(100.0)
 
@@ -351,6 +352,13 @@ class TestAnalyzeBlinking:
                              [5 + k % 5 for k in range(20)], 5.0),
         "no_spread": ([1] * 30, [1 + k % 5 for k in range(30)], None),
     }
+    # Why each state above has no exponent: too sparse a sample above the
+    # cut-off, or the estimator's refusal.
+    REASONS = {
+        "one_above_cutoff": "too few dwells to characterize",
+        "no_spread": "estimator refused the dwells: durations have no "
+                     "spread above tau_min",
+    }
 
     @pytest.mark.parametrize("case", list(REFUSED_ON))
     def test_refused_state_reports_none(self, case):
@@ -360,5 +368,7 @@ class TestAnalyzeBlinking:
                                      tau_min_ms=tau_min_ms)
         assert result.alpha_on is None and result.model_on is None
         assert result.alpha_off is not None and result.model_off is not None
+        assert result.reason_on == self.REASONS[case]
+        assert result.reason_off is None
         assert result.mean_on_rate_per_ms == pytest.approx(100.0)
         assert result.mean_off_rate_per_ms == pytest.approx(0.0)

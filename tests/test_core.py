@@ -507,9 +507,10 @@ class TestWorkerBound:
 
 
 class TestPoolOverlap:
-    """``_Pool.overlap`` runs ``use(make(k))`` for each key in order, with
-    ``make`` of one key beside ``use`` of the one before: one map of at
-    most two tasks per step. The writer and detection share it."""
+    """``_Pool.overlap`` runs ``use(make(k))`` for each key in order.
+    Threaded, ``make`` of one key runs beside ``use`` of the one before:
+    one map of at most two tasks per step. With one thread it runs key by
+    key. The writer and detection share it."""
 
     pools = TestWorkerBound.pools
 
@@ -527,6 +528,29 @@ class TestPoolOverlap:
         with core._Pool(workers, 2) as pool:
             pool.overlap(lambda k: k * 2, used.append, "abcde")
         assert used == ["aa", "bb", "cc", "dd", "ee"]
+
+    def test_one_thread_runs_key_by_key(self):
+        """Serially each product is used before the next is made, so one
+        is alive at a time, and one buffer serves every step."""
+        calls = []
+
+        def make(k):
+            calls.append(("make", k))
+            return k
+
+        with core._Pool(1, 2) as pool:
+            assert pool.products == 1
+            pool.overlap(make, lambda k: calls.append(("use", k)), range(3))
+        assert calls == [("make", 0), ("use", 0), ("make", 1), ("use", 1),
+                         ("make", 2), ("use", 2)]
+
+    def test_threads_keep_two_products(self, monkeypatch):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 2)
+        with core._Pool(2, 2) as pool:
+            assert pool.products == 2
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
+        with core._Pool(2, 2) as pool:
+            assert pool.products == 1
 
     def test_no_keys_calls_neither(self, pools):
         called = []

@@ -683,10 +683,10 @@ class TestWriteChunks:
 
 
 class TestWriteBatches:
-    """The writer sorts batches of chunks into two buffers in turn and
-    hashes and writes one while it fills the other. At any batch size,
-    odd ones too, the bytes and the digest must be those of the
-    whole-file lexsort, at every worker count."""
+    """The writer sorts batches of chunks into its buffers in turn and,
+    threaded, hashes and writes one while it fills the other. At any
+    batch size, odd ones too, the bytes and the digest must be those of
+    the whole-file lexsort, at every worker count."""
 
     @staticmethod
     def write_all_ways(streams, path, resolution):

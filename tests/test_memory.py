@@ -64,6 +64,24 @@ class TestPeakMemory:
         assert peak / len(emission) <= 14.0  # the record itself takes 9
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_pulsed_emission(self, workers):
+        """A pulsed piece holds its excitation flags packed, a bit per
+        pulse, so the call peaks at the record it returns."""
+        with tracing():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            emission = pk.generate_emission(
+                pk.EmitterModel(), pk.ExcitationConfig(
+                    "pulsed", excitation_probability=0.5), 2 * PS_S // 5,
+                seed=51, workers=workers)
+            held, peak = tracemalloc.get_traced_memory()
+        assert 1.9e6 < len(emission) < 2.1e6
+        # 0.06 bytes per photon above the 9.35 held; a byte-per-pulse mask
+        # beside the photons took 1.29 (a peak of 10.64).
+        assert (peak - held) / len(emission) <= 0.3
+        assert (held - start) / len(emission) <= 9.5
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_detection(self, pulsed, workers):
         assert 1.9e6 < len(pulsed) < 2.1e6
         (ch0, ch1, _), peak = traced_peak(lambda: pk.detect_hbt(
@@ -153,4 +171,44 @@ class TestInPlaceDetection:
         # 3.2 bytes per photon; routing to arrays of its own, as for a
         # record the caller keeps, took 6.9. On pulsed_sync's 5.0M photons
         # the traced peak with the record was 52.9 MB against 73.9 MB.
-        assert (peak - start) / n <= 4.5
+        # Serially, with one normals buffer and the unrouted photons freed
+        # before channel 1 is copied out, 2.2; two buffers, or the copy
+        # beside the whole record, took 3.24.
+        assert (peak - start) / n <= (2.6 if workers == 1 else 4.5)
+
+
+class TestParting:
+    """``_parted`` cuts the record's times to the routed photons before it
+    copies channel 1's out, so it never holds the whole record and
+    channel 1 at once."""
+
+    def test_no_peak_above_the_record(self):
+        n, step = 2 * 10**6, 4 * sim._BLOCK
+        rng = np.random.default_rng(55)
+        written = []
+        for lo in range(0, n, step):  # efficiency 0.6, split 50:50
+            kept = rng.binomial(min(step, n - lo), 0.6)
+            a = rng.binomial(kept, 0.5)
+            written.append([a, kept - a])
+        routed = sum(map(sum, written))
+        with tracing():
+            t = np.arange(n, dtype=np.int64)
+            parts = ([np.arange(3)], [np.arange(5)])  # the dark counts
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            sim._parted(t, written, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        # Copying channel 1 out beside the whole record added its 2.4 MB.
+        assert peak - start <= 4096
+        want, at = ([], []), 0
+        for a, b in written:
+            want[0].append(np.arange(at, at + a))
+            want[1].append(np.arange(at + a, at + a + b))
+            at += a + b
+        ch0, = parts[0]
+        ch1, = parts[1]
+        assert ch0 is t and at == routed
+        want[0].append(np.arange(3))
+        want[1].append(np.arange(5))
+        np.testing.assert_array_equal(ch0, np.concatenate(want[0]))
+        np.testing.assert_array_equal(ch1, np.concatenate(want[1]))

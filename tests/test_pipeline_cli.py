@@ -683,6 +683,32 @@ class TestPrintedResults:
                 rf"{state}: alpha = \S+ \+/- \S+, "
                 r"model = (power_law|exponential)", line), line
 
+    def test_blink_names_the_estimator_refusal(self, tmp_path, capsys):
+        """Thirty 1 ms ON dwells between OFF dwells of 1 to 5 ms: the ON
+        sample has no spread above its minimum, which the estimator
+        refuses, while the OFF state is fitted."""
+        on, off = [1] * 30, [1 + k % 5 for k in range(30)]
+        bins = [c for a, b in zip(on, off) for c in [100] * a + [0] * b]
+        duration = len(bins) * PS_PER_MS
+        # 100 events spread over each ON bin, on channel 0.
+        events = np.concatenate([
+            k * PS_PER_MS + np.arange(100) * (PS_PER_MS // 100)
+            for k, c in enumerate(bins) if c])
+        path = tmp_path / "refused.ptst"
+        write_timestamps([TimestampStream(0, events, duration),
+                          TimestampStream(1, [], duration)], path)
+        assert cli_main(["blink", str(path), "--threshold", "50"]) == 0
+        text = out_lines(capsys).splitlines()
+        assert ("on: estimator refused the dwells: durations have no "
+                "spread above tau_min") in text
+        off = next(s for s in text if s.startswith("off: "))
+        assert off.startswith("off: alpha = "), off
+        doc = run_pipeline({"mode": "analyze", "input": str(path),
+                            "analyses": ["blinking"]})
+        entry = doc.results["blinking"]
+        assert entry["alpha_on"] is None and entry["reason_off"] is None
+        assert entry["reason_on"].startswith("estimator refused the dwells")
+
 
 class TestReadmeFlagTable:
     """The README's flag -> job-config table matches the parser."""

@@ -524,6 +524,79 @@ class TestBlockedDraws:
         np.testing.assert_array_equal(ch1.events, want1)
 
 
+class TestPackedExcitation:
+    """A pulsed piece keeps its excitation flags packed, a slot of
+    ``_BLOCK`` bits per block, and indexes the excited pulses from them.
+    Against a reference that holds the whole mask, at block sizes that
+    are and are not multiples of 8, the pulses and the piece's photons
+    must be the same."""
+
+    PERIOD = 10**6  # 1 MHz, so a 1 ms dwell spans a thousand pulses
+    EMITTERS = {
+        "mid_trace": (quiet_emitter(), 0),
+        "room": (quiet_emitter(), 7),
+        "quantum_yield": (quiet_emitter(quantum_yield=0.6), 0),
+        "biexciton": (quiet_emitter(biexciton_probability=0.4,
+                                    quantum_yield=0.8), 3),
+    }
+
+    def piece(self):
+        """A piece of a power-law blinking trace that starts mid-trace,
+        between two pulses, and spans a few thousand of them."""
+        law = pk.BlinkingLaw("power_law", min_dwell_ms=2.0, max_dwell_ms=6.0)
+        duration = 40 * PS_MS
+        segments = pk.sim._blinking_segments(law, duration, seed=8)
+        lo, hi = next((lo, hi) for lo, hi in
+                      pk.sim._signal_pieces(segments, duration)
+                      if lo % self.PERIOD and hi - lo > 2 * PS_MS)
+        return 3, lo, hi  # the piece's index in its trace
+
+    def reference(self, i, lo, hi, exc, em):
+        """The piece drawn from one generator with the whole mask held."""
+        rng = _rng(17, pk.sim._TAG_SIGNAL, i)
+        k0, k1 = -(-lo // self.PERIOD), -(-hi // self.PERIOD)
+        p = exc.excitation_probability
+        k = (np.flatnonzero(rng.random(k1 - k0) < p) + k0 if p < 1.0
+             else np.arange(k0, k1))
+        absorb = k * self.PERIOD + rng.random(k.size) * exc.pulse_width_ps
+        x = np.rint(absorb + rng.exponential(em.lifetime_ns * PS_NS,
+                                             k.size)).astype(np.int64)
+        qy = em.quantum_yield
+        if qy < 1.0:
+            x = x[rng.random(x.size) < qy]
+        if em.biexciton_probability:
+            xx = absorb[rng.random(k.size) < em.biexciton_probability]
+            xx = xx + rng.exponential(em.biexciton_lifetime_ns * PS_NS,
+                                      xx.size)
+            if qy < 1.0:
+                xx = xx[rng.random(xx.size) < qy]
+            x = np.concatenate((x, np.rint(xx).astype(np.int64)))
+        return k, x
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.999])
+    @pytest.mark.parametrize("name", sorted(EMITTERS))
+    def test_piece_matches_the_whole_mask(self, monkeypatch, name, p, block):
+        em, room = self.EMITTERS[name]
+        exc = pk.ExcitationConfig("pulsed", pulse_period_ps=self.PERIOD,
+                                  excitation_probability=p)
+        i, lo, hi = self.piece()
+        k0, k1 = -(-lo // self.PERIOD), -(-hi // self.PERIOD)
+        # The last block, and a block of 7 or 1000, holds no whole bytes.
+        assert k0 > 0 and (k1 - k0) % 8 and (k1 - k0) % max(block, 8)
+        k, want = self.reference(i, lo, hi, exc, em)
+        monkeypatch.setattr(pk.sim, "_BLOCK", block)
+        pulses = pk.sim._excited(_rng(17, pk.sim._TAG_SIGNAL, i).random,
+                                 k1 - k0, p, k0, room)
+        assert pulses.base is None and pulses.size == k.size + room
+        np.testing.assert_array_equal(pulses[:k.size], k)
+        got = pk.sim._pulsed_piece(17, i, lo, hi, exc, em, room)
+        assert got.base is None and got.size == want.size + room
+        np.testing.assert_array_equal(got[:want.size], want)
+        if p == 0.0:
+            assert want.size == 0
+
+
 class TestDetectSegments:
     """``detect_hbt`` draws the jitter of one segment of ``_SEGMENT``
     blocks while it routes the one before it. With a block small enough
